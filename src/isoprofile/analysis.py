@@ -178,7 +178,6 @@ def identity_suite(
     complement_profiles: Mapping[MetricKind, Profile] | None = None,
     strategy: str = "auto",
     cap: int | None = None,
-    workers: int = 1,
 ) -> tuple[IdentityResult, ...]:
     """Check every counting identity; failures are data, not exceptions.
 
@@ -187,7 +186,7 @@ def identity_suite(
     graphs.
     """
     if complement_profiles is None:
-        complement_profiles = all_profiles(complement(graph), strategy=strategy, cap=cap, workers=workers)
+        complement_profiles = all_profiles(complement(graph), strategy=strategy, cap=cap)
     n, m = graph.n, graph.m
     summary = degree_summary(graph)
     d = summary.min_degree
@@ -327,7 +326,6 @@ def verify_theorem(
     graph: Graph,
     strategy: str = "checked",
     cap: int | None = None,
-    workers: int = 1,
 ) -> VerificationReport:
     """Full verification of one graph.
 
@@ -339,7 +337,7 @@ def verify_theorem(
     unconditional symmetry raises InternalInconsistencyError: that is a
     solver bug, never a counterexample.
     """
-    profiles = all_profiles(graph, strategy=strategy, cap=cap, workers=workers)
+    profiles = all_profiles(graph, strategy=strategy, cap=cap)
     summary = degree_summary(graph)
     connected = is_connected(graph)
     diffs = {kind: diff_sequence(profiles[kind]) for kind in KIND_ORDER}
@@ -354,7 +352,7 @@ def verify_theorem(
     biconditional = {
         kind: verdicts[kind].symmetric == summary.is_regular for kind in CHARACTERIZING_KINDS
     }
-    identities = identity_suite(graph, profiles, strategy=strategy, cap=cap, workers=workers)
+    identities = identity_suite(graph, profiles, strategy=strategy, cap=cap)
     note = (
         None
         if connected
@@ -440,7 +438,6 @@ def hypercube_inequality_check(
     dimension: int,
     cap: int | None = None,
     strategy: str = "auto",
-    workers: int = 1,
 ) -> IsoperimetricReport:
     """Evaluate min_cut(i) >= i * (d - log2 i) on the d-dimensional hypercube.
 
@@ -450,7 +447,7 @@ def hypercube_inequality_check(
     and min_cut is an integer).
     """
     graph = hypercube(dimension)
-    min_cut = all_profiles(graph, strategy=strategy, cap=cap, workers=workers)[MetricKind.MIN_CUT]
+    min_cut = all_profiles(graph, strategy=strategy, cap=cap)[MetricKind.MIN_CUT]
     n = graph.n
     rows = []
     for i in range(1, n + 1):

@@ -77,7 +77,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--format", choices=["human", "json", "csv"], default="human")
     run.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")
     run.add_argument("--cap", type=int, default=None, help="override the solver vertex cap (default 24)")
-    run.add_argument("--workers", type=int, default=1, help="worker count; never affects emitted bytes")
     run.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
     profile = sub.add_parser("profile", parents=[source, run], help="emit the six profiles and their difference sequences")
@@ -95,6 +94,7 @@ def _build_parser() -> _Parser:
         help="generator spec; repeat or comma-separate for a mix",
     )
     sweep.add_argument("--count", type=int, required=True, help="number of graphs to draw")
+    sweep.add_argument("--workers", type=int, default=1, help="worker count; never affects emitted bytes")
     sweep.add_argument("--findings", metavar="FILE", default="findings.txt", help="written only if inconsistencies occur")
     sweep.set_defaults(func=_cmd_sweep, strategy_default="checked")
 
@@ -185,7 +185,7 @@ def _profile_human(graph: Graph, profiles, diffs) -> str:
 def _cmd_profile(args) -> int:
     graph = _load_graph(args)
     strategy = args.strategy or args.strategy_default
-    profiles = all_profiles(graph, strategy=strategy, cap=args.cap, workers=args.workers)
+    profiles = all_profiles(graph, strategy=strategy, cap=args.cap)
     diffs = {kind: diff_sequence(profiles[kind]) for kind in KIND_ORDER}
     if args.format == "csv":
         text = _profile_csv(graph, profiles, diffs)
@@ -241,7 +241,7 @@ def _cmd_verify(args) -> int:
         raise _UsageError("csv output applies to the profile command only")
     graph = _load_graph(args)
     strategy = args.strategy or args.strategy_default
-    report = verify_theorem(graph, strategy=strategy, cap=args.cap, workers=args.workers)
+    report = verify_theorem(graph, strategy=strategy, cap=args.cap)
     if args.format == "json":
         text = _dump_json(report.to_dict())
     else:

@@ -5,9 +5,10 @@ subset counters (induced, covered, cut edges), and one sense (max or
 min), the optimum over all i-subsets is computed by three independent
 routes:
 
-* ``profile_exhaustive``: scan every i-subset in lexicographic order.
-  This is the ground truth; the witness is the first optimal subset in
-  that order.
+* ``profile_exhaustive``: one reflected Gray-code walk over all 2^n
+  subsets yields all six profiles at once. This is the ground truth;
+  each witness is the lexicographically first optimal subset (compare
+  the sorted vertex tuples).
 * ``profile_branch_bound``: depth-first subset extension with
   admissible degree-sorted completion bounds and a greedy incumbent.
   Values always match the exhaustive route; witnesses are whichever
@@ -38,10 +39,8 @@ incumbent is safe.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import combinations
 from typing import Callable, Mapping
 
 from .graphs import Graph, VertexSet, complement
@@ -153,79 +152,91 @@ def _require_within_cap(n: int, cap: int | None) -> None:
         )
 
 
-def _map_sizes(
-    graph: Graph,
-    kind: MetricKind,
-    single: Callable[[Graph, MetricKind, int], tuple[int, int]],
-    sizes: range,
-    workers: int,
-) -> list[tuple[int, int]]:
-    # Each size writes only its own slot, so thread scheduling cannot
-    # change the result.
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda i: single(graph, kind, i), sizes))
-    return [single(graph, kind, i) for i in sizes]
-
-
 # ---------------------------------------------------------------------------
 # Exhaustive route
 
 
-def _exhaustive_single(graph: Graph, kind: MetricKind, size: int) -> tuple[int, int]:
-    adj = graph.adj
-    degrees = graph.degrees
-    counter = kind.counter
-    maximize = kind.is_max
-    best: int | None = None
-    best_mask = 0
-    for combo in combinations(range(graph.n), size):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        doubled = 0
-        degree_sum = 0
-        for v in combo:
-            doubled += (adj[v] & mask).bit_count()
+def _earlier(mask: int, other: int) -> bool:
+    # Of two equal-size sets, the one holding the lowest vertex of their
+    # symmetric difference is lexicographically first.
+    diff = mask ^ other
+    return diff & -diff & mask != 0
+
+
+def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKind, Profile]:
+    """Ground truth: all six profiles from one walk over every subset.
+
+    Consecutive subsets of the reflected Gray code differ in one vertex
+    v, so the induced count moves by |adj(v) & S| and the degree sum by
+    deg(v); covered = degree sum - induced and cut = degree sum -
+    2 * induced follow. Each size keeps the lexicographically first
+    optimal subset as its witness (Knuth, TAOCP 4A, 7.2.1.1).
+    """
+    _require_within_cap(graph.n, cap)
+    n, adj, degrees = graph.n, graph.adj, graph.degrees
+    top = n + 1
+    # Sentinels every real value beats; size 0 holds the empty set.
+    hi_ind, hi_cov, hi_cut = ([-1] * top for _ in range(3))
+    lo_ind, lo_cov, lo_cut = ([graph.m + 1] * top for _ in range(3))
+    for values in (hi_ind, hi_cov, hi_cut, lo_ind, lo_cov, lo_cut):
+        values[0] = 0
+    w_hi_ind, w_lo_ind, w_hi_cov, w_lo_cov, w_hi_cut, w_lo_cut = ([0] * top for _ in range(6))
+    mask = induced = degree_sum = size = 0
+    for step in range(1, 1 << n):
+        v = (step & -step).bit_length() - 1
+        bit = 1 << v
+        mask ^= bit
+        shared = (adj[v] & mask).bit_count()
+        if mask & bit:
+            induced += shared
             degree_sum += degrees[v]
-        if counter == "induced":
-            val = doubled >> 1
-        elif counter == "covered":
-            val = (doubled >> 1) + degree_sum - doubled
+            size += 1
         else:
-            val = degree_sum - doubled
-        if best is None or (val > best if maximize else val < best):
-            best = val
-            best_mask = mask
-    return (0, 0) if best is None else (best, best_mask)
+            induced -= shared
+            degree_sum -= degrees[v]
+            size -= 1
+        covered = degree_sum - induced
+        cut = covered - induced
+        best = hi_ind[size]
+        if induced >= best and (induced > best or _earlier(mask, w_hi_ind[size])):
+            hi_ind[size], w_hi_ind[size] = induced, mask
+        best = lo_ind[size]
+        if induced <= best and (induced < best or _earlier(mask, w_lo_ind[size])):
+            lo_ind[size], w_lo_ind[size] = induced, mask
+        best = hi_cov[size]
+        if covered >= best and (covered > best or _earlier(mask, w_hi_cov[size])):
+            hi_cov[size], w_hi_cov[size] = covered, mask
+        best = lo_cov[size]
+        if covered <= best and (covered < best or _earlier(mask, w_lo_cov[size])):
+            lo_cov[size], w_lo_cov[size] = covered, mask
+        best = hi_cut[size]
+        if cut >= best and (cut > best or _earlier(mask, w_hi_cut[size])):
+            hi_cut[size], w_hi_cut[size] = cut, mask
+        best = lo_cut[size]
+        if cut <= best and (cut < best or _earlier(mask, w_lo_cut[size])):
+            lo_cut[size], w_lo_cut[size] = cut, mask
+    table = (
+        (hi_ind, w_hi_ind),
+        (lo_ind, w_lo_ind),
+        (hi_cov, w_hi_cov),
+        (lo_cov, w_lo_cov),
+        (hi_cut, w_hi_cut),
+        (lo_cut, w_lo_cut),
+    )
+    return {
+        kind: Profile(kind, tuple(values), tuple(VertexSet(n, w) for w in witnesses), "exhaustive")
+        for kind, (values, witnesses) in zip(KIND_ORDER, table)
+    }
 
 
 def extremal_exhaustive(
     graph: Graph, kind: MetricKind, size: int, cap: int | None = None
 ) -> tuple[int, VertexSet]:
     """Exact optimum for one size; witness is the lexicographically first."""
-    _require_within_cap(graph.n, cap)
     if not 0 <= size <= graph.n:
         raise ValueError(f"subset size {size} outside 0..{graph.n}")
-    value, mask = _exhaustive_single(graph, kind, size)
-    return value, VertexSet(graph.n, mask)
-
-
-def profile_exhaustive(
-    graph: Graph,
-    kind: MetricKind,
-    cap: int | None = None,
-    with_witnesses: bool = True,
-    workers: int = 1,
-) -> Profile:
-    """Ground-truth profile: every size solved by full enumeration."""
-    _require_within_cap(graph.n, cap)
-    results = _map_sizes(graph, kind, _exhaustive_single, range(graph.n + 1), workers)
-    values = tuple(v for v, _ in results)
-    witnesses = (
-        tuple(VertexSet(graph.n, mask) for _, mask in results) if with_witnesses else None
-    )
-    return Profile(kind, values, witnesses, "exhaustive")
+    profile = profile_exhaustive(graph, cap=cap)[kind]
+    return profile.values[size], profile.witnesses[size]
 
 
 # ---------------------------------------------------------------------------
@@ -343,21 +354,28 @@ def branch_bound_extremal(
     return value, VertexSet(graph.n, mask)
 
 
-def profile_branch_bound(
-    graph: Graph,
-    kind: MetricKind,
-    cap: int | None = None,
-    with_witnesses: bool = True,
-    workers: int = 1,
-) -> Profile:
+def _branch_bound_profile(graph: Graph, kind: MetricKind, mirror_cut: bool) -> Profile:
+    # Cut counts are invariant under complementing the subset, so with
+    # mirror_cut a cut kind solves sizes up to n/2 and mirrors the rest.
+    n = graph.n
+    mirrored = mirror_cut and kind.counter == "cut"
+    half = n // 2 if mirrored else n
+    lower = [_branch_bound_single(graph, kind, i) for i in range(half + 1)]
+    values = []
+    witnesses = []
+    for i in range(n + 1):
+        value, mask = lower[i if i <= half else n - i]
+        values.append(value)
+        witness = VertexSet(n, mask)
+        witnesses.append(witness if i <= half else witness.complement())
+    provenance = "branch-and-bound (lower half mirrored)" if mirrored else "branch-and-bound"
+    return Profile(kind, tuple(values), tuple(witnesses), provenance)
+
+
+def profile_branch_bound(graph: Graph, kind: MetricKind, cap: int | None = None) -> Profile:
     """Same values as profile_exhaustive, computed by the pruned search."""
     _require_within_cap(graph.n, cap)
-    results = _map_sizes(graph, kind, _branch_bound_single, range(graph.n + 1), workers)
-    values = tuple(v for v, _ in results)
-    witnesses = (
-        tuple(VertexSet(graph.n, mask) for _, mask in results) if with_witnesses else None
-    )
-    return Profile(kind, values, witnesses, "branch-and-bound")
+    return _branch_bound_profile(graph, kind, mirror_cut=False)
 
 
 # ---------------------------------------------------------------------------
@@ -451,64 +469,6 @@ def profile_by_reduction(
 # Strategy layer
 
 
-def _full_profile(graph, kind, single, provenance, workers) -> Profile:
-    results = _map_sizes(graph, kind, single, range(graph.n + 1), workers)
-    return Profile(
-        kind,
-        tuple(v for v, _ in results),
-        tuple(VertexSet(graph.n, mask) for _, mask in results),
-        provenance,
-    )
-
-
-def _mirrored_cut_profile(graph, kind, single, provenance, workers) -> Profile:
-    # Cut counts are invariant under complementing the subset, so only
-    # sizes up to n/2 are solved and the rest mirrored.
-    n = graph.n
-    half = n // 2
-    lower = _map_sizes(graph, kind, single, range(half + 1), workers)
-    values = []
-    witnesses = []
-    for i in range(n + 1):
-        j = i if i <= half else n - i
-        value, mask = lower[j]
-        values.append(value)
-        ws = VertexSet(n, mask)
-        witnesses.append(ws if i <= half else ws.complement())
-    return Profile(kind, tuple(values), tuple(witnesses), f"{provenance} (lower half mirrored)")
-
-
-def _engine_profiles(graph, single, provenance, workers) -> dict[MetricKind, Profile]:
-    out = {}
-    for kind in KIND_ORDER:
-        if kind.counter == "cut":
-            out[kind] = _mirrored_cut_profile(graph, kind, single, provenance, workers)
-        else:
-            out[kind] = _full_profile(graph, kind, single, provenance, workers)
-    return out
-
-
-def _reduced_profiles(graph, workers) -> dict[MetricKind, Profile]:
-    dense = _full_profile(graph, MetricKind.MAX_INDUCED, _branch_bound_single, "branch-and-bound", workers)
-    sparse = _full_profile(graph, MetricKind.MIN_INDUCED, _branch_bound_single, "branch-and-bound", workers)
-    return {
-        MetricKind.MAX_INDUCED: dense,
-        MetricKind.MIN_INDUCED: sparse,
-        MetricKind.MAX_COVERED: profile_by_reduction(
-            graph, MetricKind.MAX_COVERED, bases={MetricKind.MIN_INDUCED: sparse}
-        ),
-        MetricKind.MIN_COVERED: profile_by_reduction(
-            graph, MetricKind.MIN_COVERED, bases={MetricKind.MAX_INDUCED: dense}
-        ),
-        MetricKind.MAX_CUT: _mirrored_cut_profile(
-            graph, MetricKind.MAX_CUT, _branch_bound_single, "branch-and-bound", workers
-        ),
-        MetricKind.MIN_CUT: _mirrored_cut_profile(
-            graph, MetricKind.MIN_CUT, _branch_bound_single, "branch-and-bound", workers
-        ),
-    }
-
-
 def _first_mismatch(a: Profile, b: Profile) -> int | None:
     for i, (x, y) in enumerate(zip(a.values, b.values)):
         if x != y:
@@ -516,54 +476,36 @@ def _first_mismatch(a: Profile, b: Profile) -> int | None:
     return None
 
 
-def _checked_profiles(graph, workers) -> dict[MetricKind, Profile]:
-    exhaustive = {
-        kind: profile_exhaustive(graph, kind, cap=graph.n, workers=workers)
-        for kind in KIND_ORDER
-    }
-    bounded = {
-        kind: profile_branch_bound(graph, kind, cap=graph.n, workers=workers)
-        for kind in KIND_ORDER
-    }
+def _checked_profiles(graph: Graph) -> dict[MetricKind, Profile]:
+    exhaustive = profile_exhaustive(graph, cap=graph.n)
     for kind in KIND_ORDER:
-        i = _first_mismatch(exhaustive[kind], bounded[kind])
+        bounded = profile_branch_bound(graph, kind, cap=graph.n)
+        i = _first_mismatch(exhaustive[kind], bounded)
         if i is not None:
             raise InternalInconsistencyError(
                 f"solver routes disagree on {kind.key} at i={i}: "
                 f"exhaustive={exhaustive[kind].values[i]}, "
-                f"branch-and-bound={bounded[kind].values[i]}"
+                f"branch-and-bound={bounded.values[i]}"
             )
-    co = complement(graph)
-    co_min = profile_exhaustive(co, MetricKind.MIN_INDUCED, cap=co.n, workers=workers)
-    co_max = profile_exhaustive(co, MetricKind.MAX_INDUCED, cap=co.n, workers=workers)
-    derived = {
-        MetricKind.MAX_INDUCED: profile_by_reduction(
-            graph, MetricKind.MAX_INDUCED, complement_bases={MetricKind.MIN_INDUCED: co_min}
-        ),
-        MetricKind.MIN_INDUCED: profile_by_reduction(
-            graph, MetricKind.MIN_INDUCED, complement_bases={MetricKind.MAX_INDUCED: co_max}
-        ),
-        MetricKind.MAX_COVERED: profile_by_reduction(
-            graph, MetricKind.MAX_COVERED, bases={MetricKind.MIN_INDUCED: exhaustive[MetricKind.MIN_INDUCED]}
-        ),
-        MetricKind.MIN_COVERED: profile_by_reduction(
-            graph, MetricKind.MIN_COVERED, bases={MetricKind.MAX_INDUCED: exhaustive[MetricKind.MAX_INDUCED]}
-        ),
-        MetricKind.MAX_CUT: profile_by_reduction(
-            graph, MetricKind.MAX_CUT, bases={MetricKind.MAX_CUT: exhaustive[MetricKind.MAX_CUT]}
-        ),
-        MetricKind.MIN_CUT: profile_by_reduction(
-            graph, MetricKind.MIN_CUT, bases={MetricKind.MIN_CUT: exhaustive[MetricKind.MIN_CUT]}
-        ),
-    }
+    co = profile_exhaustive(complement(graph), cap=graph.n)
     for kind in KIND_ORDER:
-        i = _first_mismatch(exhaustive[kind], derived[kind])
+        derived = profile_by_reduction(graph, kind, bases=exhaustive, complement_bases=co)
+        i = _first_mismatch(exhaustive[kind], derived)
         if i is not None:
             raise InternalInconsistencyError(
                 f"reduction route disagrees on {kind.key} at i={i}: "
                 f"exhaustive={exhaustive[kind].values[i]}, "
-                f"derived={derived[kind].values[i]} ({derived[kind].provenance})"
+                f"derived={derived.values[i]} ({derived.provenance})"
             )
+    for kind in KIND_ORDER:
+        profile = exhaustive[kind]
+        for i, witness in enumerate(profile.witnesses):
+            metrics = metrics_from_mask(graph, witness.bits)
+            if metrics.size != i or getattr(metrics, kind.counter) != profile.values[i]:
+                raise InternalInconsistencyError(
+                    f"witness of {kind.key} at i={i} does not attain its value: "
+                    f"{profile.values[i]} claimed, {metrics} found"
+                )
     return {kind: replace(exhaustive[kind], provenance="cross-checked") for kind in KIND_ORDER}
 
 
@@ -571,24 +513,36 @@ def all_profiles(
     graph: Graph,
     strategy: str = "auto",
     cap: int | None = None,
-    workers: int = 1,
 ) -> dict[MetricKind, Profile]:
     """All six profiles under one strategy.
 
-    auto: checked for n <= 8, reduced above (free verification where it
-    is cheap, speed where it is needed). oracle and bb run one engine
-    for everything; reduced grounds the two induced profiles in the
-    search and derives the rest; checked runs every route and raises
-    InternalInconsistencyError on any disagreement.
+    oracle: one exhaustive Gray-code walk, lexicographically first
+    witnesses. bb: branch and bound for every kind, cut kinds solved up
+    to n/2 and mirrored. reduced: branch and bound for the induced and
+    cut kinds, the covered kinds derived from the induced ones. checked:
+    the walk on the graph and on its complement, branch and bound for
+    every kind and size, and every reduction; raises
+    InternalInconsistencyError if any value disagrees or any returned
+    witness fails to attain its value. auto: checked for n <= 8, reduced
+    above (free verification where it is cheap, speed where it is
+    needed).
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     _require_within_cap(graph.n, cap)
     resolved = ("checked" if graph.n <= 8 else "reduced") if strategy == "auto" else strategy
     if resolved == "oracle":
-        return _engine_profiles(graph, _exhaustive_single, "exhaustive", workers)
+        return profile_exhaustive(graph, cap=graph.n)
+    if resolved == "checked":
+        return _checked_profiles(graph)
     if resolved == "bb":
-        return _engine_profiles(graph, _branch_bound_single, "branch-and-bound", workers)
-    if resolved == "reduced":
-        return _reduced_profiles(graph, workers)
-    return _checked_profiles(graph, workers)
+        return {kind: _branch_bound_profile(graph, kind, mirror_cut=True) for kind in KIND_ORDER}
+    searched = {
+        kind: _branch_bound_profile(graph, kind, mirror_cut=True)
+        for kind in KIND_ORDER
+        if kind.counter != "covered"
+    }
+    return {
+        kind: searched[kind] if kind in searched else profile_by_reduction(graph, kind, bases=searched)
+        for kind in KIND_ORDER
+    }

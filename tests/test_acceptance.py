@@ -73,11 +73,11 @@ def corpus_profiles():
     whole n <= 8 corpus; the ground truth reused by criteria 3, 4, 5, 6."""
     out = []
     for name, g in full_corpus():
-        exhaustive = {kind: profile_exhaustive(g, kind) for kind in KIND_ORDER}
+        exhaustive = {kind: profile_exhaustive(g)[kind] for kind in KIND_ORDER}
         co = complement(g)
         co_profiles = {
-            MetricKind.MIN_INDUCED: profile_exhaustive(co, MetricKind.MIN_INDUCED),
-            MetricKind.MAX_INDUCED: profile_exhaustive(co, MetricKind.MAX_INDUCED),
+            MetricKind.MIN_INDUCED: profile_exhaustive(co)[MetricKind.MIN_INDUCED],
+            MetricKind.MAX_INDUCED: profile_exhaustive(co)[MetricKind.MAX_INDUCED],
         }
         out.append((name, g, exhaustive, co_profiles))
     return out

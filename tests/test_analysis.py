@@ -34,27 +34,27 @@ from isoprofile import (
 
 class TestDiffSequence:
     def test_c4_max_induced_diff(self):
-        seq = diff_sequence(profile_exhaustive(cycle(4), MetricKind.MAX_INDUCED))
+        seq = diff_sequence(profile_exhaustive(cycle(4))[MetricKind.MAX_INDUCED])
         assert seq.values == (0, 1, 1, 2)
         assert seq.step(4) == 2
 
     def test_star4_max_induced_diff(self):
-        seq = diff_sequence(profile_exhaustive(star(4), MetricKind.MAX_INDUCED))
+        seq = diff_sequence(profile_exhaustive(star(4))[MetricKind.MAX_INDUCED])
         assert seq.values == (0, 1, 1, 1)
 
     def test_all_zero(self):
-        seq = diff_sequence(profile_exhaustive(empty(4), MetricKind.MAX_CUT))
+        seq = diff_sequence(profile_exhaustive(empty(4))[MetricKind.MAX_CUT])
         assert seq.values == (0, 0, 0, 0)
 
     def test_telescoping(self, corpus):
         for name, g in corpus[:60]:
             for kind in KIND_ORDER:
-                profile = profile_exhaustive(g, kind)
+                profile = profile_exhaustive(g)[kind]
                 seq = diff_sequence(profile)
                 assert sum(seq.values) == profile.values[g.n] - profile.values[0], name
 
     def test_step_bounds(self):
-        seq = diff_sequence(profile_exhaustive(cycle(4), MetricKind.MAX_INDUCED))
+        seq = diff_sequence(profile_exhaustive(cycle(4))[MetricKind.MAX_INDUCED])
         with pytest.raises(IndexError):
             seq.step(0)
         with pytest.raises(IndexError):
@@ -63,13 +63,13 @@ class TestDiffSequence:
 
 class TestSymmetry:
     def test_c4_symmetric_target_two(self):
-        seq = diff_sequence(profile_exhaustive(cycle(4), MetricKind.MAX_INDUCED))
+        seq = diff_sequence(profile_exhaustive(cycle(4))[MetricKind.MAX_INDUCED])
         verdict = check_symmetry(seq)
         assert verdict.symmetric and verdict.target == 2
         assert verdict.violations == ()
 
     def test_star4_not_symmetric(self):
-        seq = diff_sequence(profile_exhaustive(star(4), MetricKind.MAX_INDUCED))
+        seq = diff_sequence(profile_exhaustive(star(4))[MetricKind.MAX_INDUCED])
         verdict = check_symmetry(seq)
         assert not verdict.symmetric
         assert verdict.target == 1
@@ -81,18 +81,18 @@ class TestSymmetry:
             summary = degree_summary(g)
             if not summary.is_regular or g.n > 7:
                 continue
-            seq = diff_sequence(profile_exhaustive(g, MetricKind.MAX_INDUCED))
+            seq = diff_sequence(profile_exhaustive(g)[MetricKind.MAX_INDUCED])
             verdict = check_symmetry(seq)
             assert verdict.symmetric and verdict.target == summary.min_degree, name
 
     def test_cut_sequences_zero_sum_everywhere(self, corpus):
         for name, g in corpus[:120]:
             for kind in CUT_KINDS:
-                verdict = check_symmetry(diff_sequence(profile_exhaustive(g, kind)))
+                verdict = check_symmetry(diff_sequence(profile_exhaustive(g)[kind]))
                 assert verdict.symmetric and verdict.target == 0, name
 
     def test_single_vertex_sequence_is_symmetric(self):
-        verdict = check_symmetry(diff_sequence(profile_exhaustive(empty(1), MetricKind.MAX_INDUCED)))
+        verdict = check_symmetry(diff_sequence(profile_exhaustive(empty(1))[MetricKind.MAX_INDUCED]))
         assert verdict.symmetric
 
 
@@ -224,6 +224,24 @@ class TestInternalInconsistency:
         with pytest.raises(InternalInconsistencyError, match="max_induced at i=2"):
             all_profiles(cycle(4), strategy="checked")
 
+    def test_checked_strategy_rejects_false_witness(self, monkeypatch):
+        import isoprofile.solvers as solvers_mod
+        from isoprofile import InternalInconsistencyError, VertexSet
+
+        real = solvers_mod.profile_exhaustive
+
+        def lying(graph, **kwargs):
+            profiles = real(graph, **kwargs)
+            honest = profiles[MetricKind.MIN_CUT]
+            witnesses = list(honest.witnesses)
+            witnesses[2] = VertexSet.from_vertices(graph.n, [0, 2])  # cut 4 on C4, not 2
+            profiles[MetricKind.MIN_CUT] = replace(honest, witnesses=tuple(witnesses))
+            return profiles
+
+        monkeypatch.setattr(solvers_mod, "profile_exhaustive", lying)
+        with pytest.raises(InternalInconsistencyError, match="witness of min_cut at i=2"):
+            all_profiles(cycle(4), strategy="checked")
+
 
 class TestHypercubeInequality:
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -231,6 +249,21 @@ class TestHypercubeInequality:
         report = hypercube_inequality_check(d)
         assert report.all_hold
         assert report.n == 1 << d
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("strategy", ["auto", "oracle"])
+    def test_harper_closed_form(self, d, strategy):
+        # Harper (1964): max_induced(i) on Q_d is the bit count of 0..i-1,
+        # and min_cut(i) = d*i - 2*max_induced(i) since Q_d is d-regular
+        profiles = all_profiles(hypercube(d), strategy=strategy)
+        dense = profiles[MetricKind.MAX_INDUCED].values
+        cut = profiles[MetricKind.MIN_CUT].values
+        for i in range(len(dense)):
+            assert dense[i] == sum(bin(k).count("1") for k in range(i)), i
+            assert cut[i] == d * i - 2 * dense[i], i
+        report = hypercube_inequality_check(d, strategy=strategy)
+        assert report.min_cut_profile == cut
+        assert report.all_hold
 
     def test_tight_at_powers_of_two_d3(self):
         report = hypercube_inequality_check(3)

@@ -23,7 +23,7 @@ from isoprofile import (
     subset_metrics,
 )
 
-from oracle import brute_all_profiles
+from oracle import brute_all_profiles, brute_extremal
 
 
 @st.composite
@@ -53,29 +53,41 @@ class TestExhaustive:
     # profile values below are frozen from the brute-force oracle
     def test_c4_profiles(self):
         g = cycle(4)
-        assert profile_exhaustive(g, MetricKind.MAX_INDUCED).values == (0, 0, 1, 2, 4)
-        assert profile_exhaustive(g, MetricKind.MIN_INDUCED).values == (0, 0, 0, 2, 4)
-        assert profile_exhaustive(g, MetricKind.MAX_COVERED).values == (0, 2, 4, 4, 4)
-        assert profile_exhaustive(g, MetricKind.MIN_COVERED).values == (0, 2, 3, 4, 4)
-        assert profile_exhaustive(g, MetricKind.MAX_CUT).values == (0, 2, 4, 2, 0)
-        assert profile_exhaustive(g, MetricKind.MIN_CUT).values == (0, 2, 2, 2, 0)
+        assert profile_exhaustive(g)[MetricKind.MAX_INDUCED].values == (0, 0, 1, 2, 4)
+        assert profile_exhaustive(g)[MetricKind.MIN_INDUCED].values == (0, 0, 0, 2, 4)
+        assert profile_exhaustive(g)[MetricKind.MAX_COVERED].values == (0, 2, 4, 4, 4)
+        assert profile_exhaustive(g)[MetricKind.MIN_COVERED].values == (0, 2, 3, 4, 4)
+        assert profile_exhaustive(g)[MetricKind.MAX_CUT].values == (0, 2, 4, 2, 0)
+        assert profile_exhaustive(g)[MetricKind.MIN_CUT].values == (0, 2, 2, 2, 0)
 
     def test_star4_max_induced(self):
-        assert profile_exhaustive(star(4), MetricKind.MAX_INDUCED).values == (0, 0, 1, 2, 3)
+        assert profile_exhaustive(star(4))[MetricKind.MAX_INDUCED].values == (0, 0, 1, 2, 3)
 
     def test_k3_max_cut(self):
-        assert profile_exhaustive(complete(3), MetricKind.MAX_CUT).values == (0, 2, 2, 0)
+        assert profile_exhaustive(complete(3))[MetricKind.MAX_CUT].values == (0, 2, 2, 0)
 
     def test_complete5_max_induced_is_binomial(self):
-        assert profile_exhaustive(complete(5), MetricKind.MAX_INDUCED).values == (0, 0, 1, 3, 6, 10)
+        assert profile_exhaustive(complete(5))[MetricKind.MAX_INDUCED].values == (0, 0, 1, 3, 6, 10)
 
     def test_cut_max_witness_is_lexicographic_first(self):
-        profile = profile_exhaustive(cycle(4), MetricKind.MAX_CUT)
+        profile = profile_exhaustive(cycle(4))[MetricKind.MAX_CUT]
         assert profile.witnesses[2] == VertexSet.from_vertices(4, [0, 2])
 
     def test_size_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             extremal_exhaustive(cycle(4), MetricKind.MAX_INDUCED, 5)
+
+    @given(small_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_witnesses_match_naive_first_witness(self, g):
+        # pins the Gray-code walk's tie-break to lexicographic enumeration
+        profiles = profile_exhaustive(g)
+        edges = g.edges()
+        for kind in KIND_ORDER:
+            for i in range(g.n + 1):
+                value, first = brute_extremal(g.n, edges, kind.counter, kind.sense, i)
+                assert profiles[kind].values[i] == value, (kind.key, i)
+                assert set(profiles[kind].witnesses[i]) == first, (kind.key, i)
 
 
 class TestBranchBound:
@@ -95,7 +107,7 @@ class TestBranchBound:
         for kind in KIND_ORDER:
             assert (
                 profile_branch_bound(g, kind).values
-                == profile_exhaustive(g, kind).values
+                == profile_exhaustive(g)[kind].values
             )
 
 
@@ -103,7 +115,7 @@ class TestProfileInvariants:
     def test_witnesses_reevaluate(self, corpus):
         for name, g in corpus[:80]:
             for kind in KIND_ORDER:
-                profile = profile_exhaustive(g, kind)
+                profile = profile_exhaustive(g)[kind]
                 for i, witness in enumerate(profile.witnesses):
                     assert len(witness) == i, name
                     metrics = subset_metrics(g, witness)
@@ -111,7 +123,7 @@ class TestProfileInvariants:
 
     def test_monotone_and_sandwich(self, corpus):
         for name, g in corpus[:120]:
-            ps = {kind: profile_exhaustive(g, kind).values for kind in KIND_ORDER}
+            ps = {kind: profile_exhaustive(g)[kind].values for kind in KIND_ORDER}
             for kind in (
                 MetricKind.MAX_INDUCED,
                 MetricKind.MIN_INDUCED,
@@ -135,8 +147,8 @@ class TestProfileInvariants:
 
     def test_boundary_values(self, corpus):
         for name, g in corpus[:120]:
-            dense = profile_exhaustive(g, MetricKind.MAX_INDUCED).values
-            cut_max = profile_exhaustive(g, MetricKind.MAX_CUT).values
+            dense = profile_exhaustive(g)[MetricKind.MAX_INDUCED].values
+            cut_max = profile_exhaustive(g)[MetricKind.MAX_CUT].values
             d = min(g.degrees)
             assert dense[g.n] == g.m, name
             assert dense[g.n - 1] == g.m - d, name
@@ -146,13 +158,13 @@ class TestProfileInvariants:
 class TestReductions:
     def test_max_covered_from_min_induced_on_c4(self):
         g = cycle(4)
-        sparse = profile_exhaustive(g, MetricKind.MIN_INDUCED)
+        sparse = profile_exhaustive(g)[MetricKind.MIN_INDUCED]
         derived = profile_by_reduction(g, MetricKind.MAX_COVERED, bases={MetricKind.MIN_INDUCED: sparse})
-        assert derived.values == profile_exhaustive(g, MetricKind.MAX_COVERED).values
+        assert derived.values == profile_exhaustive(g)[MetricKind.MAX_COVERED].values
 
     def test_min_covered_from_max_induced_on_star(self):
         g = star(4)
-        dense = profile_exhaustive(g, MetricKind.MAX_INDUCED)
+        dense = profile_exhaustive(g)[MetricKind.MAX_INDUCED]
         derived = profile_by_reduction(g, MetricKind.MIN_COVERED, bases={MetricKind.MAX_INDUCED: dense})
         assert derived.values == (0, 1, 2, 3, 3)
 
@@ -162,19 +174,19 @@ class TestReductions:
         derived = profile_by_reduction(
             g,
             MetricKind.MAX_INDUCED,
-            complement_bases={MetricKind.MIN_INDUCED: profile_exhaustive(co, MetricKind.MIN_INDUCED)},
+            complement_bases={MetricKind.MIN_INDUCED: profile_exhaustive(co)[MetricKind.MIN_INDUCED]},
         )
-        assert derived.values == profile_exhaustive(g, MetricKind.MAX_INDUCED).values
+        assert derived.values == profile_exhaustive(g)[MetricKind.MAX_INDUCED].values
 
     def test_cut_mirror(self):
         g = star(5)
-        base = profile_exhaustive(g, MetricKind.MAX_CUT)
+        base = profile_exhaustive(g)[MetricKind.MAX_CUT]
         mirrored = profile_by_reduction(g, MetricKind.MAX_CUT, bases={MetricKind.MAX_CUT: base})
         assert mirrored.values == base.values
 
     def test_reduction_witnesses_reevaluate(self):
         g = cycle(6)
-        sparse = profile_exhaustive(g, MetricKind.MIN_INDUCED)
+        sparse = profile_exhaustive(g)[MetricKind.MIN_INDUCED]
         derived = profile_by_reduction(g, MetricKind.MAX_COVERED, bases={MetricKind.MIN_INDUCED: sparse})
         for i, witness in enumerate(derived.witnesses):
             assert len(witness) == i
@@ -186,9 +198,9 @@ class TestReductions:
 
     def test_reduction_equivalence_sample(self, corpus):
         for name, g in corpus[:60]:
-            ex = {kind: profile_exhaustive(g, kind) for kind in KIND_ORDER}
+            ex = {kind: profile_exhaustive(g)[kind] for kind in KIND_ORDER}
             co = complement(g)
-            co_min = profile_exhaustive(co, MetricKind.MIN_INDUCED)
+            co_min = profile_exhaustive(co)[MetricKind.MIN_INDUCED]
             checks = [
                 profile_by_reduction(g, MetricKind.MAX_COVERED, bases={MetricKind.MIN_INDUCED: ex[MetricKind.MIN_INDUCED]}),
                 profile_by_reduction(g, MetricKind.MIN_COVERED, bases={MetricKind.MAX_INDUCED: ex[MetricKind.MAX_INDUCED]}),
@@ -235,13 +247,20 @@ class TestAllProfiles:
         big = cycle(9)
         assert "branch-and-bound" in all_profiles(big)[MetricKind.MAX_INDUCED].provenance
 
-    def test_worker_count_does_not_change_results(self):
-        g = cycle(6)
-        a = all_profiles(g, strategy="checked", workers=1)
-        b = all_profiles(g, strategy="checked", workers=3)
-        for kind in KIND_ORDER:
-            assert a[kind].values == b[kind].values
-            assert a[kind].witnesses == b[kind].witnesses
+    @pytest.mark.parametrize("strategy, walks", [("checked", 2), ("oracle", 1), ("reduced", 0), ("bb", 0)])
+    def test_exhaustive_walks_per_strategy(self, monkeypatch, strategy, walks):
+        import isoprofile.solvers as solvers_mod
+
+        real = solvers_mod.profile_exhaustive
+        calls = []
+
+        def counting(graph, **kwargs):
+            calls.append(graph)
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(solvers_mod, "profile_exhaustive", counting)
+        all_profiles(cycle(6), strategy=strategy)
+        assert len(calls) == walks
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):
@@ -261,7 +280,7 @@ class TestCap:
     def test_default_cap_blocks_25_vertices(self):
         g = empty(25)
         with pytest.raises(VertexCapError, match="cap of 24"):
-            profile_exhaustive(g, MetricKind.MAX_INDUCED)
+            profile_exhaustive(g)[MetricKind.MAX_INDUCED]
 
     def test_override_allows(self):
         g = empty(25)
@@ -296,5 +315,5 @@ def test_equivalence_above_corpus_scale():
         for strategy in ("bb", "reduced"):
             ps = all_profiles(g, strategy=strategy)
             for kind in KIND_ORDER:
-                expected = profile_exhaustive(g, kind).values
+                expected = profile_exhaustive(g)[kind].values
                 assert ps[kind].values == expected, (n, strategy, kind.key)
