@@ -40,6 +40,7 @@ from .solvers import (
     InternalInconsistencyError,
     MetricKind,
     Profile,
+    _solve,
     all_profiles,
     kind_from_key,
 )
@@ -182,8 +183,10 @@ def identity_suite(
     """Check every counting identity; failures are data, not exceptions.
 
     Complement-graph profiles are computed on demand when not supplied.
-    Regular-only identities come back with applicable=False on irregular
-    graphs.
+    verify_theorem supplies them under the checked strategy: they are the
+    complement profiles the reduction route already cross-checked, so the
+    complement is not solved a second time. Regular-only identities come
+    back with applicable=False on irregular graphs.
     """
     if complement_profiles is None:
         complement_profiles = all_profiles(complement(graph), strategy=strategy, cap=cap)
@@ -333,11 +336,15 @@ def verify_theorem(
     difference sequences and symmetry verdicts, evaluates the
     regular-iff-symmetric biconditional for the four characterizing
     sequences, asserts the unconditional symmetry of the two cut
-    sequences, and runs the identity suite. A cut sequence failing its
-    unconditional symmetry raises InternalInconsistencyError: that is a
-    solver bug, never a counterexample.
+    sequences, and runs the identity suite. Under checked (and auto for
+    n <= 8) one solve yields both the graph's profiles and the complement
+    profiles the identity suite needs: the complement walk that the
+    reduction route already cross-checked. Other strategies solve the
+    complement on demand. A cut sequence failing its unconditional
+    symmetry raises InternalInconsistencyError: that is a solver bug,
+    never a counterexample.
     """
-    profiles = all_profiles(graph, strategy=strategy, cap=cap)
+    profiles, complement_profiles = _solve(graph, strategy, cap)
     summary = degree_summary(graph)
     connected = is_connected(graph)
     diffs = {kind: diff_sequence(profiles[kind]) for kind in KIND_ORDER}
@@ -352,7 +359,7 @@ def verify_theorem(
     biconditional = {
         kind: verdicts[kind].symmetric == summary.is_regular for kind in CHARACTERIZING_KINDS
     }
-    identities = identity_suite(graph, profiles, strategy=strategy, cap=cap)
+    identities = identity_suite(graph, profiles, complement_profiles, strategy=strategy, cap=cap)
     note = (
         None
         if connected
@@ -563,10 +570,14 @@ def counterexample_sweep(
     Graph k uses specs[k % len(specs)] with a seed derived from (seed, k),
     so the stream is reproducible for a fixed seed and count and the
     result does not depend on the worker count. The findings file is
-    written only when some report is inconsistent.
+    written only when some report is inconsistent. An
+    InternalInconsistencyError is re-raised with the index, spec and
+    graph6 string of the graph that caused it.
     """
     if count < 0:
         raise ValueError("sweep count must be nonnegative")
+    if workers < 1:
+        raise ValueError(f"sweep workers must be at least 1, got {workers}")
     specs = tuple(specs)
     if count > 0 and not specs:
         raise ValueError("at least one generator spec is required")
@@ -577,7 +588,13 @@ def counterexample_sweep(
 
     def job(item):
         index, spec, graph = item
-        return index, spec, graph, verify_theorem(graph, strategy=strategy, cap=cap)
+        try:
+            report = verify_theorem(graph, strategy=strategy, cap=cap)
+        except InternalInconsistencyError as exc:
+            raise InternalInconsistencyError(
+                f"graph {index} ({spec}, graph6 {to_graph6(graph)}): {exc}"
+            ) from exc
+        return index, spec, graph, report
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -21,12 +21,14 @@ from .analysis import (
     diff_sequence,
     verify_theorem,
 )
-from .formats import Graph6Error, load_graph_text, parse_graph6
-from .graphs import DEFAULT_SEED, Graph, degree_summary, from_spec, is_connected
+from .formats import Graph6Error, _graph6_order, _text_order, load_graph_text, parse_graph6
+from .graphs import DEFAULT_SEED, Graph, _spec_order, degree_summary, from_spec, is_connected
 from .solvers import (
     KIND_ORDER,
+    STRATEGIES,
     InternalInconsistencyError,
     VertexCapError,
+    _require_within_cap,
     all_profiles,
 )
 
@@ -71,7 +73,7 @@ def _build_parser() -> _Parser:
     run = _Parser(add_help=False)
     run.add_argument(
         "--strategy",
-        choices=["auto", "oracle", "bb", "reduced", "checked"],
+        choices=STRATEGIES,
         help="solver strategy (profile default: auto; verify/sweep default: checked)",
     )
     run.add_argument("--format", choices=["human", "json", "csv"], default="human")
@@ -101,15 +103,27 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _require_spec_within_cap(spec: str, cap: int | None) -> None:
+    n = _spec_order(spec)
+    if n is not None:
+        _require_within_cap(n, cap)
+
+
 def _load_graph(args) -> Graph:
+    # The declared vertex count is checked against the cap before the
+    # graph is built: adjacency grows as n^2, so an oversized input
+    # would otherwise allocate before any solver could refuse it.
     if args.input:
         try:
             text = Path(args.input).read_text()
         except OSError as exc:
             raise _UsageError(f"cannot read {args.input}: {exc}") from None
+        _require_within_cap(_text_order(text), args.cap)
         return load_graph_text(text)
     if args.g6:
+        _require_within_cap(_graph6_order(args.g6), args.cap)
         return parse_graph6(args.g6)
+    _require_spec_within_cap(args.gen, args.cap)
     return from_spec(args.gen, args.seed)
 
 
@@ -265,6 +279,8 @@ def _cmd_sweep(args) -> int:
     if args.format == "csv":
         raise _UsageError("csv output applies to the profile command only")
     specs = [s for chunk in args.gen for s in chunk.split(",") if s]
+    for spec in specs:
+        _require_spec_within_cap(spec, args.cap)
     strategy = args.strategy or args.strategy_default
     summary = counterexample_sweep(
         specs,

@@ -45,8 +45,7 @@ def _read_size(data: bytes) -> tuple[int, int]:
     return n, 4
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line (an optional '>>graph6<<' prefix is allowed)."""
+def _graph6_bytes(text: str) -> bytes:
     s = text.strip()
     if s.startswith(_OPTIONAL_HEADER):
         s = s[len(_OPTIONAL_HEADER):].strip()
@@ -59,6 +58,18 @@ def parse_graph6(text: str) -> Graph:
     for offset, byte in enumerate(data):
         if not _OFFSET <= byte <= 126:
             raise Graph6Error(f"invalid graph6 byte 0x{byte:02x} at offset {offset}")
+    return data
+
+
+def _graph6_order(text: str) -> int:
+    """Vertex count in a graph6 line's size header, without decoding the
+    adjacency; raises the parser's errors for a malformed line."""
+    return _read_size(_graph6_bytes(text))[0]
+
+
+def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 line (an optional '>>graph6<<' prefix is allowed)."""
+    data = _graph6_bytes(text)
     n, pos = _read_size(data)
     if n == 0:
         raise Graph6Error("graph6 input encodes a graph with no vertices")
@@ -158,6 +169,18 @@ def parse_edge_list(text: str) -> Graph:
     return from_edge_list(n, edges)
 
 
+def _edge_list_order(line: str) -> int | None:
+    # n when the line is an "n m" header of two integers, else None.
+    head = line.split()
+    if len(head) != 2:
+        return None
+    try:
+        n, _ = int(head[0]), int(head[1])
+    except ValueError:
+        return None
+    return n
+
+
 def format_edge_list(graph: Graph) -> str:
     lines = [f"{graph.n} {graph.m}"]
     lines.extend(f"{u} {v}" for u, v in graph.edges())
@@ -174,12 +197,17 @@ def load_graph_text(text: str) -> Graph:
     lines = _content_lines(text)
     if not lines:
         raise ValueError("no graph content found in input")
-    head = lines[0].split()
-    if len(head) == 2:
-        try:
-            int(head[0]), int(head[1])
-        except ValueError:
-            pass
-        else:
-            return parse_edge_list(text)
+    if _edge_list_order(lines[0]) is not None:
+        return parse_edge_list(text)
     return parse_graph6(lines[0])
+
+
+def _text_order(text: str) -> int:
+    """Vertex count in the header of graph file content, sniffed as
+    load_graph_text does, without parsing the rest; raises its errors
+    for a missing or malformed header."""
+    lines = _content_lines(text)
+    if not lines:
+        raise ValueError("no graph content found in input")
+    n = _edge_list_order(lines[0])
+    return _graph6_order(lines[0]) if n is None else n

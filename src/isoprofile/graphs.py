@@ -355,3 +355,24 @@ def from_spec(spec: str, seed: int = DEFAULT_SEED) -> Graph:
         want(2)
         return random_regular(arg_int(0), arg_int(1), seed)
     raise ValueError(f"unknown generator {name!r} in {spec!r}")
+
+
+# Generators whose first spec argument is the vertex count.
+_ORDER_FIRST = ("complete", "cycle", "path", "star", "empty", "random", "regular")
+
+
+def _spec_order(spec: str) -> int | None:
+    """Vertex count from_spec(spec) would build, read from the spec alone.
+
+    The first argument, or 2**d for hypercube:d. None when from_spec
+    would refuse the spec before building anything (unknown name,
+    non-integer first argument, dimension outside 1..26).
+    """
+    name, _, args = spec.partition(":")
+    try:
+        first = int(args.split(":")[0])
+    except ValueError:
+        return None
+    if name == "hypercube":
+        return 1 << first if 1 <= first <= 26 else None
+    return first if name in _ORDER_FIRST else None

@@ -476,7 +476,11 @@ def _first_mismatch(a: Profile, b: Profile) -> int | None:
     return None
 
 
-def _checked_profiles(graph: Graph) -> dict[MetricKind, Profile]:
+def _checked_profiles(
+    graph: Graph,
+) -> tuple[dict[MetricKind, Profile], dict[MetricKind, Profile]]:
+    # Returns the cross-checked profiles and the complement's walk, whose
+    # values the reductions have just checked against them.
     exhaustive = profile_exhaustive(graph, cap=graph.n)
     for kind in KIND_ORDER:
         bounded = profile_branch_bound(graph, kind, cap=graph.n)
@@ -506,7 +510,39 @@ def _checked_profiles(graph: Graph) -> dict[MetricKind, Profile]:
                     f"witness of {kind.key} at i={i} does not attain its value: "
                     f"{profile.values[i]} claimed, {metrics} found"
                 )
-    return {kind: replace(exhaustive[kind], provenance="cross-checked") for kind in KIND_ORDER}
+    checked = {kind: replace(exhaustive[kind], provenance="cross-checked") for kind in KIND_ORDER}
+    return checked, co
+
+
+def _solve(
+    graph: Graph, strategy: str, cap: int | None
+) -> tuple[dict[MetricKind, Profile], dict[MetricKind, Profile] | None]:
+    """Profiles under a strategy, plus the complement's when the route made them.
+
+    The complement profiles come back only from checked, whose reduction
+    check already compared them against the graph's own; every other
+    route returns None in their place.
+    """
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    _require_within_cap(graph.n, cap)
+    resolved = ("checked" if graph.n <= 8 else "reduced") if strategy == "auto" else strategy
+    if resolved == "oracle":
+        return profile_exhaustive(graph, cap=graph.n), None
+    if resolved == "checked":
+        return _checked_profiles(graph)
+    if resolved == "bb":
+        return {kind: _branch_bound_profile(graph, kind, mirror_cut=True) for kind in KIND_ORDER}, None
+    searched = {
+        kind: _branch_bound_profile(graph, kind, mirror_cut=True)
+        for kind in KIND_ORDER
+        if kind.counter != "covered"
+    }
+    reduced = {
+        kind: searched[kind] if kind in searched else profile_by_reduction(graph, kind, bases=searched)
+        for kind in KIND_ORDER
+    }
+    return reduced, None
 
 
 def all_profiles(
@@ -527,22 +563,4 @@ def all_profiles(
     above (free verification where it is cheap, speed where it is
     needed).
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    _require_within_cap(graph.n, cap)
-    resolved = ("checked" if graph.n <= 8 else "reduced") if strategy == "auto" else strategy
-    if resolved == "oracle":
-        return profile_exhaustive(graph, cap=graph.n)
-    if resolved == "checked":
-        return _checked_profiles(graph)
-    if resolved == "bb":
-        return {kind: _branch_bound_profile(graph, kind, mirror_cut=True) for kind in KIND_ORDER}
-    searched = {
-        kind: _branch_bound_profile(graph, kind, mirror_cut=True)
-        for kind in KIND_ORDER
-        if kind.counter != "covered"
-    }
-    return {
-        kind: searched[kind] if kind in searched else profile_by_reduction(graph, kind, bases=searched)
-        for kind in KIND_ORDER
-    }
+    return _solve(graph, strategy, cap)[0]

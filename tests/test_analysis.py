@@ -14,6 +14,7 @@ from isoprofile import (
     VerificationReport,
     all_profiles,
     check_symmetry,
+    complement,
     complete,
     counterexample_sweep,
     cycle,
@@ -26,7 +27,9 @@ from isoprofile import (
     identity_suite,
     path,
     profile_exhaustive,
+    random_graph,
     star,
+    to_graph6,
     verify_theorem,
     write_findings,
 )
@@ -183,6 +186,55 @@ class TestVerifyTheorem:
             assert result.holds is not False
 
 
+class TestVerifySolveCounts:
+    """Solver work done by one verify, counted rather than timed."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        real = getattr(module, name)
+        calls = []
+
+        def counting(graph, *args, **kwargs):
+            calls.append(graph)
+            return real(graph, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("strategy", ["checked", "auto"])
+    @pytest.mark.parametrize("graph", [cycle(6), star(7), random_graph(8, 0.5, 3)], ids=["C6", "S7", "G8"])
+    def test_checked_verify_solves_complement_once(self, monkeypatch, strategy, graph):
+        # one walk on the graph, one on its complement, branch and bound
+        # once per kind; the identity suite reuses the complement walk
+        import isoprofile.solvers as solvers_mod
+
+        walks = self._count(monkeypatch, solvers_mod, "profile_exhaustive")
+        searches = self._count(monkeypatch, solvers_mod, "profile_branch_bound")
+        report = verify_theorem(graph, strategy=strategy)
+        assert report.consistent
+        assert walks == [graph, complement(graph)]
+        assert searches == [graph] * 6
+
+    @pytest.mark.parametrize("strategy, graph", [("reduced", star(6)), ("auto", cycle(9))])
+    def test_unchecked_verify_solves_complement_on_demand(self, monkeypatch, strategy, graph):
+        import isoprofile.analysis as analysis_mod
+
+        solves = self._count(monkeypatch, analysis_mod, "all_profiles")
+        report = verify_theorem(graph, strategy=strategy)
+        assert solves == [complement(graph)]
+        assert all(result.holds is not False for result in report.identities)
+
+    def test_identities_match_independent_complement_solve(self, corpus):
+        for name, g in corpus:
+            assert g.n <= 8, name
+            independent = identity_suite(
+                g,
+                all_profiles(g, strategy="checked"),
+                all_profiles(complement(g), strategy="checked"),
+            )
+            assert verify_theorem(g).identities == independent, name
+
+
 class TestInternalInconsistency:
     def test_cut_asymmetry_classified_as_bug(self, monkeypatch):
         # a cut sequence that fails its unconditional symmetry can only
@@ -192,19 +244,20 @@ class TestInternalInconsistency:
         import isoprofile.analysis as analysis_mod
         from isoprofile import InternalInconsistencyError
 
-        real = analysis_mod.all_profiles
+        real = analysis_mod._solve
 
-        def tampered(graph, **kwargs):
-            profiles = dict(real(graph, **kwargs))
+        def tampered(graph, strategy, cap):
+            solved, complement_profiles = real(graph, strategy, cap)
+            profiles = dict(solved)
             broken = profiles[MetricKind.MAX_CUT]
             values = list(broken.values)
             values[-1] += 1
             profiles[MetricKind.MAX_CUT] = replace(
                 broken, values=tuple(values), witnesses=None, provenance="tampered"
             )
-            return profiles
+            return profiles, complement_profiles
 
-        monkeypatch.setattr(analysis_mod, "all_profiles", tampered)
+        monkeypatch.setattr(analysis_mod, "_solve", tampered)
         with pytest.raises(InternalInconsistencyError, match="unconditional"):
             verify_theorem(cycle(4))
 
@@ -344,6 +397,30 @@ class TestSweep:
     def test_requires_specs(self):
         with pytest.raises(ValueError, match="generator spec"):
             counterexample_sweep([], 3, seed=1)
+
+    def test_workers_below_one_refused(self):
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match="workers must be at least 1"):
+                counterexample_sweep(["cycle:4"], 2, seed=1, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_inconsistency_names_its_graph(self, monkeypatch, workers):
+        import isoprofile.analysis as analysis_mod
+        from isoprofile import InternalInconsistencyError
+
+        real = analysis_mod.verify_theorem
+
+        def broken(graph, **kwargs):
+            if graph == star(5):
+                raise InternalInconsistencyError("solver routes disagree on max_cut at i=1")
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(analysis_mod, "verify_theorem", broken)
+        with pytest.raises(InternalInconsistencyError) as info:
+            counterexample_sweep(["cycle:5", "star:5"], 4, seed=3, workers=workers)
+        message = str(info.value)
+        assert message.startswith(f"graph 1 (star:5, graph6 {to_graph6(star(5))}): ")
+        assert message.endswith("solver routes disagree on max_cut at i=1")
 
     def test_summary_dict_roundtrip(self):
         summary = counterexample_sweep(["cycle:4"], 2, seed=3)

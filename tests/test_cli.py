@@ -1,7 +1,9 @@
 import json
 from pathlib import Path
 
-from isoprofile import VerificationReport, cycle, verify_theorem
+import pytest
+
+from isoprofile import STRATEGIES, VerificationReport, cycle, verify_theorem
 from isoprofile.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -86,9 +88,86 @@ class TestProfileCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 27
 
+    def test_every_strategy_accepted(self, capsys):
+        outputs = set()
+        for strategy in STRATEGIES:
+            code, out, _ = run(capsys, "profile", "--gen", "cycle:6", "--strategy", strategy, "--format", "csv")
+            assert code == 0, strategy
+            outputs.add(out)
+        assert len(outputs) == 1
+        code, _, err = run(capsys, "profile", "--gen", "cycle:6", "--strategy", "psychic")
+        assert code == 1 and "psychic" in err
+
     def test_bad_generator_spec(self, capsys):
         code, _, err = run(capsys, "profile", "--gen", "mystery:4")
         assert code == 1 and "mystery" in err
+
+
+def _graph6_header(n):
+    # the long graph6 size header alone: '~' and three 6-bit bytes
+    return "~" + "".join(chr(63 + ((n >> shift) & 63)) for shift in (12, 6, 0))
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("an oversized graph was built before the cap check")
+
+
+class TestOversizedInputs:
+    """Declared vertex counts above --cap are refused before anything is built."""
+
+    @pytest.mark.parametrize("command", ["profile", "verify"])
+    def test_hypercube_spec(self, capsys, monkeypatch, command):
+        import isoprofile.graphs as graphs_mod
+
+        monkeypatch.setattr(graphs_mod, "hypercube", _never_called)
+        code, out, err = run(capsys, command, "--gen", "hypercube:20")
+        assert code == 1 and out == ""
+        assert "graph on 1048576 vertices exceeds the solver cap of 24" in err
+
+    def test_first_argument_of_spec(self, capsys, monkeypatch):
+        import isoprofile.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "from_spec", _never_called)
+        code, _, err = run(capsys, "profile", "--gen", "complete:1500")
+        assert code == 1 and "graph on 1500 vertices exceeds the solver cap of 24" in err
+        code, _, err = run(capsys, "profile", "--gen", "random:26:0.5", "--cap", "25")
+        assert code == 1 and "graph on 26 vertices exceeds the solver cap of 25" in err
+
+    def test_graph6_header(self, capsys, monkeypatch):
+        import isoprofile.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "parse_graph6", _never_called)
+        code, _, err = run(capsys, "verify", "--g6", _graph6_header(258047))
+        assert code == 1 and "graph on 258047 vertices exceeds the solver cap of 24" in err
+
+    @pytest.mark.parametrize("text, n", [("100000 0\n", 100000), (_graph6_header(5000) + "\n", 5000)])
+    def test_file_header(self, capsys, monkeypatch, tmp_path, text, n):
+        import isoprofile.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "load_graph_text", _never_called)
+        source = tmp_path / "big.txt"
+        source.write_text("# declared size only\n" + text)
+        code, _, err = run(capsys, "profile", "--input", str(source))
+        assert code == 1 and f"graph on {n} vertices exceeds the solver cap of 24" in err
+
+    def test_sweep_specs(self, capsys, monkeypatch, tmp_path):
+        import isoprofile.analysis as analysis_mod
+        import isoprofile.cli as cli_mod
+
+        monkeypatch.setattr(analysis_mod, "from_spec", _never_called)
+        monkeypatch.setattr(cli_mod, "counterexample_sweep", _never_called)
+        code, out, err = run(
+            capsys, "sweep", "--gen", "cycle:5,hypercube:20", "--count", "4",
+            "--findings", str(tmp_path / "f"),
+        )
+        assert code == 1 and out == ""
+        assert "graph on 1048576 vertices exceeds the solver cap of 24" in err
+
+    def test_within_cap_still_builds(self, capsys):
+        code, out, _ = run(capsys, "profile", "--gen", "hypercube:4", "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == 18
+        code, _, err = run(capsys, "profile", "--g6", "~???")
+        assert code == 1 and "non-canonical" in err
 
 
 class TestVerifyCommand:
@@ -171,6 +250,34 @@ class TestSweepCommand:
         )
         assert code == 1
         assert "odd" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_refused(self, capsys, tmp_path, workers):
+        code, out, err = run(
+            capsys, "sweep", "--gen", "cycle:4", "--count", "2", "--workers", workers,
+            "--findings", str(tmp_path / "f"),
+        )
+        assert code == 1 and out == ""
+        assert "workers must be at least 1" in err
+
+    def test_internal_inconsistency_names_graph(self, capsys, monkeypatch, tmp_path):
+        from isoprofile import InternalInconsistencyError, to_graph6
+        from isoprofile.graphs import from_spec
+        import isoprofile.analysis as analysis_mod
+
+        def broken(*args, **kwargs):
+            raise InternalInconsistencyError("solver routes disagree on max_cut at i=1")
+
+        monkeypatch.setattr(analysis_mod, "verify_theorem", broken)
+        code, out, err = run(
+            capsys, "sweep", "--gen", "cycle:5", "--count", "3", "--format", "json",
+            "--findings", str(tmp_path / "f"),
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            f"internal inconsistency: graph 0 (cycle:5, graph6 {to_graph6(from_spec('cycle:5'))}): "
+            "solver routes disagree on max_cut at i=1\n"
+        )
 
     def test_count_required(self, capsys):
         code, _, err = run(capsys, "sweep", "--gen", "cycle:4")
