@@ -339,8 +339,9 @@ def verify_theorem(
     sequences, and runs the identity suite. Under checked (and auto for
     n <= 8) one solve yields both the graph's profiles and the complement
     profiles the identity suite needs: the complement walk that the
-    reduction route already cross-checked. Other strategies solve the
-    complement on demand. A cut sequence failing its unconditional
+    reduction route already cross-checked. Other strategies, auto above
+    n = 8 among them (one walk on the graph), solve the complement on
+    demand. A cut sequence failing its unconditional
     symmetry raises InternalInconsistencyError: that is a solver bug,
     never a counterexample.
     """

@@ -74,7 +74,8 @@ def _build_parser() -> _Parser:
     run.add_argument(
         "--strategy",
         choices=STRATEGIES,
-        help="solver strategy (profile default: auto; verify/sweep default: checked)",
+        help="solver strategy (profile default: auto, which is checked for n <= 8 "
+        "and one exhaustive walk above; verify/sweep default: checked)",
     )
     run.add_argument("--format", choices=["human", "json", "csv"], default="human")
     run.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")

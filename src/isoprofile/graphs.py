@@ -39,8 +39,11 @@ __all__ = [
 # Documented default so bare invocations are reproducible.
 DEFAULT_SEED = 1729
 
-# Attempts allowed to the pairing model before giving up.
+# Attempts allowed to the pairing model before the switch chain takes over.
 PAIRING_RESAMPLE_BUDGET = 10_000
+
+# Switch attempts per edge made by that chain.
+SWITCHES_PER_EDGE = 10
 
 
 @dataclass(frozen=True)
@@ -268,12 +271,17 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
-    """Random d-regular graph via the pairing model.
+    """Random d-regular graph via the pairing model, or a switch chain.
 
     Each vertex gets d stubs; a shuffled perfect matching of the stubs is
-    kept only if it produces no loop or repeated edge, and the result is
-    re-verified d-regular before return. Resampling stops after
-    PAIRING_RESAMPLE_BUDGET failed attempts.
+    kept only if it produces no loop or repeated edge. A matching is
+    simple with probability about exp((1 - d^2) / 4), so for d >= 7 the
+    model rarely succeeds; after PAIRING_RESAMPLE_BUDGET failed attempts
+    the same random stream drives a double-edge-switch chain started from
+    the circulant d-regular graph instead (see Steger & Wormald,
+    "Generating random regular graphs quickly", 1999, on the pairing
+    model's rejection rate). Either result is re-verified d-regular
+    before return.
     """
     if n < 1:
         raise ValueError("a graph needs at least one vertex")
@@ -295,13 +303,41 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         if ok:
-            graph = Graph(n, adj)
-            if degree_summary(graph).is_regular and graph.degrees[0] == d:
-                return graph
-    raise RuntimeError(
-        f"pairing model failed to produce a simple {d}-regular graph on {n} "
-        f"vertices within {PAIRING_RESAMPLE_BUDGET} attempts"
-    )
+            break
+    else:
+        adj = _switch_chain(n, d, rng)
+    graph = Graph(n, adj)
+    if not (degree_summary(graph).is_regular and graph.degrees[0] == d):
+        raise RuntimeError(f"regular generator produced a graph that is not {d}-regular on {n} vertices")
+    return graph
+
+
+def _switch_chain(n: int, d: int, rng: random.Random) -> list[int]:
+    """Adjacency rows after SWITCHES_PER_EDGE switch attempts per edge.
+
+    Starts from the circulant graph joining v to v +- 1..d//2, and for
+    odd d (so even n) to v + n/2. Each attempt picks two edges ab and ce
+    and replaces them by ac and be unless that makes a loop or a repeated
+    edge; every step keeps all degrees at d.
+    """
+    offsets = list(range(1, d // 2 + 1)) + ([n // 2] if d % 2 else [])
+    edges = [(v, (v + k) % n) for v in range(n) for k in offsets if k < n - k or v < n // 2]
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    for _ in range(SWITCHES_PER_EDGE * len(edges)):
+        i, j = rng.randrange(len(edges)), rng.randrange(len(edges))
+        a, b = edges[i]
+        c, e = edges[j] if rng.random() < 0.5 else edges[j][::-1]
+        if len({a, b, c, e}) < 4 or (adj[a] >> c) & 1 or (adj[b] >> e) & 1:
+            continue
+        adj[a] ^= (1 << b) | (1 << c)
+        adj[b] ^= (1 << a) | (1 << e)
+        adj[c] ^= (1 << e) | (1 << a)
+        adj[e] ^= (1 << c) | (1 << b)
+        edges[i], edges[j] = (a, c), (b, e)
+    return adj
 
 
 def from_spec(spec: str, seed: int = DEFAULT_SEED) -> Graph:

@@ -5,10 +5,14 @@ subset counters (induced, covered, cut edges), and one sense (max or
 min), the optimum over all i-subsets is computed by three independent
 routes:
 
-* ``profile_exhaustive``: one reflected Gray-code walk over all 2^n
-  subsets yields all six profiles at once. This is the ground truth;
-  each witness is the lexicographically first optimal subset (compare
-  the sorted vertex tuples).
+* ``profile_exhaustive``: one reflected Gray-code walk over the 2^(n-1)
+  subsets without vertex n-1 yields all six profiles at once; every
+  other subset is the complement of a walked one, and an O(n) fold after
+  the walk reads its counters off the walked set's (induced and covered
+  trade places as m minus each other, cut stays). This is the ground
+  truth; each witness is the lexicographically first optimal subset
+  (compare the sorted vertex tuples), which for a complement means the
+  lexicographically last tie among the walked sets.
 * ``profile_branch_bound``: depth-first subset extension with
   admissible degree-sorted completion bounds and a greedy incumbent.
   Values always match the exhaustive route; witnesses are whichever
@@ -156,76 +160,124 @@ def _require_within_cap(n: int, cap: int | None) -> None:
 # Exhaustive route
 
 
-def _earlier(mask: int, other: int) -> bool:
-    # Of two equal-size sets, the one holding the lowest vertex of their
-    # symmetric difference is lexicographically first.
-    diff = mask ^ other
-    return diff & -diff & mask != 0
+def _reversed(bits: int, n: int) -> int:
+    # Bit b of an n-bit mask becomes bit n-1-b.
+    return int(format(bits, f"0{n}b")[::-1], 2)
+
+
+def _keep(tracker: tuple[list[int], list[int], list[int]], size: int, value: int, mask: int) -> None:
+    # The caller has seen value match or beat the tracker's best at size.
+    values, first, last = tracker
+    if value != values[size]:
+        values[size] = value
+        first[size] = last[size] = mask
+    elif mask > first[size]:
+        first[size] = mask
+    elif mask < last[size]:
+        last[size] = mask
+
+
+def _fold(kind: MetricKind, direct, mirror, flipped: bool, graph: Graph) -> Profile:
+    # Size j is attained either by a walked set (direct, size j) or by the
+    # complement of one (mirror, size n - j, value m - x when flipped, x
+    # otherwise). The last walked tie has the first complement.
+    n, m = graph.n, graph.m
+    full = (1 << n) - 1
+    direct_values, direct_first, _ = direct
+    mirror_values, _, mirror_last = mirror
+    values, witnesses = [], []
+    for j in range(n + 1):
+        a, wa = direct_values[j], direct_first[j]
+        b, wb = mirror_values[n - j], full ^ mirror_last[n - j]
+        if flipped:
+            b = m - b
+        if a != b and (a > b) != kind.is_max or a == b and wb > wa:
+            a, wa = b, wb
+        values.append(a)
+        witnesses.append(VertexSet(n, _reversed(wa, n)))
+    return Profile(kind, tuple(values), tuple(witnesses), "exhaustive")
 
 
 def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKind, Profile]:
-    """Ground truth: all six profiles from one walk over every subset.
+    """Ground truth: all six profiles from one walk over half the subsets.
 
-    Consecutive subsets of the reflected Gray code differ in one vertex
+    The reflected Gray code over vertices 0..n-2 visits the 2^(n-1)
+    subsets S without vertex n-1; consecutive ones differ in one vertex
     v, so the induced count moves by |adj(v) & S| and the degree sum by
-    deg(v); covered = degree sum - induced and cut = degree sum -
-    2 * induced follow. Each size keeps the lexicographically first
-    optimal subset as its witness (Knuth, TAOCP 4A, 7.2.1.1).
+    deg(v), and covered = degree sum - induced, cut = degree sum -
+    2 * induced follow (Knuth, TAOCP 4A, 7.2.1.1). Every other subset is
+    a complement V - S, whose counters are exact: induced(V - S) =
+    m - covered(S), covered(V - S) = m - induced(S), cut(V - S) = cut(S).
+    So per size each of the six trackers keeps its best value, and an
+    O(n) fold after the walk sets size j's optimum against the matching
+    tracker at size n - j, e.g. max_induced(j) = max(max_induced(j),
+    m - min_covered(n - j)).
+
+    Each witness is the lexicographically first optimal subset. A
+    complement is lexicographically first exactly when its walked set is
+    lexicographically last among the ties, so each tracker keeps both
+    its first and its last tie, and the fold picks the earlier of the
+    walked and the complemented candidate. The walk numbers vertex u as
+    bit n-1-u, so that of two sets of one size the lexicographically
+    earlier is the larger mask and ties cost one integer comparison.
     """
     _require_within_cap(graph.n, cap)
-    n, adj, degrees = graph.n, graph.adj, graph.degrees
+    n, m = graph.n, graph.m
+    adj = [_reversed(graph.adj[n - 1 - b], n) for b in range(n)]
+    degrees = graph.degrees[::-1]
     top = n + 1
-    # Sentinels every real value beats; size 0 holds the empty set.
-    hi_ind, hi_cov, hi_cut = ([-1] * top for _ in range(3))
-    lo_ind, lo_cov, lo_cut = ([graph.m + 1] * top for _ in range(3))
-    for values in (hi_ind, hi_cov, hi_cut, lo_ind, lo_cov, lo_cut):
+
+    def tracker(sentinel: int) -> tuple[list[int], list[int], list[int]]:
+        # Size 0 holds the empty set; size n is never walked, so its
+        # sentinel (beaten by every real value, flipped or not) stays.
+        values = [sentinel] * top
         values[0] = 0
-    w_hi_ind, w_lo_ind, w_hi_cov, w_lo_cov, w_hi_cut, w_lo_cut = ([0] * top for _ in range(6))
+        return values, [0] * top, [0] * top
+
+    hi_ind, hi_cov, hi_cut = (tracker(-1) for _ in range(3))
+    lo_ind, lo_cov, lo_cut = (tracker(m + 1) for _ in range(3))
+    best_hi_ind, best_hi_cov, best_hi_cut = hi_ind[0], hi_cov[0], hi_cut[0]
+    best_lo_ind, best_lo_cov, best_lo_cut = lo_ind[0], lo_cov[0], lo_cut[0]
     mask = induced = degree_sum = size = 0
-    for step in range(1, 1 << n):
-        v = (step & -step).bit_length() - 1
-        bit = 1 << v
+    for step in range(1, 1 << (n - 1)):
+        # bits 1..n-1; bit 0 is vertex n-1, which the walk leaves out
+        b = (step & -step).bit_length()
+        bit = 1 << b
         mask ^= bit
-        shared = (adj[v] & mask).bit_count()
+        shared = (adj[b] & mask).bit_count()
         if mask & bit:
             induced += shared
-            degree_sum += degrees[v]
+            degree_sum += degrees[b]
             size += 1
         else:
             induced -= shared
-            degree_sum -= degrees[v]
+            degree_sum -= degrees[b]
             size -= 1
         covered = degree_sum - induced
         cut = covered - induced
-        best = hi_ind[size]
-        if induced >= best and (induced > best or _earlier(mask, w_hi_ind[size])):
-            hi_ind[size], w_hi_ind[size] = induced, mask
-        best = lo_ind[size]
-        if induced <= best and (induced < best or _earlier(mask, w_lo_ind[size])):
-            lo_ind[size], w_lo_ind[size] = induced, mask
-        best = hi_cov[size]
-        if covered >= best and (covered > best or _earlier(mask, w_hi_cov[size])):
-            hi_cov[size], w_hi_cov[size] = covered, mask
-        best = lo_cov[size]
-        if covered <= best and (covered < best or _earlier(mask, w_lo_cov[size])):
-            lo_cov[size], w_lo_cov[size] = covered, mask
-        best = hi_cut[size]
-        if cut >= best and (cut > best or _earlier(mask, w_hi_cut[size])):
-            hi_cut[size], w_hi_cut[size] = cut, mask
-        best = lo_cut[size]
-        if cut <= best and (cut < best or _earlier(mask, w_lo_cut[size])):
-            lo_cut[size], w_lo_cut[size] = cut, mask
-    table = (
-        (hi_ind, w_hi_ind),
-        (lo_ind, w_lo_ind),
-        (hi_cov, w_hi_cov),
-        (lo_cov, w_lo_cov),
-        (hi_cut, w_hi_cut),
-        (lo_cut, w_lo_cut),
+        if induced >= best_hi_ind[size]:
+            _keep(hi_ind, size, induced, mask)
+        if induced <= best_lo_ind[size]:
+            _keep(lo_ind, size, induced, mask)
+        if covered >= best_hi_cov[size]:
+            _keep(hi_cov, size, covered, mask)
+        if covered <= best_lo_cov[size]:
+            _keep(lo_cov, size, covered, mask)
+        if cut >= best_hi_cut[size]:
+            _keep(hi_cut, size, cut, mask)
+        if cut <= best_lo_cut[size]:
+            _keep(lo_cut, size, cut, mask)
+    pairs = (
+        (hi_ind, lo_cov, True),
+        (lo_ind, hi_cov, True),
+        (hi_cov, lo_ind, True),
+        (lo_cov, hi_ind, True),
+        (hi_cut, hi_cut, False),
+        (lo_cut, lo_cut, False),
     )
     return {
-        kind: Profile(kind, tuple(values), tuple(VertexSet(n, w) for w in witnesses), "exhaustive")
-        for kind, (values, witnesses) in zip(KIND_ORDER, table)
+        kind: _fold(kind, direct, mirror, flipped, graph)
+        for kind, (direct, mirror, flipped) in zip(KIND_ORDER, pairs)
     }
 
 
@@ -526,7 +578,7 @@ def _solve(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     _require_within_cap(graph.n, cap)
-    resolved = ("checked" if graph.n <= 8 else "reduced") if strategy == "auto" else strategy
+    resolved = ("checked" if graph.n <= 8 else "oracle") if strategy == "auto" else strategy
     if resolved == "oracle":
         return profile_exhaustive(graph, cap=graph.n), None
     if resolved == "checked":
@@ -559,8 +611,8 @@ def all_profiles(
     the walk on the graph and on its complement, branch and bound for
     every kind and size, and every reduction; raises
     InternalInconsistencyError if any value disagrees or any returned
-    witness fails to attain its value. auto: checked for n <= 8, reduced
-    above (free verification where it is cheap, speed where it is
-    needed).
+    witness fails to attain its value. auto: checked for n <= 8, one
+    walk (oracle) above: the walk visits half the subsets and beats
+    branch and bound on all but the sparsest graphs near the cap.
     """
     return _solve(graph, strategy, cap)[0]

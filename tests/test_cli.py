@@ -98,6 +98,11 @@ class TestProfileCommand:
         code, _, err = run(capsys, "profile", "--gen", "cycle:6", "--strategy", "psychic")
         assert code == 1 and "psychic" in err
 
+    def test_dense_regular_spec(self, capsys):
+        code, out, _ = run(capsys, "profile", "--gen", "regular:16:7", "--format", "csv")
+        assert code == 0
+        assert len(out.strip().splitlines()) == 18
+
     def test_bad_generator_spec(self, capsys):
         code, _, err = run(capsys, "profile", "--gen", "mystery:4")
         assert code == 1 and "mystery" in err

@@ -18,6 +18,7 @@ from isoprofile import (
     random_graph,
     random_regular,
     star,
+    to_graph6,
 )
 
 
@@ -173,6 +174,39 @@ class TestRandomGraphs:
 
     def test_deterministic_regular(self):
         assert random_regular(8, 3, 7) == random_regular(8, 3, 7)
+
+    @pytest.mark.parametrize("n, d", [(16, 7), (20, 9), (24, 11)])
+    def test_dense_regular_within_cap(self, n, d):
+        # the pairing model gives up on these; the switch chain builds them
+        g = random_regular(n, d, 1729)
+        assert set(g.degrees) == {d} and g.m == n * d // 2
+        assert g == random_regular(n, d, 1729)
+
+    @pytest.mark.parametrize(
+        "spec, seed, graph6",
+        [
+            ("regular:8:3", 7, "Gbok`K"),
+            ("regular:10:3", 5, "I`U_IOq_o"),
+            ("regular:12:5", 3, "Kwcixr?XGjq["),
+            ("regular:20:4", 1729, "SAO@?wCLH?O?U_?@?oKDOo@?@Gk@I@OQ?"),
+        ],
+    )
+    def test_pairing_streams_frozen(self, spec, seed, graph6):
+        # graphs the pairing model builds keep their bytes across changes
+        # to the fallback
+        assert to_graph6(from_spec(spec, seed)) == graph6
+
+    def test_switch_chain_on_every_small_spec(self, monkeypatch):
+        import isoprofile.graphs as graphs_mod
+
+        monkeypatch.setattr(graphs_mod, "PAIRING_RESAMPLE_BUDGET", 0)
+        for n in range(1, 11):
+            for d in range(n):
+                if n * d % 2:
+                    continue
+                g = random_regular(n, d, n + d)
+                assert set(g.degrees) == {d}, (n, d)
+                assert g == random_regular(n, d, n + d), (n, d)
 
 
 class TestVertexSet:

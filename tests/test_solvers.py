@@ -16,6 +16,7 @@ from isoprofile import (
     extremal_exhaustive,
     from_edge_list,
     hypercube,
+    metrics_from_mask,
     profile_branch_bound,
     profile_by_reduction,
     profile_exhaustive,
@@ -32,6 +33,26 @@ def small_graphs(draw, max_n=7):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     bits = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
     return from_edge_list(n, [pairs[k] for k in range(len(pairs)) if (bits >> k) & 1])
+
+
+def _count_solver_calls(monkeypatch, graph, strategy):
+    # walk: profile_exhaustive calls; search: branch-and-bound profiles,
+    # through the public entry point or the strategies' private one
+    import isoprofile.solvers as solvers_mod
+
+    calls = {"walk": 0, "search": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(solvers_mod, "profile_exhaustive", counting("walk", solvers_mod.profile_exhaustive))
+    monkeypatch.setattr(solvers_mod, "_branch_bound_profile", counting("search", solvers_mod._branch_bound_profile))
+    all_profiles(graph, strategy=strategy)
+    return calls
 
 
 class TestExhaustive:
@@ -81,6 +102,23 @@ class TestExhaustive:
     @settings(max_examples=60, deadline=None)
     def test_witnesses_match_naive_first_witness(self, g):
         # pins the Gray-code walk's tie-break to lexicographic enumeration
+        profiles = profile_exhaustive(g)
+        edges = g.edges()
+        for kind in KIND_ORDER:
+            for i in range(g.n + 1):
+                value, first = brute_extremal(g.n, edges, kind.counter, kind.sense, i)
+                assert profiles[kind].values[i] == value, (kind.key, i)
+                assert set(profiles[kind].witnesses[i]) == first, (kind.key, i)
+
+    @pytest.mark.parametrize(
+        "g",
+        [star(9), complete(9), empty(9), cycle(9), hypercube(3)],
+        ids=["star9", "complete9", "empty9", "cycle9", "hypercube3"],
+    )
+    def test_tied_witnesses_match_naive_first_witness(self, g):
+        # ties abound here: a size's optimum is often attained both by sets
+        # without vertex n-1 (walked) and by sets with it (complements of
+        # walked ones), and the fold must still return the first of all
         profiles = profile_exhaustive(g)
         edges = g.edges()
         for kind in KIND_ORDER:
@@ -245,22 +283,16 @@ class TestAllProfiles:
     def test_auto_resolution(self):
         assert all_profiles(cycle(4))[MetricKind.MAX_INDUCED].provenance == "cross-checked"
         big = cycle(9)
-        assert "branch-and-bound" in all_profiles(big)[MetricKind.MAX_INDUCED].provenance
+        assert all_profiles(big)[MetricKind.MAX_INDUCED].provenance == "exhaustive"
 
     @pytest.mark.parametrize("strategy, walks", [("checked", 2), ("oracle", 1), ("reduced", 0), ("bb", 0)])
     def test_exhaustive_walks_per_strategy(self, monkeypatch, strategy, walks):
-        import isoprofile.solvers as solvers_mod
+        assert _count_solver_calls(monkeypatch, cycle(6), strategy)["walk"] == walks
 
-        real = solvers_mod.profile_exhaustive
-        calls = []
-
-        def counting(graph, **kwargs):
-            calls.append(graph)
-            return real(graph, **kwargs)
-
-        monkeypatch.setattr(solvers_mod, "profile_exhaustive", counting)
-        all_profiles(cycle(6), strategy=strategy)
-        assert len(calls) == walks
+    def test_auto_above_eight_vertices_walks_once(self, monkeypatch):
+        # above n = 8, auto is one unchecked walk: no complement walk and
+        # no branch and bound
+        assert _count_solver_calls(monkeypatch, cycle(9), "auto") == {"walk": 1, "search": 0}
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):
@@ -305,15 +337,20 @@ def test_all_routes_match_naive_oracle(g):
 
 
 def test_equivalence_above_corpus_scale():
-    # the n <= 8 corpus sweep lives in the acceptance suite; spot-check
-    # the pruned search against full enumeration where the default
-    # strategy starts trusting it
+    # the n <= 8 corpus sweep lives in the acceptance suite; above it the
+    # default strategy trusts one unchecked walk, so spot-check that every
+    # walk witness attains its value and the pruned search agrees
     from isoprofile import random_graph
 
     for k, n in enumerate((9, 10, 11, 12, 13)):
         g = random_graph(n, (0.3, 0.5, 0.7)[k % 3], 42000 + k)
+        walked = profile_exhaustive(g)
+        for kind in KIND_ORDER:
+            for i, witness in enumerate(walked[kind].witnesses):
+                metrics = metrics_from_mask(g, witness.bits)
+                assert metrics.size == i, (n, kind.key, i)
+                assert getattr(metrics, kind.counter) == walked[kind].values[i], (n, kind.key, i)
         for strategy in ("bb", "reduced"):
             ps = all_profiles(g, strategy=strategy)
             for kind in KIND_ORDER:
-                expected = profile_exhaustive(g)[kind].values
-                assert ps[kind].values == expected, (n, strategy, kind.key)
+                assert ps[kind].values == walked[kind].values, (n, strategy, kind.key)
