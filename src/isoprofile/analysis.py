@@ -18,11 +18,13 @@ except the explicit float guard band in the hypercube check.
 from __future__ import annotations
 
 import json
+import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import BinaryIO, Mapping, Sequence
 
 from .formats import to_graph6
 from .graphs import (
@@ -64,6 +66,8 @@ __all__ = [
     "verify_theorem",
     "write_findings",
 ]
+
+log = logging.getLogger(__name__)
 
 # The four sequences whose symmetry characterizes regularity.
 CHARACTERIZING_KINDS = (
@@ -557,6 +561,90 @@ def write_findings(findings: Sequence[SweepFinding], path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _sweep_job(
+    index: int, spec: str, graph_seed: int, strategy: str, cap: int | None
+) -> SweepFinding | None:
+    """Build and verify graph ``index``; a finding only if its report is inconsistent."""
+    graph = from_spec(spec, graph_seed)
+    try:
+        report = verify_theorem(graph, strategy=strategy, cap=cap)
+    except InternalInconsistencyError as exc:
+        raise InternalInconsistencyError(
+            f"graph {index} ({spec}, graph6 {to_graph6(graph)}): {exc}"
+        ) from exc
+    return None if report.consistent else SweepFinding(index, spec, to_graph6(graph), report)
+
+
+def _run_block(jobs: Sequence[tuple]) -> tuple[bool, object, float]:
+    """Run jobs in order: (True, findings, seconds) or (False, first exception, seconds)."""
+    start = time.perf_counter()
+    try:
+        findings = [f for f in (_sweep_job(*job) for job in jobs) if f is not None]
+    except Exception as exc:
+        return False, exc, time.perf_counter() - start
+    return True, findings, time.perf_counter() - start
+
+
+def _fork_block(jobs: Sequence[tuple], readers: Sequence[BinaryIO]) -> tuple[int, BinaryIO]:
+    """Run jobs in a forked child; return its pid and the read end of its pipe.
+
+    The child closes the read ends it inherited (``readers`` and its own),
+    so no pipe stays open once the parent closes its end. It writes one
+    pickled ``_run_block`` outcome (cut short if that outcome cannot be
+    pickled) and ends with ``os._exit``, skipping the stdio buffers and
+    ``atexit`` hooks it inherited. Forking, not spawning, lets the child
+    start without importing the package again; the sweep starts no thread.
+    """
+    # pickle and signal are imported only where a sweep forks: importing
+    # them would cost every CLI start about 3 ms and 0.5 MB of memory.
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            for stream in readers:
+                stream.close()
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as out:
+                pickle.dump(_run_block(jobs), out)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _receive(pid: int, stream: BinaryIO, jobs: Sequence[tuple]) -> tuple[bool, object, float]:
+    """Read the ``_run_block`` outcome that child ``pid`` wrote for ``jobs``."""
+    import pickle  # see _fork_block
+
+    try:
+        with stream:
+            return pickle.load(stream)
+    except (EOFError, pickle.UnpicklingError) as exc:
+        raise RuntimeError(
+            f"sweep worker {pid} for graphs {jobs[0][0]}..{jobs[-1][0]} "
+            "ended without sending its result"
+        ) from exc
+
+
+def _reap(children: Sequence[tuple[int, BinaryIO]]) -> None:
+    """Wait for every child; first kill those whose result was not read.
+
+    An unread result is no longer wanted: an earlier block failed.
+    """
+    import signal  # see _fork_block
+
+    for pid, stream in children:
+        if not stream.closed:
+            stream.close()
+            os.kill(pid, signal.SIGKILL)
+    for pid, _ in children:
+        os.waitpid(pid, 0)
+
+
 def counterexample_sweep(
     specs: Sequence[str],
     count: int,
@@ -569,9 +657,15 @@ def counterexample_sweep(
     """Verify a deterministic stream of generated graphs.
 
     Graph k uses specs[k % len(specs)] with a seed derived from (seed, k),
-    so the stream is reproducible for a fixed seed and count and the
-    result does not depend on the worker count. The findings file is
-    written only when some report is inconsistent. An
+    so the stream is reproducible for a fixed seed and count. The stream
+    is cut into at most ``workers`` contiguous blocks, never more than the
+    graphs or the CPUs (``os.cpu_count()``), and a single block where
+    ``os.fork`` does not exist. The calling process runs the first block;
+    each other block runs in a forked child that builds and verifies its
+    own graphs and sends back its findings. Blocks are collected in order,
+    each logged at DEBUG level, so findings and the first error come back
+    in index order and the result does not depend on ``workers``. The
+    findings file is written only when some report is inconsistent. An
     InternalInconsistencyError is re-raised with the index, spec and
     graph6 string of the graph that caused it.
     """
@@ -582,39 +676,41 @@ def counterexample_sweep(
     specs = tuple(specs)
     if count > 0 and not specs:
         raise ValueError("at least one generator spec is required")
-    instances = [
-        (k, specs[k % len(specs)], from_spec(specs[k % len(specs)], _child_seed(seed, k)))
-        for k in range(count)
+    jobs = [
+        (k, specs[k % len(specs)], _child_seed(seed, k), strategy, cap) for k in range(count)
     ]
+    parts = min(workers if hasattr(os, "fork") else 1, count, os.cpu_count() or 1)
+    blocks = [jobs[b * count // parts : (b + 1) * count // parts] for b in range(parts)]
 
-    def job(item):
-        index, spec, graph = item
-        try:
-            report = verify_theorem(graph, strategy=strategy, cap=cap)
-        except InternalInconsistencyError as exc:
-            raise InternalInconsistencyError(
-                f"graph {index} ({spec}, graph6 {to_graph6(graph)}): {exc}"
-            ) from exc
-        return index, spec, graph, report
+    children: list[tuple[int, BinaryIO]] = []
+    findings: list[SweepFinding] = []
+    try:
+        for block in blocks[1:]:
+            children.append(_fork_block(block, [stream for _, stream in children]))
+        for b, block in enumerate(blocks):
+            if b == 0:
+                pid, outcome = os.getpid(), _run_block(block)
+            else:
+                pid, stream = children[b - 1]
+                outcome = _receive(pid, stream, block)
+            ok, value, seconds = outcome
+            log.debug(
+                "sweep graphs %d..%d: pid %d, %.3f s", block[0][0], block[-1][0], pid, seconds
+            )
+            if not ok:
+                raise value
+            findings.extend(value)
+    finally:
+        if children:
+            _reap(children)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, instances))
-    else:
-        results = [job(item) for item in instances]
-
-    findings = tuple(
-        SweepFinding(index, spec, to_graph6(graph), report)
-        for index, spec, graph, report in results
-        if not report.consistent
-    )
     summary = SweepSummary(
         seed=seed,
         count=count,
         specs=specs,
         consistent=count - len(findings),
         inconsistent=len(findings),
-        findings=findings,
+        findings=tuple(findings),
     )
     if findings and findings_path is not None:
         write_findings(findings, findings_path)

@@ -97,7 +97,14 @@ def _build_parser() -> _Parser:
         help="generator spec; repeat or comma-separate for a mix",
     )
     sweep.add_argument("--count", type=int, required=True, help="number of graphs to draw")
-    sweep.add_argument("--workers", type=int, default=1, help="worker count; never affects emitted bytes")
+    sweep.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="split the graph stream into N contiguous blocks, one forked process each "
+        "(capped at the CPU count; serial where os.fork is missing); never affects emitted bytes",
+    )
     sweep.add_argument("--findings", metavar="FILE", default="findings.txt", help="written only if inconsistencies occur")
     sweep.set_defaults(func=_cmd_sweep, strategy_default="checked")
 

@@ -1,6 +1,11 @@
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -438,3 +443,176 @@ class TestSweep:
         parsed = json.loads(lines[1])
         assert parsed["index"] == 3
         assert SweepFinding.from_dict(parsed) == finding
+
+
+
+def _sweep_json(summary):
+    return json.dumps(summary.to_dict(), sort_keys=True)
+
+
+# Run in a fresh interpreter so that a hang fails by timeout instead of
+# stalling the suite: graph 0 (the calling process's block) fails after
+# graph 1's child has filled its pipe past 64 KiB, while graph 2's child
+# is still working.
+_ABORT_SCRIPT = """
+import os, time
+import isoprofile.analysis as analysis
+
+os.cpu_count = lambda: 3
+
+def job(index, spec, graph_seed, strategy, cap):
+    if index == 0:
+        time.sleep(0.5)
+        raise ValueError("parent block failed")
+    if index == 1:
+        return "x" * 200_000
+    time.sleep(120)
+
+analysis._sweep_job = job
+start = time.perf_counter()
+try:
+    analysis.counterexample_sweep(["cycle:4"], 3, seed=1, workers=3)
+except ValueError as exc:
+    assert str(exc) == "parent block failed", exc
+else:
+    raise AssertionError("the parent block's error was swallowed")
+elapsed = time.perf_counter() - start
+assert elapsed < 10, elapsed
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no children left")
+else:
+    raise AssertionError("a sweep child was left unreaped")
+"""
+
+
+class TestSweepProcesses:
+    """The forked block split: bounded forks, index order, clean failure paths."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        # Pin the CPU count so the forking path runs on any machine.
+        def pin(n):
+            monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+        return pin
+
+    def test_forks_bounded_by_cpu_count(self, monkeypatch, cpus):
+        specs = ["random:6:0.4", "regular:6:3"]
+        serial = counterexample_sweep(specs, 6, seed=5, workers=1)
+        cpus(2)
+        forks = []
+        real_fork = os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        wide = counterexample_sweep(specs, 6, seed=5, workers=64)
+        assert len(forks) == 1
+        assert _sweep_json(wide) == _sweep_json(serial)
+
+    def test_serial_without_fork(self, monkeypatch, cpus):
+        specs = ["random:6:0.4", "cycle:5"]
+        serial = counterexample_sweep(specs, 5, seed=8, workers=1)
+        cpus(4)
+        monkeypatch.delattr(os, "fork")
+        assert _sweep_json(counterexample_sweep(specs, 5, seed=8, workers=4)) == _sweep_json(serial)
+
+    @pytest.mark.parametrize(
+        "count,workers", [(0, 2), (3, 4), (7, 3)], ids=["empty", "fewer-graphs", "uneven"]
+    )
+    def test_block_edges_byte_identical(self, cpus, count, workers):
+        cpus(4)
+        specs = ["random:7:0.5", "regular:6:2", "star:5"]
+        serial = counterexample_sweep(specs, count, seed=21, workers=1)
+        split = counterexample_sweep(specs, count, seed=21, workers=workers)
+        assert _sweep_json(split) == _sweep_json(serial)
+
+    def test_findings_keep_index_order(self, monkeypatch, cpus, tmp_path):
+        import isoprofile.analysis as analysis_mod
+
+        real = analysis_mod.verify_theorem
+
+        def flag_odd_edge_counts(graph, **kwargs):
+            report = real(graph, **kwargs)
+            return replace(report, consistent=report.m % 2 == 0)
+
+        monkeypatch.setattr(analysis_mod, "verify_theorem", flag_odd_edge_counts)
+        specs = ["random:7:0.5", "cycle:5", "path:6"]
+        serial = counterexample_sweep(specs, 11, seed=13, workers=1)
+        cpus(4)
+        split = counterexample_sweep(specs, 11, seed=13, workers=4, findings_path=tmp_path / "f.txt")
+        indices = [f.index for f in split.findings]
+        assert len(indices) >= 4 and indices == sorted(indices)
+        assert _sweep_json(split) == _sweep_json(serial)
+        assert (tmp_path / "f.txt").read_text().count("\n") == 2 * len(indices)
+
+    def test_inconsistency_in_child_block_names_its_graph(self, monkeypatch, cpus):
+        import isoprofile.analysis as analysis_mod
+        from isoprofile import InternalInconsistencyError
+
+        cpus(2)
+        real = analysis_mod.verify_theorem
+
+        def broken(graph, **kwargs):
+            if graph == star(5):
+                raise InternalInconsistencyError("solver routes disagree on min_cut at i=2")
+            return real(graph, **kwargs)
+
+        monkeypatch.setattr(analysis_mod, "verify_theorem", broken)
+        # blocks [0, 1] and [2, 3]; only graph 3 is a star
+        with pytest.raises(InternalInconsistencyError) as info:
+            counterexample_sweep(["cycle:5", "cycle:5", "cycle:5", "star:5"], 4, seed=3, workers=2)
+        message = str(info.value)
+        assert message.startswith(f"graph 3 (star:5, graph6 {to_graph6(star(5))}): ")
+        assert message.endswith("solver routes disagree on min_cut at i=2")
+
+    def test_child_value_error_propagates(self, cpus):
+        cpus(2)
+        # graph 2 is infeasible and lies in the child's block
+        with pytest.raises(ValueError, match="odd"):
+            counterexample_sweep(["cycle:5", "cycle:5", "regular:5:3"], 4, seed=1, workers=2)
+
+    def test_unpicklable_child_error_reported(self, monkeypatch, cpus):
+        import isoprofile.analysis as analysis_mod
+
+        cpus(2)
+
+        class LocalError(Exception):
+            pass
+
+        def job(index, *args):
+            if index == 1:
+                raise LocalError("cannot cross a pipe")
+
+        monkeypatch.setattr(analysis_mod, "_sweep_job", job)
+        with pytest.raises(RuntimeError, match=r"graphs 1\.\.1 ended without sending its result"):
+            counterexample_sweep(["cycle:4"], 2, seed=1, workers=2)
+
+    def test_parent_failure_neither_hangs_nor_leaks_children(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _ABORT_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "no children left"
+
+    def test_blocks_logged_in_order(self, caplog, cpus):
+        cpus(2)
+        with caplog.at_level(logging.DEBUG, logger="isoprofile.analysis"):
+            counterexample_sweep(["cycle:5", "random:6:0.5"], 5, seed=4, workers=2)
+        records = [r for r in caplog.records if r.name == "isoprofile.analysis"]
+        assert [r.levelno for r in records] == [logging.DEBUG, logging.DEBUG]
+        first, second = (r.getMessage() for r in records)
+        assert first.startswith(f"sweep graphs 0..1: pid {os.getpid()}, ")
+        assert second.startswith("sweep graphs 2..4: pid ")
+        assert f"pid {os.getpid()}," not in second
+        assert first.endswith(" s") and second.endswith(" s")
