@@ -22,7 +22,7 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, Mapping, Sequence
 
@@ -81,6 +81,59 @@ CHARACTERIZING_KINDS = (
 CUT_KINDS = (MetricKind.MAX_CUT, MetricKind.MIN_CUT)
 
 
+# ---------------------------------------------------------------------------
+# Report serialization. Every JSON key is the name of a record field, so
+# each record binds these two functions as its to_dict and from_dict.
+
+
+def _encode(record):
+    """JSON-ready form of a record, or of one of its field values.
+
+    Scalars and None pass through, a tuple becomes a list, a
+    MetricKind-keyed mapping a dict keyed by ``kind.key``, and a
+    dataclass a dict over its fields. Scalars are tested first: they are
+    most of the leaves.
+    """
+    if record is None or isinstance(record, (int, float, str)):
+        return record
+    if isinstance(record, tuple):
+        return [_encode(item) for item in record]
+    if isinstance(record, Mapping):
+        return {kind.key: _encode(value) for kind, value in record.items()}
+    return {f.name: _encode(getattr(record, f.name)) for f in fields(record)}
+
+
+def _decode(cls, data):
+    """Rebuild a value of type ``cls`` from its ``_encode`` form.
+
+    ``cls`` is a record class or the type hint of one of its fields:
+    int, bool, str or float (coerced), ``X | None``, ``tuple[X, ...]``,
+    a fixed-length tuple, ``Mapping[MetricKind, V]`` or a nested record.
+    A key missing from ``data`` raises KeyError. Field hints are
+    resolved here, at each call, never at import time.
+    """
+    import collections.abc
+    from dataclasses import is_dataclass
+    from typing import get_args, get_origin, get_type_hints
+
+    if is_dataclass(cls):
+        hints = get_type_hints(cls)
+        return cls(**{f.name: _decode(hints[f.name], data[f.name]) for f in fields(cls)})
+    origin, args = get_origin(cls), get_args(cls)
+    if type(None) in args:
+        if data is None:
+            return None
+        (cls,) = (arg for arg in args if arg is not type(None))
+        return _decode(cls, data)
+    if origin is tuple:
+        if args[-1] is Ellipsis:
+            return tuple(_decode(args[0], item) for item in data)
+        return tuple(_decode(arg, item) for arg, item in zip(args, data, strict=True))
+    if origin is collections.abc.Mapping:
+        return {kind_from_key(key): _decode(args[1], value) for key, value in data.items()}
+    return cls(data)
+
+
 @dataclass(frozen=True)
 class DiffSequence:
     """Consecutive differences s(1..n) of a profile; values[k] is s(k+1)."""
@@ -99,9 +152,12 @@ class DiffSequence:
         return self.values[i - 1]
 
 
+def _diffs(values: Sequence[int]) -> list[int]:
+    return [values[i] - values[i - 1] for i in range(1, len(values))]
+
+
 def diff_sequence(profile: Profile) -> DiffSequence:
-    vals = profile.values
-    return DiffSequence(profile.kind, tuple(vals[i] - vals[i - 1] for i in range(1, len(vals))))
+    return DiffSequence(profile.kind, tuple(_diffs(profile.values)))
 
 
 @dataclass(frozen=True)
@@ -112,20 +168,8 @@ class SymmetryVerdict:
     target: int
     violations: tuple[tuple[int, int], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "symmetric": self.symmetric,
-            "target": self.target,
-            "violations": [list(v) for v in self.violations],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SymmetryVerdict":
-        return cls(
-            bool(data["symmetric"]),
-            int(data["target"]),
-            tuple((int(i), int(s)) for i, s in data["violations"]),
-        )
+    to_dict = _encode
+    from_dict = classmethod(_decode)
 
 
 def check_symmetry(seq: DiffSequence) -> SymmetryVerdict:
@@ -154,27 +198,8 @@ class IdentityResult:
     holds: bool | None
     first_violation: tuple[int, int, int] | None  # (i, lhs, rhs)
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "applicable": self.applicable,
-            "holds": self.holds,
-            "first_violation": list(self.first_violation) if self.first_violation else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "IdentityResult":
-        fv = data["first_violation"]
-        return cls(
-            str(data["name"]),
-            bool(data["applicable"]),
-            None if data["holds"] is None else bool(data["holds"]),
-            None if fv is None else (int(fv[0]), int(fv[1]), int(fv[2])),
-        )
-
-
-def _diffs(values: Sequence[int]) -> list[int]:
-    return [values[i] - values[i - 1] for i in range(1, len(values))]
+    to_dict = _encode
+    from_dict = classmethod(_decode)
 
 
 def identity_suite(
@@ -282,51 +307,8 @@ class VerificationReport:
     identities: tuple[IdentityResult, ...]
     note: str | None
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "degrees": {
-                "min_degree": self.degrees.min_degree,
-                "max_degree": self.degrees.max_degree,
-                "is_regular": self.degrees.is_regular,
-                "degree_sequence": list(self.degrees.degree_sequence),
-            },
-            "connected": self.connected,
-            "strategy": self.strategy,
-            "profiles": {k.key: list(v) for k, v in self.profiles.items()},
-            "diffs": {k.key: list(v) for k, v in self.diffs.items()},
-            "symmetry": {k.key: v.to_dict() for k, v in self.symmetry.items()},
-            "regular": self.regular,
-            "biconditional": {k.key: v for k, v in self.biconditional.items()},
-            "consistent": self.consistent,
-            "identities": [r.to_dict() for r in self.identities],
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "VerificationReport":
-        deg = data["degrees"]
-        return cls(
-            n=int(data["n"]),
-            m=int(data["m"]),
-            degrees=DegreeSummary(
-                int(deg["min_degree"]),
-                int(deg["max_degree"]),
-                bool(deg["is_regular"]),
-                tuple(int(x) for x in deg["degree_sequence"]),
-            ),
-            connected=bool(data["connected"]),
-            strategy=str(data["strategy"]),
-            profiles={kind_from_key(k): tuple(int(x) for x in v) for k, v in data["profiles"].items()},
-            diffs={kind_from_key(k): tuple(int(x) for x in v) for k, v in data["diffs"].items()},
-            symmetry={kind_from_key(k): SymmetryVerdict.from_dict(v) for k, v in data["symmetry"].items()},
-            regular=bool(data["regular"]),
-            biconditional={kind_from_key(k): bool(v) for k, v in data["biconditional"].items()},
-            consistent=bool(data["consistent"]),
-            identities=tuple(IdentityResult.from_dict(r) for r in data["identities"]),
-            note=data["note"],
-        )
+    to_dict = _encode
+    from_dict = classmethod(_decode)
 
 
 def verify_theorem(
@@ -403,16 +385,7 @@ class IsoperimetricRow:
     bound_natural: float
     holds_natural: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "min_cut": self.min_cut,
-            "bound_base2": self.bound_base2,
-            "holds_base2": self.holds_base2,
-            "exact": self.exact,
-            "bound_natural": self.bound_natural,
-            "holds_natural": self.holds_natural,
-        }
+    to_dict = _encode
 
 
 @dataclass(frozen=True)
@@ -425,16 +398,7 @@ class IsoperimetricReport:
     guard_band: float
     note: str
 
-    def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "n": self.n,
-            "min_cut_profile": list(self.min_cut_profile),
-            "rows": [r.to_dict() for r in self.rows],
-            "all_hold": self.all_hold,
-            "guard_band": self.guard_band,
-            "note": self.note,
-        }
+    to_dict = _encode
 
 
 _GUARD_BAND = 1e-9
@@ -497,22 +461,8 @@ class SweepFinding:
     graph6: str
     report: VerificationReport
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "spec": self.spec,
-            "graph6": self.graph6,
-            "report": self.report.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SweepFinding":
-        return cls(
-            int(data["index"]),
-            str(data["spec"]),
-            str(data["graph6"]),
-            VerificationReport.from_dict(data["report"]),
-        )
+    to_dict = _encode
+    from_dict = classmethod(_decode)
 
 
 @dataclass(frozen=True)
@@ -524,26 +474,8 @@ class SweepSummary:
     inconsistent: int
     findings: tuple[SweepFinding, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "count": self.count,
-            "specs": list(self.specs),
-            "consistent": self.consistent,
-            "inconsistent": self.inconsistent,
-            "findings": [f.to_dict() for f in self.findings],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "SweepSummary":
-        return cls(
-            int(data["seed"]),
-            int(data["count"]),
-            tuple(str(s) for s in data["specs"]),
-            int(data["consistent"]),
-            int(data["inconsistent"]),
-            tuple(SweepFinding.from_dict(f) for f in data["findings"]),
-        )
+    to_dict = _encode
+    from_dict = classmethod(_decode)
 
 
 def _child_seed(seed: int, index: int) -> int:

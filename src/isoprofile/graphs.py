@@ -340,6 +340,40 @@ def _switch_chain(n: int, d: int, rng: random.Random) -> list[int]:
     return adj
 
 
+# Generator spec "name:arg1:arg2": name -> (constructor, argument parsers,
+# whether the constructor takes the seed after its arguments).
+_GENERATORS = {
+    "complete": (complete, (int,), False),
+    "cycle": (cycle, (int,), False),
+    "path": (path, (int,), False),
+    "star": (star, (int,), False),
+    "empty": (empty, (int,), False),
+    "hypercube": (hypercube, (int,), False),
+    "random": (random_graph, (int, float), True),
+    "regular": (random_regular, (int, int), True),
+}
+
+
+def _parse_spec(spec: str) -> tuple[str, list]:
+    """Generator name and parsed arguments of a spec; ValueError if malformed."""
+    name, *args = spec.split(":")
+    if name not in _GENERATORS:
+        raise ValueError(f"unknown generator {name!r} in {spec!r}")
+    parsers = _GENERATORS[name][1]
+    if len(args) != len(parsers):
+        raise ValueError(f"generator {name!r} takes {len(parsers)} argument(s), got {len(args)} in {spec!r}")
+    values = []
+    for position, (parse, arg) in enumerate(zip(parsers, args), start=1):
+        try:
+            values.append(parse(arg))
+        except ValueError:
+            expected = "integer" if parse is int else "number"
+            raise ValueError(
+                f"bad generator argument in {spec!r}: expected {expected} at position {position}"
+            ) from None
+    return name, values
+
+
 def from_spec(spec: str, seed: int = DEFAULT_SEED) -> Graph:
     """Build a graph from a "name:arg1:arg2" generator spec.
 
@@ -347,68 +381,24 @@ def from_spec(spec: str, seed: int = DEFAULT_SEED) -> Graph:
     hypercube:d, random:n:p, regular:n:d. The seed feeds the random
     generators and is ignored by the deterministic ones.
     """
-    parts = spec.split(":")
-    name, args = parts[0], parts[1:]
-
-    def arg_int(idx: int) -> int:
-        try:
-            return int(args[idx])
-        except (IndexError, ValueError):
-            raise ValueError(f"bad generator argument in {spec!r}: expected integer at position {idx + 1}") from None
-
-    def arg_float(idx: int) -> float:
-        try:
-            return float(args[idx])
-        except (IndexError, ValueError):
-            raise ValueError(f"bad generator argument in {spec!r}: expected number at position {idx + 1}") from None
-
-    def want(count: int) -> None:
-        if len(args) != count:
-            raise ValueError(f"generator {name!r} takes {count} argument(s), got {len(args)} in {spec!r}")
-
-    if name == "complete":
-        want(1)
-        return complete(arg_int(0))
-    if name == "cycle":
-        want(1)
-        return cycle(arg_int(0))
-    if name == "path":
-        want(1)
-        return path(arg_int(0))
-    if name == "star":
-        want(1)
-        return star(arg_int(0))
-    if name == "empty":
-        want(1)
-        return empty(arg_int(0))
-    if name == "hypercube":
-        want(1)
-        return hypercube(arg_int(0))
-    if name == "random":
-        want(2)
-        return random_graph(arg_int(0), arg_float(1), seed)
-    if name == "regular":
-        want(2)
-        return random_regular(arg_int(0), arg_int(1), seed)
-    raise ValueError(f"unknown generator {name!r} in {spec!r}")
-
-
-# Generators whose first spec argument is the vertex count.
-_ORDER_FIRST = ("complete", "cycle", "path", "star", "empty", "random", "regular")
+    name, values = _parse_spec(spec)
+    constructor, _, seeded = _GENERATORS[name]
+    return constructor(*values, seed) if seeded else constructor(*values)
 
 
 def _spec_order(spec: str) -> int | None:
     """Vertex count from_spec(spec) would build, read from the spec alone.
 
     The first argument, or 2**d for hypercube:d. None when from_spec
-    would refuse the spec before building anything (unknown name,
-    non-integer first argument, dimension outside 1..26).
+    would refuse the spec before building anything (unknown name, wrong
+    argument count, an argument that does not parse, dimension outside
+    1..26).
     """
-    name, _, args = spec.partition(":")
     try:
-        first = int(args.split(":")[0])
+        name, values = _parse_spec(spec)
     except ValueError:
         return None
+    first = values[0]
     if name == "hypercube":
         return 1 << first if 1 <= first <= 26 else None
-    return first if name in _ORDER_FIRST else None
+    return first

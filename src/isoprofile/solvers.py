@@ -70,7 +70,7 @@ __all__ = [
 # C(24, 12) subsets per size keep even the exhaustive route feasible.
 DEFAULT_VERTEX_CAP = 24
 
-STRATEGIES = ("auto", "oracle", "bb", "reduced", "checked")
+STRATEGIES = ("auto", "oracle", "reduced", "checked")
 
 
 class VertexCapError(ValueError):
@@ -583,8 +583,6 @@ def _solve(
         return profile_exhaustive(graph, cap=graph.n), None
     if resolved == "checked":
         return _checked_profiles(graph)
-    if resolved == "bb":
-        return {kind: _branch_bound_profile(graph, kind, mirror_cut=True) for kind in KIND_ORDER}, None
     searched = {
         kind: _branch_bound_profile(graph, kind, mirror_cut=True)
         for kind in KIND_ORDER
@@ -605,14 +603,13 @@ def all_profiles(
     """All six profiles under one strategy.
 
     oracle: one exhaustive Gray-code walk, lexicographically first
-    witnesses. bb: branch and bound for every kind, cut kinds solved up
-    to n/2 and mirrored. reduced: branch and bound for the induced and
-    cut kinds, the covered kinds derived from the induced ones. checked:
-    the walk on the graph and on its complement, branch and bound for
-    every kind and size, and every reduction; raises
-    InternalInconsistencyError if any value disagrees or any returned
-    witness fails to attain its value. auto: checked for n <= 8, one
-    walk (oracle) above: the walk visits half the subsets and beats
-    branch and bound on all but the sparsest graphs near the cap.
+    witnesses. reduced: branch and bound for the induced and cut kinds,
+    cut kinds solved up to n/2 and mirrored, the covered kinds derived
+    from the induced ones. checked: the walk on the graph and on its
+    complement, branch and bound for every kind and size, and every
+    reduction; raises InternalInconsistencyError if any value disagrees
+    or any returned witness fails to attain its value. auto: checked for
+    n <= 8, one walk (oracle) above: the walk visits half the subsets and
+    beats branch and bound on all but the sparsest graphs near the cap.
     """
     return _solve(graph, strategy, cap)[0]

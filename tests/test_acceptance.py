@@ -20,6 +20,7 @@ from isoprofile import (
     CUT_KINDS,
     KIND_ORDER,
     MetricKind,
+    SweepFinding,
     all_profiles,
     check_symmetry,
     complement,
@@ -38,13 +39,17 @@ from isoprofile import (
     profile_exhaustive,
     random_graph,
     random_regular,
+    star,
     to_graph6,
+    verify_theorem,
+    write_findings,
 )
 from isoprofile.cli import main
 
 from corpus import full_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def criterion(number, description):
@@ -315,7 +320,7 @@ def test_criterion_8_sweep_determinism(tmp_path):
 
 
 @criterion(9, "graph6 encode/decode identity on 1000 random graphs and "
-              "byte-exact csv golden files")
+              "byte-exact csv and json golden files")
 def test_criterion_9_format_fidelity(tmp_path):
     for k in range(1000):
         n = 1 + (k % 16)
@@ -327,3 +332,19 @@ def test_criterion_9_format_fidelity(tmp_path):
         code = main(["profile", "--gen", spec, "--format", "csv", "--out", str(target)])
         assert code == 0
         assert target.read_bytes() == (GOLDEN / golden_name).read_bytes()
+    json_goldens = (
+        (["verify", "--input", str(FIXTURES / "petersen.g6")], "petersen_verify.json"),
+        (["verify", "--input", str(FIXTURES / "star6.txt")], "star6_verify.json"),
+        (["profile", "--gen", "cycle:6"], "c6_profile.json"),
+        (["sweep", "--gen", "cycle:5,star:5", "--count", "4", "--seed", "3",
+          "--findings", str(tmp_path / "findings.txt")], "sweep_c5_s5.json"),
+    )
+    for argv, golden_name in json_goldens:
+        target = tmp_path / golden_name
+        assert main(argv + ["--format", "json", "--out", str(target)]) == 0
+        assert target.read_bytes() == (GOLDEN / golden_name).read_bytes(), golden_name
+    # The writer's two lines for one fabricated finding; a correct sweep
+    # never writes any.
+    target = tmp_path / "star4_findings.txt"
+    write_findings([SweepFinding(3, "star:4", "Cs", verify_theorem(star(4)))], target)
+    assert target.read_bytes() == (GOLDEN / "star4_findings.txt").read_bytes()

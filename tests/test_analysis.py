@@ -13,10 +13,10 @@ from isoprofile import (
     CHARACTERIZING_KINDS,
     CUT_KINDS,
     KIND_ORDER,
+    IdentityResult,
     MetricKind,
     SweepFinding,
     SweepSummary,
-    VerificationReport,
     all_profiles,
     check_symmetry,
     complement,
@@ -180,10 +180,31 @@ class TestVerifyTheorem:
         assert "disconnected" in report.note
         assert report.consistent  # 1-regular and all four sequences symmetric
 
-    def test_report_dict_roundtrip(self):
-        report = verify_theorem(cycle(5))
-        data = json.loads(json.dumps(report.to_dict()))
-        assert VerificationReport.from_dict(data) == report
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: verify_theorem(cycle(5)), id="report-note-none"),
+            pytest.param(
+                lambda: verify_theorem(from_edge_list(4, [(0, 1), (2, 3)])), id="report-note-string"
+            ),
+            pytest.param(
+                lambda: verify_theorem(star(5)).symmetry[MetricKind.MAX_INDUCED],
+                id="verdict-with-violations",
+            ),
+            pytest.param(
+                lambda: next(r for r in verify_theorem(star(5)).identities if not r.applicable),
+                id="identity-not-applicable",
+            ),
+            pytest.param(
+                lambda: IdentityResult("densest_full_set", True, False, (4, 3, 5)),
+                id="identity-first-violation",
+            ),
+        ],
+    )
+    def test_report_dict_roundtrip(self, build):
+        record = build()
+        data = json.loads(json.dumps(record.to_dict()))
+        assert type(record).from_dict(data) == record
 
     def test_identities_in_report_all_pass(self):
         report = verify_theorem(cycle(6))
@@ -427,8 +448,19 @@ class TestSweep:
         assert message.startswith(f"graph 1 (star:5, graph6 {to_graph6(star(5))}): ")
         assert message.endswith("solver routes disagree on max_cut at i=1")
 
-    def test_summary_dict_roundtrip(self):
-        summary = counterexample_sweep(["cycle:4"], 2, seed=3)
+    @pytest.mark.parametrize("flag", [False, True], ids=["consistent", "with-finding"])
+    def test_summary_dict_roundtrip(self, monkeypatch, flag):
+        import isoprofile.analysis as analysis_mod
+
+        real = analysis_mod.verify_theorem
+
+        def flagged(graph, **kwargs):
+            report = real(graph, **kwargs)
+            return replace(report, consistent=not (flag and graph.n == 5))
+
+        monkeypatch.setattr(analysis_mod, "verify_theorem", flagged)
+        summary = counterexample_sweep(["cycle:4", "star:5"], 2, seed=3)
+        assert len(summary.findings) == flag
         assert SweepSummary.from_dict(json.loads(json.dumps(summary.to_dict()))) == summary
 
     def test_findings_writer_format(self, tmp_path):

@@ -84,7 +84,7 @@ class TestProfileCommand:
         assert code == 1 and "cap" in err
 
     def test_cap_override(self, capsys):
-        code, out, _ = run(capsys, "profile", "--gen", "empty:25", "--cap", "25", "--format", "csv", "--strategy", "bb")
+        code, out, _ = run(capsys, "profile", "--gen", "empty:25", "--cap", "25", "--format", "csv", "--strategy", "reduced")
         assert code == 0
         assert len(out.strip().splitlines()) == 27
 
@@ -124,7 +124,8 @@ class TestOversizedInputs:
     def test_hypercube_spec(self, capsys, monkeypatch, command):
         import isoprofile.graphs as graphs_mod
 
-        monkeypatch.setattr(graphs_mod, "hypercube", _never_called)
+        _, parsers, seeded = graphs_mod._GENERATORS["hypercube"]
+        monkeypatch.setitem(graphs_mod._GENERATORS, "hypercube", (_never_called, parsers, seeded))
         code, out, err = run(capsys, command, "--gen", "hypercube:20")
         assert code == 1 and out == ""
         assert "graph on 1048576 vertices exceeds the solver cap of 24" in err

@@ -20,6 +20,7 @@ from isoprofile import (
     star,
     to_graph6,
 )
+from isoprofile.graphs import _GENERATORS, _spec_order
 
 
 @st.composite
@@ -248,3 +249,18 @@ class TestFromSpec:
     def test_wrong_arity(self):
         with pytest.raises(ValueError, match="takes 1 argument"):
             from_spec("cycle:3:4")
+
+    @pytest.mark.parametrize("name", sorted(_GENERATORS))
+    def test_spec_order_matches_built_graph(self, name):
+        # one valid spec per generator table row; a new row needs one here
+        spec = {
+            "complete": "complete:5",
+            "cycle": "cycle:6",
+            "empty": "empty:4",
+            "hypercube": "hypercube:3",
+            "path": "path:7",
+            "random": "random:9:0.5",
+            "regular": "regular:10:3",
+            "star": "star:5",
+        }[name]
+        assert _spec_order(spec) == from_spec(spec, 7).n

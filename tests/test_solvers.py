@@ -268,7 +268,7 @@ class TestAllProfiles:
     def test_strategies_agree(self, corpus):
         for name, g in corpus[:40]:
             reference = None
-            for strategy in ("oracle", "bb", "reduced", "checked"):
+            for strategy in ("oracle", "reduced", "checked"):
                 ps = all_profiles(g, strategy=strategy)
                 values = [ps[kind].values for kind in KIND_ORDER]
                 if reference is None:
@@ -285,7 +285,7 @@ class TestAllProfiles:
         big = cycle(9)
         assert all_profiles(big)[MetricKind.MAX_INDUCED].provenance == "exhaustive"
 
-    @pytest.mark.parametrize("strategy, walks", [("checked", 2), ("oracle", 1), ("reduced", 0), ("bb", 0)])
+    @pytest.mark.parametrize("strategy, walks", [("checked", 2), ("oracle", 1), ("reduced", 0)])
     def test_exhaustive_walks_per_strategy(self, monkeypatch, strategy, walks):
         assert _count_solver_calls(monkeypatch, cycle(6), strategy)["walk"] == walks
 
@@ -300,7 +300,7 @@ class TestAllProfiles:
 
     def test_mirrored_witnesses_reevaluate(self):
         g = cycle(7)
-        ps = all_profiles(g, strategy="bb")
+        ps = all_profiles(g, strategy="reduced")
         for kind in (MetricKind.MAX_CUT, MetricKind.MIN_CUT):
             profile = ps[kind]
             for i, witness in enumerate(profile.witnesses):
@@ -350,7 +350,6 @@ def test_equivalence_above_corpus_scale():
                 metrics = metrics_from_mask(g, witness.bits)
                 assert metrics.size == i, (n, kind.key, i)
                 assert getattr(metrics, kind.counter) == walked[kind].values[i], (n, kind.key, i)
-        for strategy in ("bb", "reduced"):
-            ps = all_profiles(g, strategy=strategy)
-            for kind in KIND_ORDER:
-                assert ps[kind].values == walked[kind].values, (n, strategy, kind.key)
+        ps = all_profiles(g, strategy="reduced")
+        for kind in KIND_ORDER:
+            assert ps[kind].values == walked[kind].values, (n, kind.key)
