@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .analysis import (
@@ -22,7 +23,15 @@ from .analysis import (
     verify_theorem,
 )
 from .formats import Graph6Error, _graph6_order, _text_order, load_graph_text, parse_graph6
-from .graphs import DEFAULT_SEED, Graph, _spec_order, degree_summary, from_spec, is_connected
+from .graphs import (
+    DEFAULT_SEED,
+    DegreeSummary,
+    Graph,
+    _spec_order,
+    degree_summary,
+    from_spec,
+    is_connected,
+)
 from .solvers import (
     KIND_ORDER,
     STRATEGIES,
@@ -148,14 +157,14 @@ def _dump_json(payload) -> str:
 
 def _graph_summary_dict(graph: Graph) -> dict:
     summary = degree_summary(graph)
-    return {
-        "n": graph.n,
-        "m": graph.m,
-        "min_degree": summary.min_degree,
-        "max_degree": summary.max_degree,
-        "is_regular": summary.is_regular,
-        "connected": is_connected(graph),
-    }
+    info = {"n": graph.n, "m": graph.m}
+    info.update(
+        (field.name, getattr(summary, field.name))
+        for field in fields(DegreeSummary)
+        if field.name != "degree_sequence"
+    )
+    info["connected"] = is_connected(graph)
+    return info
 
 
 def _profile_csv(graph: Graph, profiles, diffs) -> str:
@@ -311,6 +320,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.cap is not None and args.cap < 1:
+            raise _UsageError(f"--cap must be at least 1, got {args.cap}")
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

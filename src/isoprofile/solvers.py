@@ -28,16 +28,19 @@ mode that runs all of them and refuses to return if they disagree.
 Bound functions used by the branch and bound, for a partial set S with
 r slots left and a candidate x with a = |adj(x) & S|:
 
-  max induced:  a + min(deg(x) - a, r - 1)
+  max induced:  ½ · (2a + min(deg(x) - a, r - 1))
   min induced:  a
   max covered:  deg(x) - a
-  min covered:  max(0, deg(x) - a - (r - 1))
+  min covered:  ½ · (2(deg(x) - a) - min(deg(x) - a, r - 1))
   max cut:      deg(x) - 2a
   min cut:      deg(x) - 2a - min(r - 1, deg(x) - a)
 
 Summing the r best (worst) candidate terms over the remaining pool
-never underestimates (overestimates) any completion, so pruning on an
-incumbent is safe.
+never underestimates (overestimates) any completion T, so pruning on an
+incumbent is safe. The halved terms count each edge inside T once: by
+the handshake lemma induced(T) = ½ Σ_{x∈T} deg_T(x), and deg_T(x) is at
+most min(deg(x) - a, r - 1). They are summed doubled and the sum is
+rounded once, down for max and up for min.
 """
 
 from __future__ import annotations
@@ -304,29 +307,44 @@ def _marginal_fn(kind: MetricKind, adj, degrees) -> Callable[[int, int], int]:
     return lambda v, s: degrees[v] - 2 * (adj[v] & s).bit_count()
 
 
-def _bound_term_fn(kind: MetricKind, adj, degrees) -> Callable[[int, int, int], int]:
+def _bound_fn(kind: MetricKind, adj, degrees, order) -> Callable[[int, int, int], int]:
+    """bound(start, chosen, r): at most (max) or at least (min) what r more
+    picks from order[start:] can add to the counter of the set chosen.
+
+    It sums the r best terms of the module docstring's table over the
+    pool, doubled and rounded once for the two halved kinds.
+    """
+    pool = [(adj[v], degrees[v]) for v in order]
     if kind is MetricKind.MAX_INDUCED:
-        def term(v: int, s: int, r: int) -> int:
-            a = (adj[v] & s).bit_count()
-            return a + min(degrees[v] - a, r - 1)
+        def terms(start: int, chosen: int, k: int) -> list[int]:
+            return [2 * (a := (nb & chosen).bit_count()) + min(d - a, k) for nb, d in pool[start:]]
     elif kind is MetricKind.MIN_INDUCED:
-        def term(v: int, s: int, r: int) -> int:
-            return (adj[v] & s).bit_count()
+        def terms(start: int, chosen: int, k: int) -> list[int]:
+            return [(nb & chosen).bit_count() for nb, _ in pool[start:]]
     elif kind is MetricKind.MAX_COVERED:
-        def term(v: int, s: int, r: int) -> int:
-            return degrees[v] - (adj[v] & s).bit_count()
+        def terms(start: int, chosen: int, k: int) -> list[int]:
+            return [d - (nb & chosen).bit_count() for nb, d in pool[start:]]
     elif kind is MetricKind.MIN_COVERED:
-        def term(v: int, s: int, r: int) -> int:
-            a = (adj[v] & s).bit_count()
-            return max(0, degrees[v] - a - (r - 1))
+        def terms(start: int, chosen: int, k: int) -> list[int]:
+            return [2 * (f := d - (nb & chosen).bit_count()) - min(f, k) for nb, d in pool[start:]]
     elif kind is MetricKind.MAX_CUT:
-        def term(v: int, s: int, r: int) -> int:
-            return degrees[v] - 2 * (adj[v] & s).bit_count()
+        def terms(start: int, chosen: int, k: int) -> list[int]:
+            return [d - 2 * (nb & chosen).bit_count() for nb, d in pool[start:]]
     else:  # MIN_CUT
-        def term(v: int, s: int, r: int) -> int:
-            a = (adj[v] & s).bit_count()
-            return degrees[v] - 2 * a - min(r - 1, degrees[v] - a)
-    return term
+        def terms(start: int, chosen: int, k: int) -> list[int]:
+            return [d - 2 * (a := (nb & chosen).bit_count()) - min(k, d - a) for nb, d in pool[start:]]
+    maximize = kind.is_max
+    halved = kind in (MetricKind.MAX_INDUCED, MetricKind.MIN_COVERED)
+
+    def bound(start: int, chosen: int, r: int) -> int:
+        best = terms(start, chosen, r - 1)
+        best.sort(reverse=maximize)
+        total = sum(best[:r])
+        if not halved:
+            return total
+        return total // 2 if maximize else -(-total // 2)
+
+    return bound
 
 
 def _branch_bound_single(graph: Graph, kind: MetricKind, size: int) -> tuple[int, int]:
@@ -342,11 +360,11 @@ def _branch_bound_single(graph: Graph, kind: MetricKind, size: int) -> tuple[int
 
     maximize = kind.is_max
     marginal = _marginal_fn(kind, adj, degrees)
-    term = _bound_term_fn(kind, adj, degrees)
     if maximize:
         order = sorted(range(n), key=lambda v: (-degrees[v], v))
     else:
         order = sorted(range(n), key=lambda v: (degrees[v], v))
+    bound_fn = _bound_fn(kind, adj, degrees, order)
 
     # Greedy completion seeds the incumbent, so a witness always exists.
     mask = 0
@@ -376,9 +394,7 @@ def _branch_bound_single(graph: Graph, kind: MetricKind, size: int) -> tuple[int
         r = size - picked
         if n - start < r:
             return
-        terms = [term(order[idx], chosen, r) for idx in range(start, n)]
-        terms.sort(reverse=maximize)
-        bound = val + sum(terms[:r])
+        bound = val + bound_fn(start, chosen, r)
         if maximize:
             if bound <= incumbent_value:
                 return

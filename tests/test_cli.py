@@ -88,6 +88,13 @@ class TestProfileCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 27
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_cap_below_one_refused(self, capsys, cap):
+        code, out, err = run(capsys, "profile", "--gen", "cycle:5", "--cap", cap)
+        assert code == 1 and out == ""
+        assert f"--cap must be at least 1, got {cap}" in err
+        assert "exceeds" not in err
+
     def test_every_strategy_accepted(self, capsys):
         outputs = set()
         for strategy in STRATEGIES:

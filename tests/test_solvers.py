@@ -1,3 +1,7 @@
+import json
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,7 @@ from isoprofile import (
     empty,
     extremal_exhaustive,
     from_edge_list,
+    from_spec,
     hypercube,
     metrics_from_mask,
     profile_branch_bound,
@@ -23,8 +28,13 @@ from isoprofile import (
     star,
     subset_metrics,
 )
+from isoprofile import solvers
+from isoprofile.formats import load_graph_text
 
-from oracle import brute_all_profiles, brute_extremal
+from oracle import brute_all_profiles, brute_count, brute_extremal
+
+GOLDEN = Path(__file__).parent / "golden"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @st.composite
@@ -147,6 +157,103 @@ class TestBranchBound:
                 profile_branch_bound(g, kind).values
                 == profile_exhaustive(g)[kind].values
             )
+
+
+@st.composite
+def bound_cases(draw):
+    # a graph, a vertex order, a prefix order[:start] holding the chosen
+    # set, and 1 <= r <= n - start picks still to make from order[start:]
+    g = draw(small_graphs())
+    order = draw(st.permutations(range(g.n)))
+    start = draw(st.integers(min_value=0, max_value=g.n - 1))
+    chosen = {v for v in order[:start] if draw(st.booleans())}
+    r = draw(st.integers(min_value=1, max_value=g.n - start))
+    return g, order, start, chosen, r
+
+
+def _count_bound_calls(monkeypatch):
+    # one bound call per search node that survives the leaf and pool checks
+    calls = dict.fromkeys(KIND_ORDER, 0)
+    real = solvers._bound_fn
+
+    def counting(kind, *args):
+        bound = real(kind, *args)
+
+        def counted(*call):
+            calls[kind] += 1
+            return bound(*call)
+
+        return counted
+
+    monkeypatch.setattr(solvers, "_bound_fn", counting)
+    return calls
+
+
+class TestBound:
+    @given(bound_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_bound_is_admissible(self, case):
+        g, order, start, chosen, r = case
+        edges = g.edges()
+        mask = sum(1 << v for v in chosen)
+        for kind in KIND_ORDER:
+            bound = solvers._bound_fn(kind, g.adj, g.degrees, order)(start, mask, r)
+            value = brute_count(edges, chosen, kind.counter)
+            completions = [
+                brute_count(edges, chosen | set(picks), kind.counter)
+                for picks in combinations(order[start:], r)
+            ]
+            if kind.is_max:
+                assert value + bound >= max(completions), kind.key
+            else:
+                assert value + bound <= min(completions), kind.key
+
+    def test_max_induced_counts_each_future_edge_once(self):
+        # four picks from K8 induce C(4, 2) = 6 edges; counting every edge
+        # from both ends would give 12
+        k8 = complete(8)
+        bound = solvers._bound_fn(MetricKind.MAX_INDUCED, k8.adj, k8.degrees, list(range(8)))
+        assert bound(0, 0, 4) == 6
+
+    def test_search_nodes_do_not_regress(self, monkeypatch):
+        # timing-free regression signal: bound calls per kind on one fixed
+        # graph; a bound that counts future edges twice needs 656 nodes on
+        # max_induced and on min_covered
+        pinned = {
+            MetricKind.MAX_INDUCED: 274,
+            MetricKind.MIN_INDUCED: 428,
+            MetricKind.MAX_COVERED: 428,
+            MetricKind.MIN_COVERED: 274,
+            MetricKind.MAX_CUT: 428,
+            MetricKind.MIN_CUT: 371,
+        }
+        calls = _count_bound_calls(monkeypatch)
+        g = from_spec("regular:10:3", 3)
+        walked = profile_exhaustive(g)
+        for kind in KIND_ORDER:
+            assert profile_branch_bound(g, kind).values == walked[kind].values, kind.key
+        for kind in KIND_ORDER:
+            assert calls[kind] <= pinned[kind], (kind.key, calls[kind])
+
+    def test_witnesses_match_golden(self):
+        # an admissible bound prunes only subtrees that cannot beat the
+        # incumbent, so tightening it keeps the sequence of improving leaves
+        # and with it every witness the search returns
+        graphs = {
+            "cycle:7": cycle(7),
+            "hypercube:3": hypercube(3),
+            "petersen": load_graph_text((FIXTURES / "petersen.g6").read_text()),
+            "random:9:0.4@5": from_spec("random:9:0.4", 5),
+        }
+        golden = json.loads((GOLDEN / "branch_bound_witnesses.json").read_text())
+        assert set(golden) == set(graphs)
+        for name, g in graphs.items():
+            for kind in KIND_ORDER:
+                found = []
+                for i in range(g.n + 1):
+                    value, witness = branch_bound_extremal(g, kind, i)
+                    found.append([value, witness.bits])
+                assert found == golden[name][kind.key], (name, kind.key)
 
 
 class TestProfileInvariants:
@@ -293,6 +400,13 @@ class TestAllProfiles:
         # above n = 8, auto is one unchecked walk: no complement walk and
         # no branch and bound
         assert _count_solver_calls(monkeypatch, cycle(9), "auto") == {"walk": 1, "search": 0}
+
+    def test_checked_at_benchmark_scale(self, monkeypatch):
+        # the checked route at n = 16: both walks and a branch-and-bound
+        # profile per kind, every value and witness cross-checked
+        g = from_spec("random:16:0.5", 1729)
+        calls = _count_solver_calls(monkeypatch, g, "checked")
+        assert calls == {"walk": 2, "search": len(KIND_ORDER)}
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):
