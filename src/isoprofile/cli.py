@@ -195,10 +195,10 @@ def _table(rows: list[list[str]]) -> list[str]:
 
 
 def _profile_human(graph: Graph, profiles, diffs) -> str:
-    info = _graph_summary_dict(graph)
+    summary = degree_summary(graph)
     out = [
-        f"graph: n={info['n']} m={info['m']} degrees {info['min_degree']}..{info['max_degree']}"
-        f" regular={info['is_regular']} connected={info['connected']}"
+        f"graph: n={graph.n} m={graph.m} degrees {summary.min_degree}..{summary.max_degree}"
+        f" regular={summary.is_regular} connected={is_connected(graph)}"
     ]
     rows = [["i"] + [k.key for k in KIND_ORDER]]
     for i in range(graph.n + 1):

@@ -5,10 +5,14 @@ subset counters (induced, covered, cut edges), and one sense (max or
 min), the optimum over all i-subsets is computed by three independent
 routes:
 
-* ``profile_exhaustive``: one reflected Gray-code walk over the 2^(n-1)
-  subsets without vertex n-1 yields all six profiles at once; every
-  other subset is the complement of a walked one, and an O(n) fold after
-  the walk reads its counters off the walked set's (induced and covered
+* ``profile_exhaustive``: one walk over the 2^(n-1) subsets without
+  vertex n-1 yields all six profiles at once. It is blocked: the sets of
+  the low 10 walked vertices are tabulated once as packed 16-bit fields
+  of one int, and a reflected Gray code steps over the other vertices
+  only, updating every tabulated set per step with a few int additions
+  and reducing each size with one C-level max and min. Every other
+  subset is the complement of a walked one, and an O(n) fold after the
+  walk reads its counters off the walked set's (induced and covered
   trade places as m minus each other, cut stays). This is the ground
   truth; each witness is the lexicographically first optimal subset
   (compare the sorted vertex tuples), which for a complement means the
@@ -45,7 +49,10 @@ rounded once, down for max and up for min.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Mapping
@@ -164,20 +171,32 @@ def _require_within_cap(n: int, cap: int | None) -> None:
 
 
 def _reversed(bits: int, n: int) -> int:
-    # Bit b of an n-bit mask becomes bit n-1-b.
-    return int(format(bits, f"0{n}b")[::-1], 2)
+    # Bit b of an n-bit mask becomes bit n-1-b: bit n marks where the
+    # digits end, and the reversed slice stops before it and the "0b".
+    return int(bin(bits | 1 << n)[:2:-1], 2)
 
 
-def _keep(tracker: tuple[list[int], list[int], list[int]], size: int, value: int, mask: int) -> None:
-    # The caller has seen value match or beat the tracker's best at size.
-    values, first, last = tracker
-    if value != values[size]:
-        values[size] = value
-        first[size] = last[size] = mask
-    elif mask > first[size]:
-        first[size] = mask
-    elif mask < last[size]:
-        last[size] = mask
+# The walk tabulates its lowest _BLOCK bits at once, as 16-bit fields of
+# one int; a field holds at most 2m, far below 2^16 at any walkable n.
+_BLOCK = 10
+
+
+@functools.cache
+def _block_layout(k: int):
+    # Field order over the 2^k low sets L (walk bits 1..k): by size, then
+    # by descending mask, so that the first field of a size holding some
+    # value is its lexicographically first L. Returns each field's mask,
+    # each size's field range [a, z), the int with every field 1, and per
+    # walk bit b <= k the int whose field L is 1 when L holds b.
+    masks, spans = [], []
+    for t in range(k + 1):
+        start = len(masks)
+        masks += [mask for mask in range((2 << k) - 2, -1, -2) if mask.bit_count() == t]
+        spans.append((start, len(masks)))
+    pack = struct.Struct(f"{len(masks)}H").pack
+    members = tuple(int.from_bytes(pack(*[mask >> b & 1 for mask in masks]), sys.byteorder) for b in range(k + 1))
+    ones = int.from_bytes(pack(*[1] * len(masks)), sys.byteorder)
+    return memoryview(pack(*masks)).cast("H"), tuple(spans), ones, members
 
 
 def _fold(kind: MetricKind, direct, mirror, flipped: bool, graph: Graph) -> Profile:
@@ -204,11 +223,9 @@ def _fold(kind: MetricKind, direct, mirror, flipped: bool, graph: Graph) -> Prof
 def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKind, Profile]:
     """Ground truth: all six profiles from one walk over half the subsets.
 
-    The reflected Gray code over vertices 0..n-2 visits the 2^(n-1)
-    subsets S without vertex n-1; consecutive ones differ in one vertex
-    v, so the induced count moves by |adj(v) & S| and the degree sum by
-    deg(v), and covered = degree sum - induced, cut = degree sum -
-    2 * induced follow (Knuth, TAOCP 4A, 7.2.1.1). Every other subset is
+    The walk covers the 2^(n-1) subsets S without vertex n-1, numbering
+    vertex u as bit n-1-u, so that of two sets of one size the
+    lexicographically earlier is the larger mask. Every other subset is
     a complement V - S, whose counters are exact: induced(V - S) =
     m - covered(S), covered(V - S) = m - induced(S), cut(V - S) = cut(S).
     So per size each of the six trackers keeps its best value, and an
@@ -216,60 +233,95 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKi
     tracker at size n - j, e.g. max_induced(j) = max(max_induced(j),
     m - min_covered(n - j)).
 
+    The walk is blocked. The low k = min(10, n - 1) walked bits form the
+    block. A table over its 2^k sets L is one int of 16-bit fields,
+    ordered by |L| and then by descending mask, and each block vertex
+    has an indicator table whose field L is 1 when L holds it. Sums of
+    indicators give the degree sum of L, induced(L) (per edge inside the
+    block, its two indicators ANDed) and, for each high vertex u, the
+    vector |adj(u) & L| over all L. A reflected Gray code (Knuth, TAOCP
+    4A, 7.2.1.1) then steps over the high sets H only; each step adds or
+    subtracts u's vector, so for every L at once, with no borrow between
+    fields,
+
+      induced(H + L) = (sum of H's vectors)[L] + induced(L) + induced(H)
+      covered(H + L) = degree sum(H) + degree sum(L) - induced(H + L)
+      cut(H + L)     = covered(H + L) - induced(H + L)
+
+    The int's bytes, read through a memoryview as a list of 16-bit
+    values, give per size |L| = t one C-level max and one min over its
+    fields: the extremes of size |H| + t.
+
     Each witness is the lexicographically first optimal subset. A
     complement is lexicographically first exactly when its walked set is
     lexicographically last among the ties, so each tracker keeps both
     its first and its last tie, and the fold picks the earlier of the
-    walked and the complemented candidate. The walk numbers vertex u as
-    bit n-1-u, so that of two sets of one size the lexicographically
-    earlier is the larger mask and ties cost one integer comparison.
+    walked and the complemented candidate. Within a size the fields run
+    from the first L to the last, and a size's first and last tied L
+    are looked up only when its extreme matches or beats the tracker.
+    The high bits lie above the block, so of two high sets the larger
+    one's sets are all earlier: a tie from H replaces the tracker's
+    first tie when H exceeds it and its last tie when H falls below it.
     """
     _require_within_cap(graph.n, cap)
     n, m = graph.n, graph.m
     adj = [_reversed(graph.adj[n - 1 - b], n) for b in range(n)]
     degrees = graph.degrees[::-1]
-    top = n + 1
+    k = min(_BLOCK, n - 1)
+    masks, spans, ones, members = _block_layout(k)
+
+    # an edge from b down to c lies inside L where both fields are 1
+    induced_l = sum(members[b] & members[c] for b in range(1, k + 1) for c in range(1, b) if adj[b] >> c & 1)
+    degrees_l = sum(degrees[b] * members[b] for b in range(1, k + 1))
+    # field L of crossing[j] is |adj(u) & L| for the high vertex u at bit k + 1 + j
+    crossing = [sum(members[c] for c in range(1, k + 1) if adj[b] >> c & 1) for b in range(k + 1, n)]
 
     def tracker(sentinel: int) -> tuple[list[int], list[int], list[int]]:
-        # Size 0 holds the empty set; size n is never walked, so its
-        # sentinel (beaten by every real value, flipped or not) stays.
-        values = [sentinel] * top
-        values[0] = 0
-        return values, [0] * top, [0] * top
+        # Size n is never walked, so its sentinel (beaten by every real
+        # value, flipped or not) stays.
+        return [sentinel] * (n + 1), [0] * (n + 1), [0] * (n + 1)
 
     hi_ind, hi_cov, hi_cut = (tracker(-1) for _ in range(3))
     lo_ind, lo_cov, lo_cut = (tracker(m + 1) for _ in range(3))
-    best_hi_ind, best_hi_cov, best_hi_cut = hi_ind[0], hi_cov[0], hi_cut[0]
-    best_lo_ind, best_lo_cov, best_lo_cut = lo_ind[0], lo_cov[0], lo_cut[0]
-    mask = induced = degree_sum = size = 0
-    for step in range(1, 1 << (n - 1)):
-        # bits 1..n-1; bit 0 is vertex n-1, which the walk leaves out
-        b = (step & -step).bit_length()
-        bit = 1 << b
-        mask ^= bit
-        shared = (adj[b] & mask).bit_count()
-        if mask & bit:
-            induced += shared
-            degree_sum += degrees[b]
-            size += 1
-        else:
-            induced -= shared
-            degree_sum -= degrees[b]
-            size -= 1
-        covered = degree_sum - induced
-        cut = covered - induced
-        if induced >= best_hi_ind[size]:
-            _keep(hi_ind, size, induced, mask)
-        if induced <= best_lo_ind[size]:
-            _keep(lo_ind, size, induced, mask)
-        if covered >= best_hi_cov[size]:
-            _keep(hi_cov, size, covered, mask)
-        if covered <= best_lo_cov[size]:
-            _keep(lo_cov, size, covered, mask)
-        if cut >= best_hi_cut[size]:
-            _keep(hi_cut, size, cut, mask)
-        if cut <= best_lo_cut[size]:
-            _keep(lo_cut, size, cut, mask)
+
+    def take(tracker, s: int, value: int, high: int, group: list[int], a: int) -> None:
+        # group holds the fields from a on; the caller has seen its
+        # extreme, value, match or beat the tracker's best at s.
+        values, first, last = tracker
+        new = value != values[s]
+        values[s] = value
+        if new or high > first[s]:
+            first[s] = high | masks[a + group.index(value)]
+        if new or high < last[s]:
+            last[s] = high | masks[a + len(group) - 1 - group[::-1].index(value)]
+
+    width, order = 2 * len(masks), sys.byteorder
+    high = cross = high_induced = high_degrees = size = 0
+    for step in range(1 << (n - 1 - k)):
+        if step:
+            b = k + (step & -step).bit_length()
+            high ^= 1 << b
+            sign = 1 if high >> b & 1 else -1
+            cross += sign * crossing[b - k - 1]
+            high_induced += sign * (adj[b] & high).bit_count()
+            high_degrees += sign * degrees[b]
+            size += sign
+        induced = cross + induced_l + high_induced * ones
+        covered = degrees_l + high_degrees * ones - induced
+        for packed, hi, lo in (
+            (induced, hi_ind, lo_ind),
+            (covered, hi_cov, lo_cov),
+            (covered - induced, hi_cut, lo_cut),
+        ):
+            fields = memoryview(packed.to_bytes(width, order)).cast("H").tolist()
+            for s, (a, z) in enumerate(spans, size):
+                group = fields[a:z]
+                value = max(group)
+                if value >= hi[0][s]:
+                    take(hi, s, value, high, group, a)
+                value = min(group)
+                if value <= lo[0][s]:
+                    take(lo, s, value, high, group, a)
     pairs = (
         (hi_ind, lo_cov, True),
         (lo_ind, hi_cov, True),

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from isoprofile import STRATEGIES, VerificationReport, cycle, verify_theorem
 from isoprofile.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -45,6 +49,11 @@ class TestProfileCommand:
         code, out, _ = run(capsys, "profile", "--g6", "A_")
         assert code == 0
         assert "n=2 m=1" in out
+
+    def test_human_format_matches_golden(self, capsys):
+        code, out, err = run(capsys, "profile", "--g6", "EhEG")  # C6
+        assert code == 0 and err == ""
+        assert out.encode() == (GOLDEN / "c6_profile.txt").read_bytes()
 
     def test_input_file_edge_list(self, capsys):
         code, out, _ = run(capsys, "profile", "--input", str(FIXTURES / "k4.txt"), "--format", "json")
@@ -295,3 +304,15 @@ class TestSweepCommand:
     def test_count_required(self, capsys):
         code, _, err = run(capsys, "sweep", "--gen", "cycle:4")
         assert code == 1
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # every CLI start pays for what importing the CLI loads: set-up time
+    # and peak memory; the sweep imports pickle and signal only to fork
+    heavy = ["array", "pickle", "signal", "concurrent.futures", "multiprocessing", "numpy"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = f"import sys, isoprofile.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

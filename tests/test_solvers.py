@@ -1,4 +1,5 @@
 import json
+import math
 from itertools import combinations
 from pathlib import Path
 
@@ -65,6 +66,15 @@ def _count_solver_calls(monkeypatch, graph, strategy):
     return calls
 
 
+def _assert_naive_first_witnesses(g, profiles):
+    edges = g.edges()
+    for kind in KIND_ORDER:
+        for i in range(g.n + 1):
+            value, first = brute_extremal(g.n, edges, kind.counter, kind.sense, i)
+            assert profiles[kind].values[i] == value, (kind.key, i)
+            assert set(profiles[kind].witnesses[i]) == first, (kind.key, i)
+
+
 class TestExhaustive:
     def test_c4_densest_pair_and_witness(self):
         value, witness = extremal_exhaustive(cycle(4), MetricKind.MAX_INDUCED, 2)
@@ -112,13 +122,7 @@ class TestExhaustive:
     @settings(max_examples=60, deadline=None)
     def test_witnesses_match_naive_first_witness(self, g):
         # pins the Gray-code walk's tie-break to lexicographic enumeration
-        profiles = profile_exhaustive(g)
-        edges = g.edges()
-        for kind in KIND_ORDER:
-            for i in range(g.n + 1):
-                value, first = brute_extremal(g.n, edges, kind.counter, kind.sense, i)
-                assert profiles[kind].values[i] == value, (kind.key, i)
-                assert set(profiles[kind].witnesses[i]) == first, (kind.key, i)
+        _assert_naive_first_witnesses(g, profile_exhaustive(g))
 
     @pytest.mark.parametrize(
         "g",
@@ -129,13 +133,78 @@ class TestExhaustive:
         # ties abound here: a size's optimum is often attained both by sets
         # without vertex n-1 (walked) and by sets with it (complements of
         # walked ones), and the fold must still return the first of all
-        profiles = profile_exhaustive(g)
-        edges = g.edges()
+        _assert_naive_first_witnesses(g, profile_exhaustive(g))
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @given(g=small_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_block_seams_match_naive_first_witness(self, width, g):
+        # a narrow block leaves most walked bits to the Gray code over the
+        # high sets, so one size's ties are merged across many of them
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "_BLOCK", width)
+            profiles = profile_exhaustive(g)
+        _assert_naive_first_witnesses(g, profiles)
+
+    def test_witnesses_match_golden(self):
+        # (value, witness bits) of every kind and size, written before the
+        # walk was blocked; from n = 12 on the walked bits outnumber the block
+        graphs = {
+            "random:11:0.5@3": from_spec("random:11:0.5", 3),
+            "regular:12:3@3": from_spec("regular:12:3", 3),
+            "empty:12": empty(12),
+            "complete:12": complete(12),
+            "star:13": star(13),
+            "random:16:0.5@1729": from_spec("random:16:0.5", 1729),
+        }
+        golden = json.loads((GOLDEN / "walk_witnesses.json").read_text())
+        assert set(golden) == set(graphs)
+        for name, g in graphs.items():
+            profiles = profile_exhaustive(g)
+            for kind in KIND_ORDER:
+                profile = profiles[kind]
+                found = [[value, witness.bits] for value, witness in zip(profile.values, profile.witnesses)]
+                assert found == golden[name][kind.key], (name, kind.key)
+
+
+class TestClosedForms:
+    # every expected value comes from its formula, never from a solver
+
+    @pytest.mark.parametrize("n", [11, 13, 16])
+    def test_empty(self, n):
+        profiles = profile_exhaustive(empty(n))
         for kind in KIND_ORDER:
-            for i in range(g.n + 1):
-                value, first = brute_extremal(g.n, edges, kind.counter, kind.sense, i)
-                assert profiles[kind].values[i] == value, (kind.key, i)
-                assert set(profiles[kind].witnesses[i]) == first, (kind.key, i)
+            assert profiles[kind].values == (0,) * (n + 1), kind.key
+            assert [set(w) for w in profiles[kind].witnesses] == [set(range(i)) for i in range(n + 1)], kind.key
+
+    @pytest.mark.parametrize("n", [11, 13, 16])
+    def test_complete(self, n):
+        formulas = {
+            "induced": lambda i: math.comb(i, 2),
+            "covered": lambda i: math.comb(n, 2) - math.comb(n - i, 2),
+            "cut": lambda i: i * (n - i),
+        }
+        profiles = profile_exhaustive(complete(n))
+        for kind in KIND_ORDER:
+            expected = tuple(formulas[kind.counter](i) for i in range(n + 1))
+            assert profiles[kind].values == expected, kind.key
+            assert [set(w) for w in profiles[kind].witnesses] == [set(range(i)) for i in range(n + 1)], kind.key
+
+    @pytest.mark.parametrize("n", [11, 13, 16])
+    def test_star(self, n):
+        # i vertices with the centre: induced i - 1, covered n - 1, cut n - i;
+        # i vertices without it: 0, i, i
+        def candidates(i):
+            if i >= 1:
+                yield {"induced": i - 1, "covered": n - 1, "cut": n - i}
+            if i <= n - 1:
+                yield {"induced": 0, "covered": i, "cut": i}
+
+        profiles = profile_exhaustive(star(n))
+        for kind in KIND_ORDER:
+            best = max if kind.is_max else min
+            expected = tuple(best(c[kind.counter] for c in candidates(i)) for i in range(n + 1))
+            assert profiles[kind].values == expected, kind.key
 
 
 class TestBranchBound:
