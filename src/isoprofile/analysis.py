@@ -31,6 +31,7 @@ from .graphs import (
     DEFAULT_SEED,
     DegreeSummary,
     Graph,
+    _hypercube_order,
     complement,
     degree_summary,
     from_spec,
@@ -42,6 +43,7 @@ from .solvers import (
     InternalInconsistencyError,
     MetricKind,
     Profile,
+    _require_within_cap,
     _solve,
     all_profiles,
     kind_from_key,
@@ -422,6 +424,8 @@ def hypercube_inequality_check(
     rounding cannot produce a false failure (the margin is far below 1,
     and min_cut is an integer).
     """
+    # refuse above the cap before building: the build grows 4x per dimension
+    _require_within_cap(_hypercube_order(dimension), cap)
     graph = hypercube(dimension)
     min_cut = all_profiles(graph, strategy=strategy, cap=cap)[MetricKind.MIN_CUT]
     n = graph.n

@@ -213,12 +213,17 @@ def star(n: int) -> Graph:
     return from_edge_list(n, [(0, v) for v in range(1, n)])
 
 
+def _hypercube_order(d: int) -> int:
+    """Vertex count 2**d of the d-dimensional hypercube; ValueError outside 1..26."""
+    if not 1 <= d <= 26:
+        raise ValueError("hypercube dimension must be in 1..26")
+    return 1 << d
+
+
 def hypercube(d: int) -> Graph:
     """The d-dimensional hypercube: 2**d vertices, adjacent iff the labels
     differ in exactly one bit. d-regular with d * 2**(d-1) edges."""
-    if not 1 <= d <= 26:
-        raise ValueError("hypercube dimension must be in 1..26")
-    n = 1 << d
+    n = _hypercube_order(d)
     adj = [0] * n
     for v in range(n):
         for b in range(d):
@@ -396,9 +401,6 @@ def _spec_order(spec: str) -> int | None:
     """
     try:
         name, values = _parse_spec(spec)
+        return _hypercube_order(values[0]) if name == "hypercube" else values[0]
     except ValueError:
         return None
-    first = values[0]
-    if name == "hypercube":
-        return 1 << first if 1 <= first <= 26 else None
-    return first

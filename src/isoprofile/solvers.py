@@ -17,10 +17,10 @@ routes:
   truth; each witness is the lexicographically first optimal subset
   (compare the sorted vertex tuples), which for a complement means the
   lexicographically last tie among the walked sets.
-* ``profile_branch_bound``: depth-first subset extension with
-  admissible degree-sorted completion bounds and a greedy incumbent.
-  Values always match the exhaustive route; witnesses are whichever
-  optimum the search reaches first.
+* ``profile_branch_bound``: one depth-first search for all six kinds
+  (a min kind maximizes its negated counter) with admissible
+  degree-sorted completion bounds and greedy incumbents. Values match
+  the exhaustive route; witnesses are the first optimum it reaches.
 * ``profile_by_reduction``: derive one profile from already computed
   ones through exact counting identities (cover totals from induced
   counts of complementary subsets, induced counts through the
@@ -207,13 +207,14 @@ def _fold(kind: MetricKind, direct, mirror, flipped: bool, graph: Graph) -> Prof
     full = (1 << n) - 1
     direct_values, direct_first, _ = direct
     mirror_values, _, mirror_last = mirror
+    maximize = kind.is_max
     values, witnesses = [], []
     for j in range(n + 1):
         a, wa = direct_values[j], direct_first[j]
         b, wb = mirror_values[n - j], full ^ mirror_last[n - j]
         if flipped:
             b = m - b
-        if a != b and (a > b) != kind.is_max or a == b and wb > wa:
+        if a != b and (a > b) != maximize or a == b and wb > wa:
             a, wa = b, wb
         values.append(a)
         witnesses.append(VertexSet(n, _reversed(wa, n)))
@@ -350,15 +351,6 @@ def extremal_exhaustive(
 # Branch and bound route
 
 
-def _marginal_fn(kind: MetricKind, adj, degrees) -> Callable[[int, int], int]:
-    counter = kind.counter
-    if counter == "induced":
-        return lambda v, s: (adj[v] & s).bit_count()
-    if counter == "covered":
-        return lambda v, s: degrees[v] - (adj[v] & s).bit_count()
-    return lambda v, s: degrees[v] - 2 * (adj[v] & s).bit_count()
-
-
 def _bound_fn(kind: MetricKind, adj, degrees, order) -> Callable[[int, int, int], int]:
     """bound(start, chosen, r): at most (max) or at least (min) what r more
     picks from order[start:] can add to the counter of the set chosen.
@@ -399,68 +391,60 @@ def _bound_fn(kind: MetricKind, adj, degrees, order) -> Callable[[int, int, int]
     return bound
 
 
-def _branch_bound_single(graph: Graph, kind: MetricKind, size: int) -> tuple[int, int]:
-    n = graph.n
-    adj = graph.adj
-    degrees = graph.degrees
-    if size == 0:
-        return 0, 0
-    full = (1 << n) - 1
-    if size == n:
-        metrics = metrics_from_mask(graph, full)
-        return getattr(metrics, kind.counter), full
+def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int], tuple[int, int]]:
+    """search(size) -> (value, mask): the optimum of one kind by branch and bound.
 
-    maximize = kind.is_max
-    marginal = _marginal_fn(kind, adj, degrees)
-    if maximize:
-        order = sorted(range(n), key=lambda v: (-degrees[v], v))
-    else:
-        order = sorted(range(n), key=lambda v: (degrees[v], v))
-    bound_fn = _bound_fn(kind, adj, degrees, order)
+    The search always maximizes; a min kind maximizes its negated
+    counter, where a pick v adds sign * (per_degree * deg(v) + per_inside
+    * |adj(v) & S|). Greedy picks, the lowest vertex of best gain, ignore
+    the size, so one chain of n picks seeds every size: its first s picks
+    are the incumbent of size s, and the only set at sizes 0 and n.
+    """
+    n, adj = graph.n, graph.adj
+    sign = 1 if kind.is_max else -1
+    per_degree, per_inside = {"induced": (0, 1), "covered": (1, -1), "cut": (1, -2)}[kind.counter]
+    base = [sign * per_degree * d for d in graph.degrees]
+    inside = sign * per_inside
+    order = sorted(range(n), key=lambda v: (-sign * graph.degrees[v], v))
+    bound_fn = _bound_fn(kind, adj, graph.degrees, order)
+    # counters are never negative, and no max kind's bound beats m + 1
+    ceiling = graph.m + 1 if sign > 0 else 0
 
-    # Greedy completion seeds the incumbent, so a witness always exists.
-    mask = 0
-    value = 0
-    for _ in range(size):
-        best_v = -1
-        best_gain = 0
-        for v in range(n):
-            if (mask >> v) & 1:
-                continue
-            gain = marginal(v, mask)
-            if best_v < 0 or (gain > best_gain if maximize else gain < best_gain):
-                best_v = v
-                best_gain = gain
-        mask |= 1 << best_v
-        value += best_gain
-    incumbent_value = value
-    incumbent_mask = mask
+    def gain(v: int, chosen: int) -> int:
+        return base[v] + inside * (adj[v] & chosen).bit_count()
 
-    def dfs(start: int, chosen: int, picked: int, val: int) -> None:
-        nonlocal incumbent_value, incumbent_mask
-        if picked == size:
-            if (val > incumbent_value) if maximize else (val < incumbent_value):
-                incumbent_value = val
-                incumbent_mask = chosen
-            return
-        r = size - picked
-        if n - start < r:
-            return
-        bound = val + bound_fn(start, chosen, r)
-        if maximize:
-            if bound <= incumbent_value:
+    seeds = [(0, 0)]
+    mask = value = 0
+    for _ in range(n):
+        v = max((u for u in range(n) if not mask >> u & 1), key=lambda u: gain(u, mask))
+        value += gain(v, mask)
+        mask |= 1 << v
+        seeds.append((value, mask))
+
+    def search(size: int) -> tuple[int, int]:
+        incumbent, best = seeds[size]
+
+        def dfs(start: int, chosen: int, picked: int, val: int) -> None:
+            nonlocal incumbent, best
+            if picked == size:
+                if val > incumbent:
+                    incumbent, best = val, chosen
                 return
-        else:
-            if bound < 0:
-                bound = 0  # counters are nonnegative
-            if bound >= incumbent_value:
+            r = size - picked
+            if n - start < r:
                 return
-        for idx in range(start, n - r + 1):
-            v = order[idx]
-            dfs(idx + 1, chosen | (1 << v), picked + 1, val + marginal(v, chosen))
+            bound = val + sign * bound_fn(start, chosen, r)
+            if (bound if bound < ceiling else ceiling) <= incumbent:
+                return
+            for idx in range(start, n - r + 1):
+                v = order[idx]
+                dfs(idx + 1, chosen | 1 << v, picked + 1, val + gain(v, chosen))
 
-    dfs(0, 0, 0, 0)
-    return incumbent_value, incumbent_mask
+        if 0 < size < n:
+            dfs(0, 0, 0, 0)
+        return sign * incumbent, best
+
+    return search
 
 
 def branch_bound_extremal(
@@ -470,7 +454,7 @@ def branch_bound_extremal(
     _require_within_cap(graph.n, cap)
     if not 0 <= size <= graph.n:
         raise ValueError(f"subset size {size} outside 0..{graph.n}")
-    value, mask = _branch_bound_single(graph, kind, size)
+    value, mask = _searcher(graph, kind)(size)
     return value, VertexSet(graph.n, mask)
 
 
@@ -480,7 +464,8 @@ def _branch_bound_profile(graph: Graph, kind: MetricKind, mirror_cut: bool) -> P
     n = graph.n
     mirrored = mirror_cut and kind.counter == "cut"
     half = n // 2 if mirrored else n
-    lower = [_branch_bound_single(graph, kind, i) for i in range(half + 1)]
+    search = _searcher(graph, kind)
+    lower = [search(i) for i in range(half + 1)]
     values = []
     witnesses = []
     for i in range(n + 1):

@@ -17,6 +17,7 @@ from isoprofile import (
     MetricKind,
     SweepFinding,
     SweepSummary,
+    VertexCapError,
     all_profiles,
     check_symmetry,
     complement,
@@ -291,15 +292,20 @@ class TestInternalInconsistency:
         import isoprofile.solvers as solvers_mod
         from isoprofile import InternalInconsistencyError
 
-        real = solvers_mod._branch_bound_single
+        real = solvers_mod._searcher
 
-        def lying(graph, kind, size):
-            value, mask = real(graph, kind, size)
-            if kind is MetricKind.MAX_INDUCED and size == 2:
-                return value + 1, mask
-            return value, mask
+        def lying(graph, kind):
+            search = real(graph, kind)
 
-        monkeypatch.setattr(solvers_mod, "_branch_bound_single", lying)
+            def lied(size):
+                value, mask = search(size)
+                if kind is MetricKind.MAX_INDUCED and size == 2:
+                    return value + 1, mask
+                return value, mask
+
+            return lied
+
+        monkeypatch.setattr(solvers_mod, "_searcher", lying)
         with pytest.raises(InternalInconsistencyError, match="max_induced at i=2"):
             all_profiles(cycle(4), strategy="checked")
 
@@ -378,6 +384,19 @@ class TestHypercubeInequality:
         assert by_size[2].holds_base2
         assert not by_size[2].holds_natural
         assert by_size[2].bound_natural == pytest.approx(2 * (2 - math.log(2)))
+
+    def test_cap_is_checked_before_building(self, monkeypatch):
+        import isoprofile.analysis as analysis_mod
+
+        def never(d):
+            raise AssertionError(f"hypercube({d}) built above the cap")
+
+        monkeypatch.setattr(analysis_mod, "hypercube", never)
+        with pytest.raises(VertexCapError):
+            hypercube_inequality_check(20)
+        for d in (0, 27):
+            with pytest.raises(ValueError, match="1..26"):
+                hypercube_inequality_check(d)
 
     def test_note_mentions_direction_and_base(self):
         report = hypercube_inequality_check(1)

@@ -23,6 +23,7 @@ from isoprofile import (
     from_spec,
     hypercube,
     metrics_from_mask,
+    path,
     profile_branch_bound,
     profile_by_reduction,
     profile_exhaustive,
@@ -205,6 +206,40 @@ class TestClosedForms:
             best = max if kind.is_max else min
             expected = tuple(best(c[kind.counter] for c in candidates(i)) for i in range(n + 1))
             assert profiles[kind].values == expected, kind.key
+
+    @pytest.mark.parametrize("n", [11, 13, 16])
+    def test_cycle(self, n):
+        # below i = n, i consecutive vertices induce i - 1 edges, and i
+        # vertices spread out induce max(0, 2i - n); covered = 2i - induced
+        # and cut = 2i - 2 induced, so their max takes the sparsest set
+        def expected(kind, i):
+            if i == n:
+                return 0 if kind.counter == "cut" else n
+            densest, sparsest = max(i - 1, 0), max(0, 2 * i - n)
+            if kind.counter == "induced":
+                return densest if kind.is_max else sparsest
+            induced = sparsest if kind.is_max else densest
+            return 2 * i - (1 if kind.counter == "covered" else 2) * induced
+
+        g = cycle(n)
+        walked = profile_exhaustive(g)
+        for kind in KIND_ORDER:
+            values = tuple(expected(kind, i) for i in range(n + 1))
+            assert walked[kind].values == values, kind.key
+            assert profile_branch_bound(g, kind).values == values, kind.key
+
+    @pytest.mark.parametrize("n", [11, 13, 16])
+    def test_path(self, n):
+        formulas = {
+            MetricKind.MAX_INDUCED: lambda i: max(i - 1, 0),
+            MetricKind.MIN_INDUCED: lambda i: max(0, 2 * i - n - 1),
+        }
+        g = path(n)
+        walked = profile_exhaustive(g)
+        for kind, formula in formulas.items():
+            values = tuple(formula(i) for i in range(n + 1))
+            assert walked[kind].values == values, kind.key
+            assert profile_branch_bound(g, kind).values == values, kind.key
 
 
 class TestBranchBound:
