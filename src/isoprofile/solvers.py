@@ -17,10 +17,13 @@ routes:
   truth; each witness is the lexicographically first optimal subset
   (compare the sorted vertex tuples), which for a complement means the
   lexicographically last tie among the walked sets.
-* ``profile_branch_bound``: one depth-first search for all six kinds
-  (a min kind maximizes its negated counter) with admissible
-  degree-sorted completion bounds and greedy incumbents. Values match
-  the exhaustive route; witnesses are the first optimum it reaches.
+* ``profile_branch_bound``: one search body for all six kinds (a min
+  kind maximizes its negated counter), and per kind one depth-first
+  search for every size at once. Each node carries the sizes that no
+  ancestor pruned, and bounds them all from one sorted list of
+  admissible completion terms; greedy picks seed each size's
+  incumbent. Values match the exhaustive route; witnesses are the first
+  optimum it reaches.
 * ``profile_by_reduction``: derive one profile from already computed
   ones through exact counting identities (cover totals from induced
   counts of complementary subsets, induced counts through the
@@ -45,6 +48,12 @@ incumbent is safe. The halved terms count each edge inside T once: by
 the handshake lemma induced(T) = ½ Σ_{x∈T} deg_T(x), and deg_T(x) is at
 most min(deg(x) - a, r - 1). They are summed doubled and the sum is
 rounded once, down for max and up for min.
+
+One ascending or descending sort of the terms serves every r at a node:
+four kinds' terms do not depend on r, and the min covered term rises
+with deg(x) - a for every r. The max induced and min cut terms of the
+largest live r, R, are admissible for each r <= R, so they screen every
+live size, and a size that passes is bounded again with its own terms.
 """
 
 from __future__ import annotations
@@ -53,8 +62,10 @@ import functools
 import math
 import struct
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Mapping
 
 from .graphs import Graph, VertexSet, complement
@@ -351,98 +362,167 @@ def extremal_exhaustive(
 # Branch and bound route
 
 
-def _bound_fn(kind: MetricKind, adj, degrees, order) -> Callable[[int, int, int], int]:
-    """bound(start, chosen, r): at most (max) or at least (min) what r more
-    picks from order[start:] can add to the counter of the set chosen.
+# a pick v adds per_degree * deg(v) + per_inside * |adj(v) & S| to the counter of S
+_GAIN = {"induced": (0, 1), "covered": (1, -1), "cut": (1, -2)}
 
-    It sums the r best terms of the module docstring's table over the
-    pool, doubled and rounded once for the two halved kinds.
+
+def _bound_fn(kind: MetricKind, adj, degrees, order) -> tuple[Callable[..., list[int]], Callable[..., int] | None]:
+    """(bounds, refine). bounds(start, chosen, top)[r], for r in [0, top],
+    is at most (max) or at least (min) what r more picks from
+    order[start:] can add to the counter of the set chosen.
+
+    Entry r sums the r best terms of the module docstring's table over
+    the pool, doubled and rounded once for the two halved kinds, so one
+    sort and its prefix sums serve every r. That is exact where the terms
+    do not depend on r, and for min covered, whose term rises with
+    f = deg(x) - a for every r: its r best are those of the r smallest f.
+    Max induced and min cut list the sums of the terms of r = top, which
+    are admissible for each r <= top but looser; refine(start, chosen, r)
+    is their exact bound for one r, and None for the other four kinds.
     """
-    pool = [(adj[v], degrees[v]) for v in order]
-    if kind is MetricKind.MAX_INDUCED:
-        def terms(start: int, chosen: int, k: int) -> list[int]:
-            return [2 * (a := (nb & chosen).bit_count()) + min(d - a, k) for nb, d in pool[start:]]
-    elif kind is MetricKind.MIN_INDUCED:
-        def terms(start: int, chosen: int, k: int) -> list[int]:
-            return [(nb & chosen).bit_count() for nb, _ in pool[start:]]
-    elif kind is MetricKind.MAX_COVERED:
-        def terms(start: int, chosen: int, k: int) -> list[int]:
-            return [d - (nb & chosen).bit_count() for nb, d in pool[start:]]
-    elif kind is MetricKind.MIN_COVERED:
-        def terms(start: int, chosen: int, k: int) -> list[int]:
-            return [2 * (f := d - (nb & chosen).bit_count()) - min(f, k) for nb, d in pool[start:]]
-    elif kind is MetricKind.MAX_CUT:
-        def terms(start: int, chosen: int, k: int) -> list[int]:
-            return [d - 2 * (nb & chosen).bit_count() for nb, d in pool[start:]]
-    else:  # MIN_CUT
-        def terms(start: int, chosen: int, k: int) -> list[int]:
-            return [d - 2 * (a := (nb & chosen).bit_count()) - min(k, d - a) for nb, d in pool[start:]]
     maximize = kind.is_max
-    halved = kind in (MetricKind.MAX_INDUCED, MetricKind.MIN_COVERED)
+    if kind in (MetricKind.MAX_INDUCED, MetricKind.MIN_CUT):
+        pool = [(adj[v], degrees[v]) for v in order]
+        if maximize:
+            def terms(start: int, chosen: int, k: int) -> list[int]:
+                # 2a + min(deg - a, k)
+                return [d + a if (a := (nb & chosen).bit_count()) + k >= d else 2 * a + k for nb, d in pool[start:]]
+        else:
+            def terms(start: int, chosen: int, k: int) -> list[int]:
+                # deg - 2a - min(k, deg - a)
+                return [-a if (a := (nb & chosen).bit_count()) + k >= d else d - 2 * a - k for nb, d in pool[start:]]
 
-    def bound(start: int, chosen: int, r: int) -> int:
-        best = terms(start, chosen, r - 1)
-        best.sort(reverse=maximize)
-        total = sum(best[:r])
-        if not halved:
-            return total
-        return total // 2 if maximize else -(-total // 2)
+        # max induced's terms are the doubled ones, halved once per sum
+        def bounds(start: int, chosen: int, top: int) -> list[int]:
+            sums = accumulate(sorted(terms(start, chosen, top - 1), reverse=maximize), initial=0)
+            return [total // 2 for total in sums] if maximize else list(sums)
 
-    return bound
+        def refine(start: int, chosen: int, r: int) -> int:
+            total = sum(sorted(terms(start, chosen, r - 1), reverse=maximize)[:r])
+            return total // 2 if maximize else total
+
+        return bounds, refine
+
+    # the other kinds rank the pick's own gain: a, deg - a or deg - 2a
+    per_degree, per_inside = _GAIN[kind.counter]
+    pool = [(adj[v], per_degree * degrees[v]) for v in order]
+    if kind is MetricKind.MIN_COVERED:
+        def bounds(start: int, chosen: int, top: int) -> list[int]:
+            free = sorted([d - (nb & chosen).bit_count() for nb, d in pool[start:]])
+            sums = list(accumulate(free, initial=0))
+            # the r smallest f, the j of them up to r - 1 once and the
+            # others twice less r - 1, halved and rounded up
+            return [
+                -((sums[j := bisect_right(free, r - 1, 0, r)] + (r - j) * (r - 1) - 2 * sums[r]) // 2)
+                for r in range(top + 1)
+            ]
+    else:
+        def bounds(start: int, chosen: int, top: int) -> list[int]:
+            ranked = sorted([d + per_inside * (nb & chosen).bit_count() for nb, d in pool[start:]], reverse=maximize)
+            return list(accumulate(ranked, initial=0))
+
+    return bounds, None
 
 
-def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int], tuple[int, int]]:
-    """search(size) -> (value, mask): the optimum of one kind by branch and bound.
+def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple[int, int]]]:
+    """search(lo, hi) -> [(value, mask)] per size 0..n: one branch and bound
+    solves the sizes in [lo, hi] of one kind; the other entries hold the
+    greedy seed, which is exact at sizes 0 and n.
 
     The search always maximizes; a min kind maximizes its negated
     counter, where a pick v adds sign * (per_degree * deg(v) + per_inside
     * |adj(v) & S|). Greedy picks, the lowest vertex of best gain, ignore
     the size, so one chain of n picks seeds every size: its first s picks
-    are the incumbent of size s, and the only set at sizes 0 and n.
+    are the incumbent of size s.
+
+    One depth-first search serves every size. A node with p picks is the
+    candidate of size p, and carries down the live sizes: those above p
+    that no ancestor pruned and that its pool can still fill. A size its
+    pool fills exactly has one completion, the whole pool, which the node
+    scores at once. Size p + 1 needs no bound, as its completions are the
+    node's children. The node bounds the other sizes in one call, drops
+    each whose bound cannot beat its incumbent, and expands while a size
+    stays live, looping children up to n - (smallest live size - p).
+
+    Restricted to one size, each node's pruning and the strict test of
+    its leaves see the incumbents they would see in a search for that
+    size alone, in the same depth-first order; a skipped bound or a
+    completion scored early only saves nodes none of whose leaves could
+    beat the incumbent. So each size's witness is its greedy seed if that
+    is optimal and otherwise the first optimal set in depth-first order,
+    as in a search for that size alone.
     """
     n, adj = graph.n, graph.adj
     sign = 1 if kind.is_max else -1
-    per_degree, per_inside = {"induced": (0, 1), "covered": (1, -1), "cut": (1, -2)}[kind.counter]
+    per_degree, per_inside = _GAIN[kind.counter]
     base = [sign * per_degree * d for d in graph.degrees]
     inside = sign * per_inside
     order = sorted(range(n), key=lambda v: (-sign * graph.degrees[v], v))
-    bound_fn = _bound_fn(kind, adj, graph.degrees, order)
+    bounds, refine = _bound_fn(kind, adj, graph.degrees, order)
     # counters are never negative, and no max kind's bound beats m + 1
     ceiling = graph.m + 1 if sign > 0 else 0
 
-    def gain(v: int, chosen: int) -> int:
-        return base[v] + inside * (adj[v] & chosen).bit_count()
-
     seeds = [(0, 0)]
     mask = value = 0
+    gains, rest = base[:], list(range(n))
     for _ in range(n):
-        v = max((u for u in range(n) if not mask >> u & 1), key=lambda u: gain(u, mask))
-        value += gain(v, mask)
+        v = max(rest, key=gains.__getitem__)
+        rest.remove(v)
+        value += gains[v]
         mask |= 1 << v
         seeds.append((value, mask))
+        for u in rest:
+            if adj[v] >> u & 1:
+                gains[u] += inside
 
-    def search(size: int) -> tuple[int, int]:
-        incumbent, best = seeds[size]
+    # per start, the pool order[start:] as a mask and its own signed counter
+    pool_mask, pool_gain = [0] * (n + 1), [0] * (n + 1)
+    for idx in range(n - 1, -1, -1):
+        v = order[idx]
+        pool_mask[idx] = pool_mask[idx + 1] | 1 << v
+        pool_gain[idx] = pool_gain[idx + 1] + base[v] + inside * (adj[v] & pool_mask[idx + 1]).bit_count()
 
-        def dfs(start: int, chosen: int, picked: int, val: int) -> None:
-            nonlocal incumbent, best
-            if picked == size:
-                if val > incumbent:
-                    incumbent, best = val, chosen
-                return
-            r = size - picked
-            if n - start < r:
-                return
-            bound = val + sign * bound_fn(start, chosen, r)
-            if (bound if bound < ceiling else ceiling) <= incumbent:
-                return
-            for idx in range(start, n - r + 1):
+    def search(lo: int, hi: int) -> list[tuple[int, int]]:
+        incumbent = [value for value, _ in seeds]
+        best = [mask for _, mask in seeds]
+
+        def dfs(start: int, chosen: int, picked: int, val: int, live: list[int]) -> None:
+            # live is this call's own list
+            if live[-1] == picked + n - start:
+                full = live.pop()
+                whole = val + pool_gain[start] + inside * sum([(adj[v] & chosen).bit_count() for v in order[start:]])
+                if whole > incumbent[full]:
+                    incumbent[full], best[full] = whole, chosen | pool_mask[start]
+                if not live:
+                    return
+            top, one = live[-1], picked + 1
+            if top > one:
+                # a min kind's incumbent at its ceiling of 0 cannot improve
+                found = bounds(start, chosen, top - picked)
+                live = [
+                    s for s in live
+                    if s == one
+                    or val + sign * found[s - picked] > incumbent[s] < ceiling
+                    and (s == top or not refine or val + sign * refine(start, chosen, s - picked) > incumbent[s])
+                ]
+                if not live:
+                    return
+            first, low, high = live[0], live[0] == one, len(live)
+            for idx in range(start, n - first + picked + 1):
                 v = order[idx]
-                dfs(idx + 1, chosen | 1 << v, picked + 1, val + gain(v, chosen))
+                child, child_val = chosen | 1 << v, val + base[v] + inside * (adj[v] & chosen).bit_count()
+                if low and child_val > incumbent[first]:
+                    incumbent[first], best[first] = child_val, child
+                # each step leaves one slot fewer, so at most the largest size drops
+                if live[high - 1] > n - idx + picked:
+                    high -= 1
+                if low < high:
+                    dfs(idx + 1, child, one, child_val, live[low:high])
 
-        if 0 < size < n:
-            dfs(0, 0, 0, 0)
-        return sign * incumbent, best
+        sizes = list(range(max(lo, 1), min(hi, n - 1) + 1))
+        if sizes:
+            dfs(0, 0, 0, 0, sizes)
+        return [(sign * value, mask) for value, mask in zip(incumbent, best)]
 
     return search
 
@@ -454,7 +534,7 @@ def branch_bound_extremal(
     _require_within_cap(graph.n, cap)
     if not 0 <= size <= graph.n:
         raise ValueError(f"subset size {size} outside 0..{graph.n}")
-    value, mask = _searcher(graph, kind)(size)
+    value, mask = _searcher(graph, kind)(size, size)[size]
     return value, VertexSet(graph.n, mask)
 
 
@@ -464,8 +544,7 @@ def _branch_bound_profile(graph: Graph, kind: MetricKind, mirror_cut: bool) -> P
     n = graph.n
     mirrored = mirror_cut and kind.counter == "cut"
     half = n // 2 if mirrored else n
-    search = _searcher(graph, kind)
-    lower = [search(i) for i in range(half + 1)]
+    lower = _searcher(graph, kind)(1, half)
     values = []
     witnesses = []
     for i in range(n + 1):

@@ -297,11 +297,12 @@ class TestInternalInconsistency:
         def lying(graph, kind):
             search = real(graph, kind)
 
-            def lied(size):
-                value, mask = search(size)
-                if kind is MetricKind.MAX_INDUCED and size == 2:
-                    return value + 1, mask
-                return value, mask
+            def lied(lo, hi):
+                found = search(lo, hi)
+                if kind is MetricKind.MAX_INDUCED and lo <= 2 <= hi:
+                    value, mask = found[2]
+                    found[2] = value + 1, mask
+                return found
 
             return lied
 

@@ -306,6 +306,19 @@ class TestSweepCommand:
         assert code == 1
 
 
+def test_package_runs_as_the_cli():
+    # python -m isoprofile is the same front door as python -m isoprofile.cli
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = ["profile", "--g6", "EhEG", "--format", "csv"]
+    package, module = (
+        subprocess.run([sys.executable, "-m", name, *argv], env=env, capture_output=True, text=True, timeout=60)
+        for name in ("isoprofile", "isoprofile.cli")
+    )
+    assert package.returncode == module.returncode == 0, package.stderr
+    assert package.stdout == module.stdout != ""
+
+
 def test_cli_import_leaves_heavy_modules_unloaded():
     # every CLI start pays for what importing the CLI loads: set-up time
     # and peak memory; the sweep imports pickle and signal only to fork

@@ -2,6 +2,7 @@ import json
 import math
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -230,9 +231,15 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("n", [11, 13, 16])
     def test_path(self, n):
+        # an inner vertex covers two edges and an end vertex one: spread
+        # inner vertices cover or cut 2i edges, a prefix covers i and cuts 1
         formulas = {
             MetricKind.MAX_INDUCED: lambda i: max(i - 1, 0),
             MetricKind.MIN_INDUCED: lambda i: max(0, 2 * i - n - 1),
+            MetricKind.MAX_COVERED: lambda i: min(n - 1, 2 * i),
+            MetricKind.MIN_COVERED: lambda i: min(i, n - 1),
+            MetricKind.MAX_CUT: lambda i: min(2 * i, 2 * (n - i), n - 1),
+            MetricKind.MIN_CUT: lambda i: 0 if i in (0, n) else 1,
         }
         g = path(n)
         walked = profile_exhaustive(g)
@@ -276,18 +283,19 @@ def bound_cases(draw):
 
 
 def _count_bound_calls(monkeypatch):
-    # one bound call per search node that survives the leaf and pool checks
+    # one bounds call per search node that has a live size two or more
+    # picks away
     calls = dict.fromkeys(KIND_ORDER, 0)
     real = solvers._bound_fn
 
     def counting(kind, *args):
-        bound = real(kind, *args)
+        bounds, refine = real(kind, *args)
 
         def counted(*call):
             calls[kind] += 1
-            return bound(*call)
+            return bounds(*call)
 
-        return counted
+        return counted, refine
 
     monkeypatch.setattr(solvers, "_bound_fn", counting)
     return calls
@@ -301,43 +309,69 @@ class TestBound:
         edges = g.edges()
         mask = sum(1 << v for v in chosen)
         for kind in KIND_ORDER:
-            bound = solvers._bound_fn(kind, g.adj, g.degrees, order)(start, mask, r)
+            bounds, refine = solvers._bound_fn(kind, g.adj, g.degrees, order)
+            found = bounds(start, mask, r)
             value = brute_count(edges, chosen, kind.counter)
-            completions = [
-                brute_count(edges, chosen | set(picks), kind.counter)
-                for picks in combinations(order[start:], r)
-            ]
-            if kind.is_max:
-                assert value + bound >= max(completions), kind.key
-            else:
-                assert value + bound <= min(completions), kind.key
+            for picked in range(1, r + 1):
+                completions = [
+                    brute_count(edges, chosen | set(picks), kind.counter)
+                    for picks in combinations(order[start:], picked)
+                ]
+                for bound in [found[picked]] + ([refine(start, mask, picked)] if refine else []):
+                    if kind.is_max:
+                        assert value + bound >= max(completions), (kind.key, picked)
+                    else:
+                        assert value + bound <= min(completions), (kind.key, picked)
 
     def test_max_induced_counts_each_future_edge_once(self):
         # four picks from K8 induce C(4, 2) = 6 edges; counting every edge
         # from both ends would give 12
         k8 = complete(8)
-        bound = solvers._bound_fn(MetricKind.MAX_INDUCED, k8.adj, k8.degrees, list(range(8)))
-        assert bound(0, 0, 4) == 6
+        bounds, _ = solvers._bound_fn(MetricKind.MAX_INDUCED, k8.adj, k8.degrees, list(range(8)))
+        assert bounds(0, 0, 4)[4] == 6
 
     def test_search_nodes_do_not_regress(self, monkeypatch):
-        # timing-free regression signal: bound calls per kind on one fixed
-        # graph; a bound that counts future edges twice needs 656 nodes on
-        # max_induced and on min_covered
+        # timing-free regression signal: bounds calls per kind in the one
+        # search that solves every size, on two fixed graphs; a search per
+        # size made 274/428/428/274/428/371 calls on regular:10:3 and
+        # 994/5753/4057/3475/7961/6298 on random:16:0.5
         pinned = {
-            MetricKind.MAX_INDUCED: 274,
-            MetricKind.MIN_INDUCED: 428,
-            MetricKind.MAX_COVERED: 428,
-            MetricKind.MIN_COVERED: 274,
-            MetricKind.MAX_CUT: 428,
-            MetricKind.MIN_CUT: 371,
+            ("regular:10:3", 3): (74, 87, 87, 74, 87, 95),
+            ("random:16:0.5", 1729): (218, 1455, 1010, 723, 1995, 1150),
         }
-        calls = _count_bound_calls(monkeypatch)
-        g = from_spec("regular:10:3", 3)
-        walked = profile_exhaustive(g)
+        for (spec, seed), counts in pinned.items():
+            calls = _count_bound_calls(monkeypatch)
+            g = from_spec(spec, seed)
+            walked = profile_exhaustive(g)
+            for kind in KIND_ORDER:
+                assert profile_branch_bound(g, kind).values == walked[kind].values, (spec, kind.key)
+            for kind, pin in zip(KIND_ORDER, counts):
+                assert calls[kind] <= pin, (spec, kind.key, calls[kind])
+
+    @given(small_graphs(max_n=8))
+    @settings(max_examples=120, deadline=None)
+    def test_one_search_matches_size_by_size(self, g):
+        # the search over every size returns, at each size, the value and
+        # witness of a search for that size alone, and bounds each node once
+        real = solvers._bound_fn
         for kind in KIND_ORDER:
-            assert profile_branch_bound(g, kind).values == walked[kind].values, kind.key
-        for kind in KIND_ORDER:
-            assert calls[kind] <= pinned[kind], (kind.key, calls[kind])
+            seen = []
+
+            def recording(*args):
+                bounds, refine = real(*args)
+
+                def recorded(start, chosen, top):
+                    seen.append((start, chosen))
+                    return bounds(start, chosen, top)
+
+                return recorded, refine
+
+            with mock.patch.object(solvers, "_bound_fn", recording):
+                search = solvers._searcher(g, kind)
+            together = search(1, g.n - 1)
+            assert len(set(seen)) == len(seen), kind.key
+            for size in range(g.n + 1):
+                assert together[size] == search(size, size)[size], (kind.key, size)
 
     def test_witnesses_match_golden(self):
         # an admissible bound prunes only subtrees that cannot beat the
