@@ -9,14 +9,17 @@ routes:
   vertex n-1 yields all six profiles at once. It is blocked: the sets of
   the low 10 walked vertices are tabulated once as packed 16-bit fields
   of one int, and a reflected Gray code steps over the other vertices
-  only, updating every tabulated set per step with a few int additions
-  and reducing each size with one C-level max and min. Every other
-  subset is the complement of a walked one, and an O(n) fold after the
-  walk reads its counters off the walked set's (induced and covered
-  trade places as m minus each other, cut stays). This is the ground
-  truth; each witness is the lexicographically first optimal subset
-  (compare the sorted vertex tuples), which for a complement means the
-  lexicographically last tie among the walked sets.
+  only, updating every tabulated set per step with a few int additions.
+  A broadword threshold test (one add, one subtract and two ANDs on the
+  packed int) then marks the fields that match or beat their size's best
+  value so far; most steps mark none, a size whose best is beaten is
+  decoded and reduced with one C-level max or min, and a tie is read off
+  the marks. Every other subset is the complement of a walked one, and
+  an O(n) fold after the walk reads its counters off the walked set's
+  (induced and covered trade places as m minus each other, cut stays).
+  This is the ground truth; each witness is the lexicographically first
+  optimal subset (compare the sorted vertex tuples), which for a
+  complement means the lexicographically last tie among the walked sets.
 * ``profile_branch_bound``: one search body for all six kinds (a min
   kind maximizes its negated counter), and per kind one depth-first
   search for every size at once. Each node carries the sizes that no
@@ -181,14 +184,22 @@ def _require_within_cap(n: int, cap: int | None) -> None:
 # Exhaustive route
 
 
-def _reversed(bits: int, n: int) -> int:
-    # Bit b of an n-bit mask becomes bit n-1-b: bit n marks where the
-    # digits end, and the reversed slice stops before it and the "0b".
-    return int(bin(bits | 1 << n)[:2:-1], 2)
+_BIT_REVERSAL = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _reversed(masks: list[int], n: int) -> list[int]:
+    # Bit b of each n-bit mask (n <= 64) becomes bit n-1-b: the masks as
+    # little-endian 64-bit words, the bits of each byte reversed by table,
+    # read back big-endian and shifted down past the padding.
+    words = struct.pack(f"<{len(masks)}Q", *masks).translate(_BIT_REVERSAL)
+    return [word >> 64 - n for word in struct.unpack(f">{len(masks)}Q", words)]
 
 
 # The walk tabulates its lowest _BLOCK bits at once, as 16-bit fields of
-# one int; a field holds at most 2m, far below 2^16 at any walkable n.
+# one int. A field holds at most 2m while a step sums it and a counter at
+# most m < 2^15 at any walkable n, so the threshold test's 0x8000 plus or
+# minus a best value, plus or minus a counter, stays in [0, 2^16): no
+# field ever carries into or borrows from the next.
 _BLOCK = 10
 
 
@@ -197,39 +208,56 @@ def _block_layout(k: int):
     # Field order over the 2^k low sets L (walk bits 1..k): by size, then
     # by descending mask, so that the first field of a size holding some
     # value is its lexicographically first L. Returns each field's mask,
-    # each size's field range [a, z), the int with every field 1, and per
-    # walk bit b <= k the int whose field L is 1 when L holds b.
-    masks, spans = [], []
+    # each size's field range [a, z), per field its size t with the field
+    # range [a, z) and the byte range [2a, 2z) of size t, the int with
+    # every field 1, and per walk bit b <= k the int whose field L is 1
+    # when L holds b.
+    masks, spans, where = [], [], []
     for t in range(k + 1):
-        start = len(masks)
+        a = len(masks)
         masks += [mask for mask in range((2 << k) - 2, -1, -2) if mask.bit_count() == t]
-        spans.append((start, len(masks)))
+        spans.append((a, len(masks)))
+        where += [(t, a, len(masks), 2 * a, 2 * len(masks))] * (len(masks) - a)
     pack = struct.Struct(f"{len(masks)}H").pack
     members = tuple(int.from_bytes(pack(*[mask >> b & 1 for mask in masks]), sys.byteorder) for b in range(k + 1))
     ones = int.from_bytes(pack(*[1] * len(masks)), sys.byteorder)
-    return memoryview(pack(*masks)).cast("H"), tuple(spans), ones, members
+    return memoryview(pack(*masks)).cast("H"), tuple(spans), where, ones, members
 
 
-def _fold(kind: MetricKind, direct, mirror, flipped: bool, graph: Graph) -> Profile:
+def _fields(packed: int, width: int) -> memoryview:
+    # The 16-bit fields of a packed vector, in field order: the walk's one
+    # decode, which a step makes only for a vector holding a beaten best.
+    return memoryview(packed.to_bytes(width, sys.byteorder)).cast("H")
+
+
+def _fold(graph: Graph, trackers) -> dict[MetricKind, Profile]:
     # Size j is attained either by a walked set (direct, size j) or by the
     # complement of one (mirror, size n - j, value m - x when flipped, x
-    # otherwise). The last walked tie has the first complement.
+    # otherwise). The trackers run in KIND_ORDER; the mirror of max_induced
+    # is min_covered, of min_induced max_covered and so on, and a cut kind
+    # mirrors itself. The last walked tie has the first complement. All
+    # the winning masks are reversed at once, and each distinct one
+    # becomes one VertexSet.
     n, m = graph.n, graph.m
     full = (1 << n) - 1
-    direct_values, direct_first, _ = direct
-    mirror_values, _, mirror_last = mirror
-    maximize = kind.is_max
-    values, witnesses = [], []
-    for j in range(n + 1):
-        a, wa = direct_values[j], direct_first[j]
-        b, wb = mirror_values[n - j], full ^ mirror_last[n - j]
-        if flipped:
-            b = m - b
-        if a != b and (a > b) != maximize or a == b and wb > wa:
-            a, wa = b, wb
-        values.append(a)
-        witnesses.append(VertexSet(n, _reversed(wa, n)))
-    return Profile(kind, tuple(values), tuple(witnesses), "exhaustive")
+    values, walked = [], []
+    for kind, direct, mirror in zip(KIND_ORDER, trackers, [trackers[i] for i in (3, 2, 1, 0, 4, 5)]):
+        maximize, flipped = kind.is_max, kind.counter != "cut"
+        for a, wa, b, wb in zip(direct[0], direct[1], reversed(mirror[0]), reversed(mirror[2])):
+            wb ^= full
+            if flipped:
+                b = m - b
+            if a != b and (a > b) != maximize or a == b and wb > wa:
+                a, wa = b, wb
+            values.append(a)
+            walked.append(wa)
+    distinct = list(set(walked))
+    sets = dict(zip(distinct, [VertexSet(n, bits) for bits in _reversed(distinct, n)]))
+    witnesses = list(map(sets.__getitem__, walked))
+    return {
+        kind: Profile(kind, tuple(values[at : at + n + 1]), tuple(witnesses[at : at + n + 1]), "exhaustive")
+        for kind, at in zip(KIND_ORDER, range(0, len(values), n + 1))
+    }
 
 
 def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKind, Profile]:
@@ -260,27 +288,47 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKi
       covered(H + L) = degree sum(H) + degree sum(L) - induced(H + L)
       cut(H + L)     = covered(H + L) - induced(H + L)
 
-    The int's bytes, read through a memoryview as a list of 16-bit
-    values, give per size |L| = t one C-level max and one min over its
-    fields: the extremes of size |H| + t.
+    Most steps change no tracker, and a broadword threshold test (Knuth,
+    TAOCP 4A, 7.1.3) finds the fields that might without decoding the
+    vector. Per high size |H| each tracker caches one threshold int whose
+    fields of size |L| = t hold 0x8000 - best(|H| + t) for a max tracker
+    and 0x8000 + best(|H| + t) for a min tracker, and it drops the cache
+    whenever one of its best values changes. Bit 15 of each field of
+    (vector + threshold), or of (threshold - vector) for a min tracker,
+    is then set exactly where the field matches or beats its size's
+    best, and subtracting the all-ones int first leaves only the fields
+    that beat it. Every field is nonnegative and at most m < 2^15, so no
+    field carries into or borrows from the next. Step 0 meets only the
+    sentinels and reads every size.
+
+    The marks, as bytes, are searched for the sizes they touch. A size
+    with a beaten best is decoded (``_fields``, the walk's only decode)
+    and reduced with one C-level max or min. A size that is only matched
+    needs no decode: its first and last marked fields are its first and
+    last ties. Ties change a tracker only in the two cases below, so a
+    tracker that marks only ties while H lies between the last and the
+    first tie of each of its sizes is passed over before its marks are
+    read.
 
     Each witness is the lexicographically first optimal subset. A
     complement is lexicographically first exactly when its walked set is
     lexicographically last among the ties, so each tracker keeps both
     its first and its last tie, and the fold picks the earlier of the
     walked and the complemented candidate. Within a size the fields run
-    from the first L to the last, and a size's first and last tied L
-    are looked up only when its extreme matches or beats the tracker.
-    The high bits lie above the block, so of two high sets the larger
-    one's sets are all earlier: a tie from H replaces the tracker's
-    first tie when H exceeds it and its last tie when H falls below it.
+    from the first L to the last. The high bits lie above the block, so
+    of two high sets the larger one's sets are all earlier: a tie from H
+    replaces the tracker's first tie when H exceeds it and its last tie
+    when H falls below it. These are the two cases.
     """
     _require_within_cap(graph.n, cap)
+    if graph.n > 64:
+        # masks are reversed as 64-bit words, and 2^63 steps never finish
+        raise VertexCapError(f"the exhaustive walk takes at most 64 vertices, not {graph.n}")
     n, m = graph.n, graph.m
-    adj = [_reversed(graph.adj[n - 1 - b], n) for b in range(n)]
+    adj = _reversed(graph.adj[::-1], n)
     degrees = graph.degrees[::-1]
     k = min(_BLOCK, n - 1)
-    masks, spans, ones, members = _block_layout(k)
+    masks, spans, where, ones, members = _block_layout(k)
 
     # an edge from b down to c lies inside L where both fields are 1
     induced_l = sum(members[b] & members[c] for b in range(1, k + 1) for c in range(1, b) if adj[b] >> c & 1)
@@ -288,26 +336,16 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKi
     # field L of crossing[j] is |adj(u) & L| for the high vertex u at bit k + 1 + j
     crossing = [sum(members[c] for c in range(1, k + 1) if adj[b] >> c & 1) for b in range(k + 1, n)]
 
-    def tracker(sentinel: int) -> tuple[list[int], list[int], list[int]]:
-        # Size n is never walked, so its sentinel (beaten by every real
-        # value, flipped or not) stays.
-        return [sentinel] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    def tracker(sign: int) -> tuple[list[int], list[int], list[int], dict[int, int]]:
+        # best value, first and last tie per size, and the threshold ints
+        # by |H|. Size n is never walked, so its sentinel (beaten by every
+        # real value, flipped or not) stays.
+        return [-1 if sign > 0 else m + 1] * (n + 1), [0] * (n + 1), [0] * (n + 1), {}
 
-    hi_ind, hi_cov, hi_cut = (tracker(-1) for _ in range(3))
-    lo_ind, lo_cov, lo_cut = (tracker(m + 1) for _ in range(3))
-
-    def take(tracker, s: int, value: int, high: int, group: list[int], a: int) -> None:
-        # group holds the fields from a on; the caller has seen its
-        # extreme, value, match or beat the tracker's best at s.
-        values, first, last = tracker
-        new = value != values[s]
-        values[s] = value
-        if new or high > first[s]:
-            first[s] = high | masks[a + group.index(value)]
-        if new or high < last[s]:
-            last[s] = high | masks[a + len(group) - 1 - group[::-1].index(value)]
-
-    width, order = 2 * len(masks), sys.byteorder
+    trackers = [tracker(sign) for _ in range(3) for sign in (1, -1)]
+    pairs = trackers[0:2], trackers[2:4], trackers[4:6]
+    width, order, top = 2 * len(masks), sys.byteorder, ones << 15
+    everything = b"\x80" * width
     high = cross = high_induced = high_degrees = size = 0
     for step in range(1 << (n - 1 - k)):
         if step:
@@ -320,32 +358,47 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKi
             size += sign
         induced = cross + induced_l + high_induced * ones
         covered = degrees_l + high_degrees * ones - induced
-        for packed, hi, lo in (
-            (induced, hi_ind, lo_ind),
-            (covered, hi_cov, lo_cov),
-            (covered - induced, hi_cut, lo_cut),
-        ):
-            fields = memoryview(packed.to_bytes(width, order)).cast("H").tolist()
-            for s, (a, z) in enumerate(spans, size):
-                group = fields[a:z]
-                value = max(group)
-                if value >= hi[0][s]:
-                    take(hi, s, value, high, group, a)
-                value = min(group)
-                if value <= lo[0][s]:
-                    take(lo, s, value, high, group, a)
-    pairs = (
-        (hi_ind, lo_cov, True),
-        (lo_ind, hi_cov, True),
-        (hi_cov, lo_ind, True),
-        (lo_cov, hi_ind, True),
-        (hi_cut, hi_cut, False),
-        (lo_cut, lo_cut, False),
-    )
-    return {
-        kind: _fold(kind, direct, mirror, flipped, graph)
-        for kind, (direct, mirror, flipped) in zip(KIND_ORDER, pairs)
-    }
+        for packed, pair in zip((induced, covered, covered - induced), pairs):
+            fields = None
+            for sign, (values, first, last, thresholds) in zip((1, -1), pair):
+                if not step:
+                    # every best is still a sentinel, which every field beats
+                    marks = everything
+                else:
+                    if size not in thresholds:
+                        pieces = [(0x8000 - sign * best).to_bytes(2, order) * (z - a) for best, (a, z) in zip(values[size:], spans)]
+                        thresholds[size] = int.from_bytes(b"".join(pieces), order)
+                    probe = thresholds[size] + packed if sign > 0 else thresholds[size] - packed
+                    hit = probe & top
+                    if not hit:
+                        continue
+                    beat = (probe - ones) & top
+                    # ties alone move no witness while high lies between
+                    # every size's last and first tie
+                    if not beat and max(last[size : size + k + 1]) <= high <= min(first[size : size + k + 1]):
+                        continue
+                    # a matched or beaten field's high byte reads 0x80, and
+                    # a beaten one's low byte too
+                    marks = (hit | beat >> 8).to_bytes(width, order)
+                at = marks.find(0x80)
+                while at >= 0:
+                    t, a, z, a2, z2 = where[at >> 1]
+                    s = size + t
+                    # two 0x80 bytes in a row hold a beaten field's low byte
+                    if not step or marks.find(b"\x80\x80", a2, z2) >= 0:
+                        if fields is None:
+                            fields, groups = _fields(packed, width), {}
+                        group = groups.get(t) or groups.setdefault(t, fields[a:z].tolist())
+                        values[s] = value = max(group) if sign > 0 else min(group)
+                        first[s] = high | masks[a + group.index(value)]
+                        last[s] = high | masks[z - 1 - group[::-1].index(value)]
+                        thresholds.clear()
+                    elif high > first[s]:
+                        first[s] = high | masks[at >> 1]
+                    elif high < last[s]:
+                        last[s] = high | masks[marks.rfind(0x80, a2, z2) >> 1]
+                    at = marks.find(0x80, z2)
+    return _fold(graph, trackers)
 
 
 def extremal_exhaustive(

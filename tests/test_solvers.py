@@ -127,15 +127,25 @@ class TestExhaustive:
         _assert_naive_first_witnesses(g, profile_exhaustive(g))
 
     @pytest.mark.parametrize(
-        "g",
-        [star(9), complete(9), empty(9), cycle(9), hypercube(3)],
-        ids=["star9", "complete9", "empty9", "cycle9", "hypercube3"],
+        "g, width",
+        [
+            pytest.param(g, width, id=name if width == 10 else f"{name}-block{width}")
+            for width in (10, 2)
+            for g, name in zip(
+                [star(9), complete(9), empty(9), cycle(9), hypercube(3)],
+                ["star9", "complete9", "empty9", "cycle9", "hypercube3"],
+            )
+        ],
     )
-    def test_tied_witnesses_match_naive_first_witness(self, g):
+    def test_tied_witnesses_match_naive_first_witness(self, g, width):
         # ties abound here: a size's optimum is often attained both by sets
         # without vertex n-1 (walked) and by sets with it (complements of
-        # walked ones), and the fold must still return the first of all
-        _assert_naive_first_witnesses(g, profile_exhaustive(g))
+        # walked ones), and the fold must still return the first of all;
+        # a block of 2 walks 2^(n-3) high sets, most of which only tie
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "_BLOCK", width)
+            profiles = profile_exhaustive(g)
+        _assert_naive_first_witnesses(g, profiles)
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     @given(g=small_graphs())
@@ -147,6 +157,19 @@ class TestExhaustive:
             patch.setattr(solvers, "_BLOCK", width)
             profiles = profile_exhaustive(g)
         _assert_naive_first_witnesses(g, profiles)
+
+    def test_walk_decodes_do_not_regress(self, monkeypatch):
+        # timing-free regression signal: a step decodes a packed vector
+        # only when the threshold test finds a beaten best in it; of the
+        # 512 steps x 3 vectors at n = 20, the pinned counts are decoded
+        decodes = []
+        real = solvers._fields
+        monkeypatch.setattr(solvers, "_fields", lambda *args: decodes.append(args) or real(*args))
+        pinned = {"regular:20:4@1729": (from_spec("regular:20:4", 1729), 105), "empty:20": (empty(20), 30)}
+        for name, (g, pin) in pinned.items():
+            decodes.clear()
+            profile_exhaustive(g)
+            assert 0 < len(decodes) <= pin, (name, len(decodes))
 
     def test_witnesses_match_golden(self):
         # (value, witness bits) of every kind and size, written before the
@@ -172,14 +195,14 @@ class TestExhaustive:
 class TestClosedForms:
     # every expected value comes from its formula, never from a solver
 
-    @pytest.mark.parametrize("n", [11, 13, 16])
+    @pytest.mark.parametrize("n", [11, 13, 16, 20])
     def test_empty(self, n):
         profiles = profile_exhaustive(empty(n))
         for kind in KIND_ORDER:
             assert profiles[kind].values == (0,) * (n + 1), kind.key
             assert [set(w) for w in profiles[kind].witnesses] == [set(range(i)) for i in range(n + 1)], kind.key
 
-    @pytest.mark.parametrize("n", [11, 13, 16])
+    @pytest.mark.parametrize("n", [11, 13, 16, 20])
     def test_complete(self, n):
         formulas = {
             "induced": lambda i: math.comb(i, 2),
@@ -192,7 +215,7 @@ class TestClosedForms:
             assert profiles[kind].values == expected, kind.key
             assert [set(w) for w in profiles[kind].witnesses] == [set(range(i)) for i in range(n + 1)], kind.key
 
-    @pytest.mark.parametrize("n", [11, 13, 16])
+    @pytest.mark.parametrize("n", [11, 13, 16, 20])
     def test_star(self, n):
         # i vertices with the centre: induced i - 1, covered n - 1, cut n - i;
         # i vertices without it: 0, i, i
@@ -208,7 +231,7 @@ class TestClosedForms:
             expected = tuple(best(c[kind.counter] for c in candidates(i)) for i in range(n + 1))
             assert profiles[kind].values == expected, kind.key
 
-    @pytest.mark.parametrize("n", [11, 13, 16])
+    @pytest.mark.parametrize("n", [11, 13, 16, 20])
     def test_cycle(self, n):
         # below i = n, i consecutive vertices induce i - 1 edges, and i
         # vertices spread out induce max(0, 2i - n); covered = 2i - induced
@@ -570,6 +593,11 @@ class TestCap:
         g = empty(25)
         profile = profile_branch_bound(g, MetricKind.MAX_INDUCED, cap=25)
         assert set(profile.values) == {0}
+
+    def test_walk_refuses_more_than_64_vertices(self):
+        # a raised cap admits the graph, but the walk could never finish
+        with pytest.raises(VertexCapError, match="at most 64"):
+            profile_exhaustive(empty(65), cap=65)
 
     def test_constructors_ignore_cap(self):
         assert empty(30).n == 30
