@@ -18,7 +18,6 @@ except the explicit float guard band in the hypercube check.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import os
 import time
@@ -68,8 +67,6 @@ __all__ = [
     "verify_theorem",
     "write_findings",
 ]
-
-log = logging.getLogger(__name__)
 
 # The four sequences whose symmetry characterizes regularity.
 CHARACTERIZING_KINDS = (
@@ -511,18 +508,26 @@ def _sweep_job(
     return None if report.consistent else SweepFinding(index, spec, to_graph6(graph), report)
 
 
-def _run_block(jobs: Sequence[tuple]) -> tuple[bool, object, float]:
-    """Run jobs in order: (True, findings, seconds) or (False, first exception, seconds)."""
+def _run_block(
+    block: range, specs: tuple[str, ...], seed: int, strategy: str, cap: int | None
+) -> tuple[bool, object, float]:
+    """Run graphs ``block`` in order: (True, findings, seconds) or (False, first exception, seconds).
+
+    Each graph's job is made as it runs, so a sweep of any count holds no
+    list of jobs.
+    """
     start = time.perf_counter()
     try:
-        findings = [f for f in (_sweep_job(*job) for job in jobs) if f is not None]
+        jobs = (_sweep_job(k, specs[k % len(specs)], _child_seed(seed, k), strategy, cap) for k in block)
+        findings = [f for f in jobs if f is not None]
     except Exception as exc:
         return False, exc, time.perf_counter() - start
     return True, findings, time.perf_counter() - start
 
 
-def _fork_block(jobs: Sequence[tuple], readers: Sequence[BinaryIO]) -> tuple[int, BinaryIO]:
-    """Run jobs in a forked child; return its pid and the read end of its pipe.
+def _fork_block(block: range, sweep: tuple, readers: Sequence[BinaryIO]) -> tuple[int, BinaryIO]:
+    """Run ``_run_block(block, *sweep)`` in a forked child; return its pid
+    and the read end of its pipe.
 
     The child closes the read ends it inherited (``readers`` and its own),
     so no pipe stays open once the parent closes its end. It writes one
@@ -544,7 +549,7 @@ def _fork_block(jobs: Sequence[tuple], readers: Sequence[BinaryIO]) -> tuple[int
                 stream.close()
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as out:
-                pickle.dump(_run_block(jobs), out)
+                pickle.dump(_run_block(block, *sweep), out)
             status = 0
         finally:
             os._exit(status)
@@ -552,8 +557,8 @@ def _fork_block(jobs: Sequence[tuple], readers: Sequence[BinaryIO]) -> tuple[int
     return pid, os.fdopen(read_fd, "rb")
 
 
-def _receive(pid: int, stream: BinaryIO, jobs: Sequence[tuple]) -> tuple[bool, object, float]:
-    """Read the ``_run_block`` outcome that child ``pid`` wrote for ``jobs``."""
+def _receive(pid: int, stream: BinaryIO, block: range) -> tuple[bool, object, float]:
+    """Read the ``_run_block`` outcome that child ``pid`` wrote for graphs ``block``."""
     import pickle  # see _fork_block
 
     try:
@@ -561,7 +566,7 @@ def _receive(pid: int, stream: BinaryIO, jobs: Sequence[tuple]) -> tuple[bool, o
             return pickle.load(stream)
     except (EOFError, pickle.UnpicklingError) as exc:
         raise RuntimeError(
-            f"sweep worker {pid} for graphs {jobs[0][0]}..{jobs[-1][0]} "
+            f"sweep worker {pid} for graphs {block[0]}..{block[-1]} "
             "ended without sending its result"
         ) from exc
 
@@ -605,6 +610,10 @@ def counterexample_sweep(
     InternalInconsistencyError is re-raised with the index, spec and
     graph6 string of the graph that caused it.
     """
+    # logging is imported only where a sweep logs, as pickle and signal
+    # are where it forks: importing it would cost every CLI start about 9 ms
+    import logging
+
     if count < 0:
         raise ValueError("sweep count must be nonnegative")
     if workers < 1:
@@ -612,26 +621,24 @@ def counterexample_sweep(
     specs = tuple(specs)
     if count > 0 and not specs:
         raise ValueError("at least one generator spec is required")
-    jobs = [
-        (k, specs[k % len(specs)], _child_seed(seed, k), strategy, cap) for k in range(count)
-    ]
+    sweep = (specs, seed, strategy, cap)
     parts = min(workers if hasattr(os, "fork") else 1, count, os.cpu_count() or 1)
-    blocks = [jobs[b * count // parts : (b + 1) * count // parts] for b in range(parts)]
+    blocks = [range(b * count // parts, (b + 1) * count // parts) for b in range(parts)]
 
     children: list[tuple[int, BinaryIO]] = []
     findings: list[SweepFinding] = []
     try:
         for block in blocks[1:]:
-            children.append(_fork_block(block, [stream for _, stream in children]))
+            children.append(_fork_block(block, sweep, [stream for _, stream in children]))
         for b, block in enumerate(blocks):
             if b == 0:
-                pid, outcome = os.getpid(), _run_block(block)
+                pid, outcome = os.getpid(), _run_block(block, *sweep)
             else:
                 pid, stream = children[b - 1]
                 outcome = _receive(pid, stream, block)
             ok, value, seconds = outcome
-            log.debug(
-                "sweep graphs %d..%d: pid %d, %.3f s", block[0][0], block[-1][0], pid, seconds
+            logging.getLogger(__name__).debug(
+                "sweep graphs %d..%d: pid %d, %.3f s", block[0], block[-1], pid, seconds
             )
             if not ok:
                 raise value

@@ -25,7 +25,12 @@ routes:
   search for every size at once. Each node carries the sizes that no
   ancestor pruned, and bounds them all from one sorted list of
   admissible completion terms; greedy picks seed each size's
-  incumbent. Values match the exhaustive route; witnesses are the first
+  incumbent. A node with at most 8 pool vertices stops branching and
+  scores its live sizes from one packed table of 16-bit fields over the
+  pool's subsets, grouped by size and, within a size, in depth-first
+  order; a size takes the first field of its maximum only when it
+  strictly beats the incumbent, which is the set the branching would
+  keep. Values match the exhaustive route; witnesses are the first
   optimum it reaches.
 * ``profile_by_reduction``: derive one profile from already computed
   ones through exact counting identities (cover totals from induced
@@ -68,7 +73,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Callable, Mapping
 
 from .graphs import Graph, VertexSet, complement
@@ -418,6 +423,50 @@ def extremal_exhaustive(
 # a pick v adds per_degree * deg(v) + per_inside * |adj(v) & S| to the counter of S
 _GAIN = {"induced": (0, 1), "covered": (1, -1), "cut": (1, -2)}
 
+# A search node whose pool has at most _LEAF vertices scores its live
+# sizes from one table over the pool's subsets instead of branching. A
+# field of that table holds n per pick plus the signed counter change of
+# its picks, which each change the counter by at most n - 1 either way,
+# so it lies in [1, _LEAF * (2n - 1)]: below 2^16 for n <= 4096.
+_LEAF = 8
+_SEARCH_MAX_N = 4096
+
+
+@functools.cache
+def _leaf_layout(p: int):
+    # Field order over the 2^p subsets T of pool positions 0..p-1: by
+    # size, then in the order the depth-first search reaches them, which
+    # is lexicographic in T's sorted positions. Returns each field's T as
+    # a position mask, each size's field range [a, z), per position j the
+    # int whose field T is 1 when T holds j, and the int whose field T is
+    # |T|.
+    subsets, spans = [], []
+    for t in range(p + 1):
+        a = len(subsets)
+        subsets += [sum(1 << j for j in picks) for picks in combinations(range(p), t)]
+        spans.append((a, len(subsets)))
+    pack = struct.Struct(f"{len(subsets)}H").pack
+    members = [int.from_bytes(pack(*[subset >> j & 1 for subset in subsets]), sys.byteorder) for j in range(p)]
+    return subsets, spans, members, sum(members)
+
+
+@functools.lru_cache(maxsize=2)
+def _leaf_tables(graph: Graph, order: tuple[int, ...], leaf: int) -> list[tuple[int, int]]:
+    # Per pool size p <= leaf, over the pool order[n - p:], the ints whose
+    # field T holds the degree sum of T and the edges inside T. They
+    # depend on the graph and the order only, so the kinds that share an
+    # order (the max kinds, the min kinds, all six on a regular graph)
+    # share them.
+    n, adj, degrees = graph.n, graph.adj, graph.degrees
+    tables = []
+    for p in range(min(leaf, n) + 1):
+        pool, members = order[n - p :], _leaf_layout(p)[2]
+        tables.append((
+            sum(degrees[v] * member for v, member in zip(pool, members)),
+            sum(members[i] & members[j] for j in range(p) for i in range(j) if adj[pool[i]] >> pool[j] & 1),
+        ))
+    return tables
+
 
 def _bound_fn(kind: MetricKind, adj, degrees, order) -> tuple[Callable[..., list[int]], Callable[..., int] | None]:
     """(bounds, refine). bounds(start, chosen, top)[r], for r in [0, top],
@@ -504,14 +553,39 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
     beat the incumbent. So each size's witness is its greedy seed if that
     is optimal and otherwise the first optimal set in depth-first order,
     as in a search for that size alone.
+
+    A node whose pool holds p <= _LEAF vertices does not branch: after
+    the whole pool and the bound it scores every live size from one leaf
+    table over the pool's 2^p subsets T, packed as 16-bit fields of one
+    int. The fields are grouped by |T| and, within a size, run in the
+    order the depth-first search below the node would reach the sets,
+    lexicographic in their pool positions. Field T holds n|T| plus the
+    signed counter that T adds to chosen: the part fixed by the pool
+    (signed degree terms, inside times the edges inside T) is tabulated
+    once per graph, order and p, and the node adds inside * |adj(v) &
+    chosen| times the indicator int of each pool vertex v. One decode and
+    one C-level max per live size follow. A size takes the first field
+    of its maximum, and only if that strictly beats its incumbent: the
+    branching search would end this subtree holding exactly that set, the
+    first of the best value it reaches, so values, witnesses and the
+    state every later node sees are unchanged.
     """
     n, adj = graph.n, graph.adj
+    if n > _SEARCH_MAX_N:
+        raise VertexCapError(f"branch and bound takes at most {_SEARCH_MAX_N} vertices, not {n}")
     sign = 1 if kind.is_max else -1
     per_degree, per_inside = _GAIN[kind.counter]
     base = [sign * per_degree * d for d in graph.degrees]
     inside = sign * per_inside
     order = sorted(range(n), key=lambda v: (-sign * graph.degrees[v], v))
     bounds, refine = _bound_fn(kind, adj, graph.degrees, order)
+
+    # per leaf pool size p, its layout and its table at chosen = 0
+    leaf = min(_LEAF, n)
+    leaves = []
+    for p, (degrees, edges) in enumerate(_leaf_tables(graph, tuple(order), leaf)):
+        subsets, spans, members, sizes = _leaf_layout(p)
+        leaves.append((subsets, spans, members, n * sizes + sign * per_degree * degrees + inside * edges))
     # counters are never negative, and no max kind's bound beats m + 1
     ceiling = graph.m + 1 if sign > 0 else 0
 
@@ -560,6 +634,21 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
                 ]
                 if not live:
                     return
+            if n - start <= leaf:
+                subsets, spans, members, table = leaves[n - start]
+                pool = order[start:]
+                shared = [a * member for v, member in zip(pool, members) if (a := (adj[v] & chosen).bit_count())]
+                fields = memoryview((table + inside * sum(shared)).to_bytes(2 << n - start, sys.byteorder)).cast("H")
+                for s in live:
+                    at, end = spans[s - picked]
+                    most = max(fields[at:end])
+                    if val + most - n * (s - picked) > incumbent[s]:
+                        # the first field of the maximum is the first set
+                        # the depth-first search would reach with it
+                        picks = subsets[at + fields[at:end].tolist().index(most)]
+                        incumbent[s] = val + most - n * (s - picked)
+                        best[s] = chosen | sum([1 << v for j, v in enumerate(pool) if picks >> j & 1])
+                return
             first, low, high = live[0], live[0] == one, len(live)
             for idx in range(start, n - first + picked + 1):
                 v = order[idx]

@@ -337,10 +337,12 @@ class TestHypercubeInequality:
         assert report.n == 1 << d
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    @pytest.mark.parametrize("strategy", ["auto", "oracle"])
+    @pytest.mark.parametrize("strategy", ["auto", "oracle", "checked"])
     def test_harper_closed_form(self, d, strategy):
         # Harper (1964): max_induced(i) on Q_d is the bit count of 0..i-1,
-        # and min_cut(i) = d*i - 2*max_induced(i) since Q_d is d-regular
+        # and min_cut(i) = d*i - 2*max_induced(i) since Q_d is d-regular;
+        # checked also meets it through all six branch-and-bound searches,
+        # which on Q4 run both leaf tables and the bound
         profiles = all_profiles(hypercube(d), strategy=strategy)
         dense = profiles[MetricKind.MAX_INDUCED].values
         cut = profiles[MetricKind.MIN_CUT].values
@@ -482,6 +484,22 @@ class TestSweep:
         summary = counterexample_sweep(["cycle:4", "star:5"], 2, seed=3)
         assert len(summary.findings) == flag
         assert SweepSummary.from_dict(json.loads(json.dumps(summary.to_dict()))) == summary
+
+    def test_jobs_are_made_as_they_run(self, monkeypatch):
+        # a job list made up front held about 150 bytes per graph
+        import tracemalloc
+
+        import isoprofile.analysis as analysis_mod
+
+        monkeypatch.setattr(analysis_mod, "_sweep_job", lambda *args: None)
+        tracemalloc.start()
+        try:
+            summary = counterexample_sweep(["cycle:4", "star:5"], 100_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.consistent == 100_000
+        assert peak < 1 << 20, peak
 
     def test_findings_writer_format(self, tmp_path):
         # fabricate a finding to exercise the writer; real sweeps of

@@ -357,64 +357,118 @@ class TestBound:
         # timing-free regression signal: bounds calls per kind in the one
         # search that solves every size, on two fixed graphs; a search per
         # size made 274/428/428/274/428/371 calls on regular:10:3 and
-        # 994/5753/4057/3475/7961/6298 on random:16:0.5
-        pinned = {
+        # 994/5753/4057/3475/7961/6298 on random:16:0.5, and the search
+        # without leaf tables the counts pinned in the next test
+        _assert_bound_calls_within(monkeypatch, {
+            ("regular:10:3", 3): (13, 13, 13, 13, 13, 13),
+            ("random:16:0.5", 1729): (201, 612, 473, 554, 722, 824),
+        })
+
+    def test_search_nodes_do_not_regress_without_leaf_tables(self, monkeypatch):
+        # the bound's own pruning, down to single picks
+        monkeypatch.setattr(solvers, "_LEAF", 0)
+        _assert_bound_calls_within(monkeypatch, {
             ("regular:10:3", 3): (74, 87, 87, 74, 87, 95),
             ("random:16:0.5", 1729): (218, 1455, 1010, 723, 1995, 1150),
-        }
-        for (spec, seed), counts in pinned.items():
-            calls = _count_bound_calls(monkeypatch)
-            g = from_spec(spec, seed)
-            walked = profile_exhaustive(g)
-            for kind in KIND_ORDER:
-                assert profile_branch_bound(g, kind).values == walked[kind].values, (spec, kind.key)
-            for kind, pin in zip(KIND_ORDER, counts):
-                assert calls[kind] <= pin, (spec, kind.key, calls[kind])
+        })
 
     @given(small_graphs(max_n=8))
     @settings(max_examples=120, deadline=None)
     def test_one_search_matches_size_by_size(self, g):
         # the search over every size returns, at each size, the value and
-        # witness of a search for that size alone, and bounds each node once
-        real = solvers._bound_fn
+        # witness of a search for that size alone, and bounds each node
+        # once; every graph here is one leaf table at the root
+        _assert_one_search_matches_size_by_size(g)
+
+    @pytest.mark.parametrize("leaf", [0, 3])
+    @given(g=small_graphs(max_n=8))
+    @settings(max_examples=60, deadline=None)
+    def test_one_search_matches_size_by_size_below_leaf(self, leaf, g):
+        # the same through the branching: no leaf table, or pools of 3
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "_LEAF", leaf)
+            _assert_one_search_matches_size_by_size(g)
+
+    @given(small_graphs(max_n=11))
+    @settings(max_examples=60, deadline=None)
+    def test_leaf_tables_keep_every_witness(self, g):
+        # a leaf table takes the first field of its maximum, the set the
+        # depth-first search would reach first, so every value and witness
+        # is the one of the search without tables
         for kind in KIND_ORDER:
-            seen = []
-
-            def recording(*args):
-                bounds, refine = real(*args)
-
-                def recorded(start, chosen, top):
-                    seen.append((start, chosen))
-                    return bounds(start, chosen, top)
-
-                return recorded, refine
-
-            with mock.patch.object(solvers, "_bound_fn", recording):
-                search = solvers._searcher(g, kind)
-            together = search(1, g.n - 1)
-            assert len(set(seen)) == len(seen), kind.key
-            for size in range(g.n + 1):
-                assert together[size] == search(size, size)[size], (kind.key, size)
+            scored = solvers._searcher(g, kind)(1, g.n - 1)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solvers, "_LEAF", 0)
+                branched = solvers._searcher(g, kind)(1, g.n - 1)
+            assert scored == branched, kind.key
 
     def test_witnesses_match_golden(self):
         # an admissible bound prunes only subtrees that cannot beat the
         # incumbent, so tightening it keeps the sequence of improving leaves
         # and with it every witness the search returns
-        graphs = {
-            "cycle:7": cycle(7),
-            "hypercube:3": hypercube(3),
-            "petersen": load_graph_text((FIXTURES / "petersen.g6").read_text()),
-            "random:9:0.4@5": from_spec("random:9:0.4", 5),
-        }
-        golden = json.loads((GOLDEN / "branch_bound_witnesses.json").read_text())
-        assert set(golden) == set(graphs)
-        for name, g in graphs.items():
-            for kind in KIND_ORDER:
-                found = []
-                for i in range(g.n + 1):
-                    value, witness = branch_bound_extremal(g, kind, i)
-                    found.append([value, witness.bits])
-                assert found == golden[name][kind.key], (name, kind.key)
+        _assert_branch_bound_golden()
+
+    @pytest.mark.parametrize("leaf", [0, 3])
+    def test_witnesses_match_golden_below_leaf(self, monkeypatch, leaf):
+        # cycle:7 and hypercube:3 are one leaf table at the root by default
+        monkeypatch.setattr(solvers, "_LEAF", leaf)
+        _assert_branch_bound_golden()
+
+    def test_search_refuses_more_than_4096_vertices(self):
+        # a leaf table's 16-bit fields would overflow above it
+        with pytest.raises(VertexCapError, match="at most 4096"):
+            profile_branch_bound(empty(4097), MetricKind.MAX_INDUCED, cap=4097)
+
+
+def _assert_bound_calls_within(monkeypatch, pins):
+    for (spec, seed), counts in pins.items():
+        calls = _count_bound_calls(monkeypatch)
+        g = from_spec(spec, seed)
+        walked = profile_exhaustive(g)
+        for kind in KIND_ORDER:
+            assert profile_branch_bound(g, kind).values == walked[kind].values, (spec, kind.key)
+        for kind, pin in zip(KIND_ORDER, counts):
+            assert calls[kind] <= pin, (spec, kind.key, calls[kind])
+
+
+def _assert_one_search_matches_size_by_size(g):
+    real = solvers._bound_fn
+    for kind in KIND_ORDER:
+        seen = []
+
+        def recording(*args):
+            bounds, refine = real(*args)
+
+            def recorded(start, chosen, top):
+                seen.append((start, chosen))
+                return bounds(start, chosen, top)
+
+            return recorded, refine
+
+        with mock.patch.object(solvers, "_bound_fn", recording):
+            search = solvers._searcher(g, kind)
+        together = search(1, g.n - 1)
+        assert len(set(seen)) == len(seen), kind.key
+        for size in range(g.n + 1):
+            assert together[size] == search(size, size)[size], (kind.key, size)
+
+
+def _assert_branch_bound_golden():
+    graphs = {
+        "cycle:7": cycle(7),
+        "hypercube:3": hypercube(3),
+        "petersen": load_graph_text((FIXTURES / "petersen.g6").read_text()),
+        "random:9:0.4@5": from_spec("random:9:0.4", 5),
+    }
+    golden = json.loads((GOLDEN / "branch_bound_witnesses.json").read_text())
+    assert set(golden) == set(graphs)
+    for name, g in graphs.items():
+        for kind in KIND_ORDER:
+            found = []
+            for i in range(g.n + 1):
+                value, witness = branch_bound_extremal(g, kind, i)
+                found.append([value, witness.bits])
+            assert found == golden[name][kind.key], (name, kind.key)
 
 
 class TestProfileInvariants:
