@@ -40,28 +40,27 @@ routes:
 ``all_profiles`` wires the routes into strategies, including a checked
 mode that runs all of them and refuses to return if they disagree.
 
-Bound functions used by the branch and bound, for a partial set S with
-r slots left and a candidate x with a = |adj(x) & S|:
+The branch and bound bounds in its signed frame (always maximize, sign
+= +-1), where a pick x adds sign * (per_degree * deg(x) + per_inside * a)
+to the counter of a partial set S, a = |adj(x) & S|, and r picks T from
+the pool P = order[start:] add inside * e(T) more for the e(T) edges
+inside T, inside = sign * per_inside. By the handshake lemma e(T) = ½
+Σ_{x∈T} deg_T(x), and 0 <= deg_T(x) <= min(p(x), r - 1) with p(x) =
+|adj(x) & P|: the vertices the search skipped are never picked. So one
+rule bounds all six kinds: the doubled term of pick x among r picks is
 
-  max induced:  ½ · (2a + min(deg(x) - a, r - 1))
-  min induced:  a
-  max covered:  deg(x) - a
-  min covered:  ½ · (2(deg(x) - a) - min(deg(x) - a, r - 1))
-  max cut:      deg(x) - 2a
-  min cut:      deg(x) - 2a - min(r - 1, deg(x) - a)
+  2 · (sign · per_degree · deg(x) + inside · a) + max(inside, 0) · min(p(x), r - 1)
 
-Summing the r best (worst) candidate terms over the remaining pool
-never underestimates (overestimates) any completion T, so pruning on an
-incumbent is safe. The halved terms count each edge inside T once: by
-the handshake lemma induced(T) = ½ Σ_{x∈T} deg_T(x), and deg_T(x) is at
-most min(deg(x) - a, r - 1). They are summed doubled and the sum is
-rounded once, down for max and up for min.
-
-One ascending or descending sort of the terms serves every r at a node:
-four kinds' terms do not depend on r, and the min covered term rises
-with deg(x) - a for every r. The max induced and min cut terms of the
-largest live r, R, are admissible for each r <= R, so they screen every
-live size, and a size that passes is bounded again with its own terms.
+and the sum of the r largest terms over the pool, halved once and
+rounded down, is at least the gain of any completion T, so pruning on an
+incumbent is safe. Where inside < 0 (min induced, max covered, max cut)
+no term depends on r, and one sort is exact for every r. Where inside >
+0 (max induced, min covered, min cut) one sort of the terms of the
+largest live r screens every live size, as those terms are admissible
+for each smaller r; a size that passes is bounded again with its own
+terms only while r does not exceed the largest p over the pool, since
+beyond it min(p(x), r - 1) = p(x) for every pool vertex and the screen
+is exact.
 """
 
 from __future__ import annotations
@@ -70,10 +69,9 @@ import functools
 import math
 import struct
 import sys
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 from typing import Callable, Mapping
 
 from .graphs import Graph, VertexSet, complement
@@ -468,62 +466,59 @@ def _leaf_tables(graph: Graph, order: tuple[int, ...], leaf: int) -> list[tuple[
     return tables
 
 
-def _bound_fn(kind: MetricKind, adj, degrees, order) -> tuple[Callable[..., list[int]], Callable[..., int] | None]:
-    """(bounds, refine). bounds(start, chosen, top)[r], for r in [0, top],
-    is at most (max) or at least (min) what r more picks from
-    order[start:] can add to the counter of the set chosen.
+def _bound_fn(kind: MetricKind, adj, degrees, order, pool_mask) -> tuple[Callable[..., tuple[list[int], int]], Callable[..., int]]:
+    """(bounds, refine), in the search's signed frame. bounds(start,
+    chosen, top) returns (sums, exact): sums[r], for r in [0, top], is at
+    least what r more picks from the pool order[start:], the set
+    pool_mask[start], can add to the signed counter of the set chosen.
+    refine(start, chosen, r) is the module docstring's rule for one r.
 
-    Entry r sums the r best terms of the module docstring's table over
-    the pool, doubled and rounded once for the two halved kinds, so one
-    sort and its prefix sums serve every r. That is exact where the terms
-    do not depend on r, and for min covered, whose term rises with
-    f = deg(x) - a for every r: its r best are those of the r smallest f.
-    Max induced and min cut list the sums of the terms of r = top, which
-    are admissible for each r <= top but looser; refine(start, chosen, r)
-    is their exact bound for one r, and None for the other four kinds.
+    sums[r] sums the r largest terms of r = top, which are admissible for
+    each r <= top, and equals refine(start, chosen, r) from r = exact on:
+    for every r where inside < 0, whose terms do not depend on r (exact
+    is 0), and where inside > 0 once r exceeds the largest p over the
+    pool (exact is the smaller of top and that p plus one). The search
+    refines only the live sizes below exact.
     """
-    maximize = kind.is_max
-    if kind in (MetricKind.MAX_INDUCED, MetricKind.MIN_CUT):
-        pool = [(adj[v], degrees[v]) for v in order]
-        if maximize:
-            def terms(start: int, chosen: int, k: int) -> list[int]:
-                # 2a + min(deg - a, k)
-                return [d + a if (a := (nb & chosen).bit_count()) + k >= d else 2 * a + k for nb, d in pool[start:]]
-        else:
-            def terms(start: int, chosen: int, k: int) -> list[int]:
-                # deg - 2a - min(k, deg - a)
-                return [-a if (a := (nb & chosen).bit_count()) + k >= d else d - 2 * a - k for nb, d in pool[start:]]
-
-        # max induced's terms are the doubled ones, halved once per sum
-        def bounds(start: int, chosen: int, top: int) -> list[int]:
-            sums = accumulate(sorted(terms(start, chosen, top - 1), reverse=maximize), initial=0)
-            return [total // 2 for total in sums] if maximize else list(sums)
+    sign = 1 if kind.is_max else -1
+    per_degree, per_inside = _GAIN[kind.counter]
+    inside = sign * per_inside
+    pool = [(adj[v], sign * per_degree * degrees[v]) for v in order]
+    if inside < 0:
+        # deg_T(x) >= 0 drops the inside-edge term, so the doubled terms
+        # are even and the same for every r: summed undoubled, one sort is
+        # exact for every r
+        def bounds(start: int, chosen: int, top: int) -> tuple[list[int], int]:
+            gains = sorted([d + inside * (nb & chosen).bit_count() for nb, d in pool[start:]], reverse=True)
+            return list(accumulate(gains, initial=0)), 0
 
         def refine(start: int, chosen: int, r: int) -> int:
-            total = sum(sorted(terms(start, chosen, r - 1), reverse=maximize)[:r])
-            return total // 2 if maximize else total
+            return bounds(start, chosen, r)[0][r]
 
         return bounds, refine
 
-    # the other kinds rank the pick's own gain: a, deg - a or deg - 2a
-    per_degree, per_inside = _GAIN[kind.counter]
-    pool = [(adj[v], per_degree * degrees[v]) for v in order]
-    if kind is MetricKind.MIN_COVERED:
-        def bounds(start: int, chosen: int, top: int) -> list[int]:
-            free = sorted([d - (nb & chosen).bit_count() for nb, d in pool[start:]])
-            sums = list(accumulate(free, initial=0))
-            # the r smallest f, the j of them up to r - 1 once and the
-            # others twice less r - 1, halved and rounded up
-            return [
-                -((sums[j := bisect_right(free, r - 1, 0, r)] + (r - j) * (r - 1) - 2 * sums[r]) // 2)
-                for r in range(top + 1)
-            ]
-    else:
-        def bounds(start: int, chosen: int, top: int) -> list[int]:
-            ranked = sorted([d + per_inside * (nb & chosen).bit_count() for nb, d in pool[start:]], reverse=maximize)
-            return list(accumulate(ranked, initial=0))
+    def terms(start: int, chosen: int, k: int) -> list[int]:
+        # the doubled term of each pool vertex among k + 1 picks
+        free = pool_mask[start]
+        return [
+            2 * (d + inside * (nb & chosen).bit_count()) + inside * (p if (p := (nb & free).bit_count()) < k else k)
+            for nb, d in pool[start:]
+        ]
 
-    return bounds, None
+    @functools.cache
+    def widest(start: int) -> int:
+        # the largest p over the pool, which chosen does not change
+        free = pool_mask[start]
+        return max([(nb & free).bit_count() for nb, _ in pool[start:]], default=0)
+
+    def bounds(start: int, chosen: int, top: int) -> tuple[list[int], int]:
+        sums = accumulate(sorted(terms(start, chosen, top - 1), reverse=True), initial=0)
+        return [total // 2 for total in islice(sums, top + 1)], min(top, widest(start) + 1)
+
+    def refine(start: int, chosen: int, r: int) -> int:
+        return sum(sorted(terms(start, chosen, r - 1), reverse=True)[:r]) // 2
+
+    return bounds, refine
 
 
 def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple[int, int]]]:
@@ -578,7 +573,6 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
     base = [sign * per_degree * d for d in graph.degrees]
     inside = sign * per_inside
     order = sorted(range(n), key=lambda v: (-sign * graph.degrees[v], v))
-    bounds, refine = _bound_fn(kind, adj, graph.degrees, order)
 
     # per leaf pool size p, its layout and its table at chosen = 0
     leaf = min(_LEAF, n)
@@ -608,6 +602,7 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
         v = order[idx]
         pool_mask[idx] = pool_mask[idx + 1] | 1 << v
         pool_gain[idx] = pool_gain[idx + 1] + base[v] + inside * (adj[v] & pool_mask[idx + 1]).bit_count()
+    bounds, refine = _bound_fn(kind, adj, graph.degrees, order, pool_mask)
 
     def search(lo: int, hi: int) -> list[tuple[int, int]]:
         incumbent = [value for value, _ in seeds]
@@ -625,12 +620,12 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
             top, one = live[-1], picked + 1
             if top > one:
                 # a min kind's incumbent at its ceiling of 0 cannot improve
-                found = bounds(start, chosen, top - picked)
+                found, exact = bounds(start, chosen, top - picked)
                 live = [
                     s for s in live
                     if s == one
-                    or val + sign * found[s - picked] > incumbent[s] < ceiling
-                    and (s == top or not refine or val + sign * refine(start, chosen, s - picked) > incumbent[s])
+                    or val + found[s - picked] > incumbent[s] < ceiling
+                    and (s - picked >= exact or val + refine(start, chosen, s - picked) > incumbent[s])
                 ]
                 if not live:
                     return
@@ -680,28 +675,11 @@ def branch_bound_extremal(
     return value, VertexSet(graph.n, mask)
 
 
-def _branch_bound_profile(graph: Graph, kind: MetricKind, mirror_cut: bool) -> Profile:
-    # Cut counts are invariant under complementing the subset, so with
-    # mirror_cut a cut kind solves sizes up to n/2 and mirrors the rest.
-    n = graph.n
-    mirrored = mirror_cut and kind.counter == "cut"
-    half = n // 2 if mirrored else n
-    lower = _searcher(graph, kind)(1, half)
-    values = []
-    witnesses = []
-    for i in range(n + 1):
-        value, mask = lower[i if i <= half else n - i]
-        values.append(value)
-        witness = VertexSet(n, mask)
-        witnesses.append(witness if i <= half else witness.complement())
-    provenance = "branch-and-bound (lower half mirrored)" if mirrored else "branch-and-bound"
-    return Profile(kind, tuple(values), tuple(witnesses), provenance)
-
-
 def profile_branch_bound(graph: Graph, kind: MetricKind, cap: int | None = None) -> Profile:
     """Same values as profile_exhaustive, computed by the pruned search."""
     _require_within_cap(graph.n, cap)
-    return _branch_bound_profile(graph, kind, mirror_cut=False)
+    values, masks = zip(*_searcher(graph, kind)(1, graph.n))
+    return Profile(kind, values, tuple(VertexSet(graph.n, mask) for mask in masks), "branch-and-bound")
 
 
 # ---------------------------------------------------------------------------
@@ -857,13 +835,16 @@ def _solve(
         return profile_exhaustive(graph, cap=graph.n), None
     if resolved == "checked":
         return _checked_profiles(graph)
-    searched = {
-        kind: _branch_bound_profile(graph, kind, mirror_cut=True)
-        for kind in KIND_ORDER
-        if kind.counter != "covered"
-    }
+    # branch and bound for the induced kinds, and for the cut kinds up to
+    # n/2, whose reduction reads only that lower half and mirrors it
+    n = graph.n
+    searched = {}
+    for kind in KIND_ORDER:
+        if kind.counter != "covered":
+            values, masks = zip(*_searcher(graph, kind)(1, n // 2 if kind.counter == "cut" else n))
+            searched[kind] = Profile(kind, values, tuple(VertexSet(n, mask) for mask in masks), "branch-and-bound")
     reduced = {
-        kind: searched[kind] if kind in searched else profile_by_reduction(graph, kind, bases=searched)
+        kind: searched[kind] if kind.counter == "induced" else profile_by_reduction(graph, kind, bases=searched)
         for kind in KIND_ORDER
     }
     return reduced, None
@@ -877,13 +858,14 @@ def all_profiles(
     """All six profiles under one strategy.
 
     oracle: one exhaustive Gray-code walk, lexicographically first
-    witnesses. reduced: branch and bound for the induced and cut kinds,
-    cut kinds solved up to n/2 and mirrored, the covered kinds derived
-    from the induced ones. checked: the walk on the graph and on its
-    complement, branch and bound for every kind and size, and every
-    reduction; raises InternalInconsistencyError if any value disagrees
-    or any returned witness fails to attain its value. auto: checked for
-    n <= 8, one walk (oracle) above: the walk visits half the subsets and
-    beats branch and bound on all but the sparsest graphs near the cap.
+    witnesses. reduced: branch and bound for the induced kinds, and for
+    the cut kinds up to n/2, which the cut reduction mirrors; the covered
+    kinds derived from the induced ones. checked: the walk on the graph
+    and on its complement, branch and bound for every kind and size, and
+    every reduction; raises InternalInconsistencyError if any value
+    disagrees or any returned witness fails to attain its value. auto:
+    checked for n <= 8, one walk (oracle) above: at n = 24 the walk takes
+    under half a second on every density tried, while branch and bound
+    for all six kinds takes seconds.
     """
     return _solve(graph, strategy, cap)[0]

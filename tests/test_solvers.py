@@ -1,6 +1,7 @@
 import json
 import math
-from itertools import combinations
+import operator
+from itertools import accumulate, combinations
 from pathlib import Path
 from unittest import mock
 
@@ -49,8 +50,8 @@ def small_graphs(draw, max_n=7):
 
 
 def _count_solver_calls(monkeypatch, graph, strategy):
-    # walk: profile_exhaustive calls; search: branch-and-bound profiles,
-    # through the public entry point or the strategies' private one
+    # walk: profile_exhaustive calls; search: branch-and-bound searchers,
+    # one per kind whichever strategy builds it
     import isoprofile.solvers as solvers_mod
 
     calls = {"walk": 0, "search": 0}
@@ -63,7 +64,7 @@ def _count_solver_calls(monkeypatch, graph, strategy):
         return wrapper
 
     monkeypatch.setattr(solvers_mod, "profile_exhaustive", counting("walk", solvers_mod.profile_exhaustive))
-    monkeypatch.setattr(solvers_mod, "_branch_bound_profile", counting("search", solvers_mod._branch_bound_profile))
+    monkeypatch.setattr(solvers_mod, "_searcher", counting("search", solvers_mod._searcher))
     all_profiles(graph, strategy=strategy)
     return calls
 
@@ -294,10 +295,21 @@ class TestBranchBound:
 
 
 @st.composite
+def dense_or_sparse_graphs(draw, max_n=7):
+    # each pair is an edge with probability density / 10, for a density
+    # drawn from 1..9, so sparse and dense graphs both turn up
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    density = draw(st.integers(min_value=1, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    draws = draw(st.lists(st.integers(min_value=0, max_value=9), min_size=len(pairs), max_size=len(pairs)))
+    return from_edge_list(n, [pair for pair, x in zip(pairs, draws) if x < density])
+
+
+@st.composite
 def bound_cases(draw):
     # a graph, a vertex order, a prefix order[:start] holding the chosen
     # set, and 1 <= r <= n - start picks still to make from order[start:]
-    g = draw(small_graphs())
+    g = draw(dense_or_sparse_graphs())
     order = draw(st.permutations(range(g.n)))
     start = draw(st.integers(min_value=0, max_value=g.n - 1))
     chosen = {v for v in order[:start] if draw(st.booleans())}
@@ -305,20 +317,30 @@ def bound_cases(draw):
     return g, order, start, chosen, r
 
 
+def _bound(g, kind, order):
+    # the bound over order, with the pool masks the search passes it
+    pool_mask = list(accumulate([1 << v for v in reversed(order)], operator.or_, initial=0))[::-1]
+    return solvers._bound_fn(kind, g.adj, g.degrees, order, pool_mask)
+
+
 def _count_bound_calls(monkeypatch):
-    # one bounds call per search node that has a live size two or more
-    # picks away
-    calls = dict.fromkeys(KIND_ORDER, 0)
+    # per kind, [bounds calls, refine calls]: one bounds call per search
+    # node that has a live size two or more picks away, and one refine
+    # call per live size that its screen leaves inexact and passes
+    calls = {kind: [0, 0] for kind in KIND_ORDER}
     real = solvers._bound_fn
 
     def counting(kind, *args):
-        bounds, refine = real(kind, *args)
+        functions = real(kind, *args)
 
-        def counted(*call):
-            calls[kind] += 1
-            return bounds(*call)
+        def counted(which):
+            def call(*call_args):
+                calls[kind][which] += 1
+                return functions[which](*call_args)
 
-        return counted, refine
+            return call
+
+        return counted(0), counted(1)
 
     monkeypatch.setattr(solvers, "_bound_fn", counting)
     return calls
@@ -332,44 +354,81 @@ class TestBound:
         edges = g.edges()
         mask = sum(1 << v for v in chosen)
         for kind in KIND_ORDER:
-            bounds, refine = solvers._bound_fn(kind, g.adj, g.degrees, order)
-            found = bounds(start, mask, r)
+            sign = 1 if kind.is_max else -1
+            bounds, refine = _bound(g, kind, order)
+            found, exact = bounds(start, mask, r)
             value = brute_count(edges, chosen, kind.counter)
             for picked in range(1, r + 1):
-                completions = [
-                    brute_count(edges, chosen | set(picks), kind.counter)
+                best = max(
+                    sign * brute_count(edges, chosen | set(picks), kind.counter)
                     for picks in combinations(order[start:], picked)
-                ]
-                for bound in [found[picked]] + ([refine(start, mask, picked)] if refine else []):
-                    if kind.is_max:
-                        assert value + bound >= max(completions), (kind.key, picked)
-                    else:
-                        assert value + bound <= min(completions), (kind.key, picked)
+                )
+                for bound in (found[picked], refine(start, mask, picked)):
+                    assert sign * value + bound >= best, (kind.key, picked)
+                if picked >= exact:
+                    # the search skips refine here, so the screen must be it
+                    assert found[picked] == refine(start, mask, picked), (kind.key, picked)
+
+    @pytest.mark.parametrize("kind, bound", [
+        (MetricKind.MAX_INDUCED, 0),
+        (MetricKind.MIN_COVERED, 4),
+        (MetricKind.MIN_CUT, 4),
+    ])
+    def test_skipped_vertices_are_no_neighbours(self, kind, bound):
+        # star(8) with its centre skipped: four picks among the leaves
+        # induce no edge, cover four and cut four. Counting the centre as
+        # a neighbour, as deg(x) - a does, gives 2, 2 and 0
+        sign = 1 if kind.is_max else -1
+        bounds, refine = _bound(star(8), kind, list(range(8)))
+        assert sign * bounds(1, 0, 4)[0][4] == bound
+        assert sign * refine(1, 0, 4) == bound
 
     def test_max_induced_counts_each_future_edge_once(self):
         # four picks from K8 induce C(4, 2) = 6 edges; counting every edge
         # from both ends would give 12
         k8 = complete(8)
-        bounds, _ = solvers._bound_fn(MetricKind.MAX_INDUCED, k8.adj, k8.degrees, list(range(8)))
-        assert bounds(0, 0, 4)[4] == 6
+        bounds, _ = _bound(k8, MetricKind.MAX_INDUCED, list(range(8)))
+        assert bounds(0, 0, 4)[0][4] == 6
+
+    def test_building_the_bound_allocates_no_pool_degree_table(self):
+        # the pool degree p(x) is counted at each call, and the largest p
+        # is kept once per start: an n x n table of p would take about
+        # 8 MB here
+        import tracemalloc
+
+        g = from_spec("random:1024:0.5", 1)
+        order = list(range(g.n))
+        tracemalloc.start()
+        try:
+            bounds, _ = _bound(g, MetricKind.MAX_INDUCED, order)
+            bounds(0, 0, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
     def test_search_nodes_do_not_regress(self, monkeypatch):
-        # timing-free regression signal: bounds calls per kind in the one
-        # search that solves every size, on two fixed graphs; a search per
-        # size made 274/428/428/274/428/371 calls on regular:10:3 and
-        # 994/5753/4057/3475/7961/6298 on random:16:0.5, and the search
-        # without leaf tables the counts pinned in the next test
+        # timing-free regression signal: (bounds, refine) calls per kind in
+        # the one search that solves every size, on three fixed graphs.
+        # Capping inside edges by deg(x) - a instead of the pool degree
+        # made 13 bounds calls per kind on regular:10:3, 201/612/473/554/
+        # 722/824 on random:16:0.5 and 9897/8386/8386/9897/8386/11281 on
+        # regular:20:4; a search per size made 274/428/428/274/428/371
+        # and 994/5753/4057/3475/7961/6298 on the first two
         _assert_bound_calls_within(monkeypatch, {
-            ("regular:10:3", 3): (13, 13, 13, 13, 13, 13),
-            ("random:16:0.5", 1729): (201, 612, 473, 554, 722, 824),
+            ("regular:10:3", 3): ((13, 3), (13, 0), (13, 0), (13, 3), (13, 0), (13, 5)),
+            ("random:16:0.5", 1729): ((139, 67), (612, 0), (473, 0), (496, 718), (722, 0), (819, 1938)),
+            ("regular:20:4", 1729): ((3370, 397), (8386, 0), (8386, 0), (3370, 397), (8386, 0), (5136, 1009)),
         })
 
     def test_search_nodes_do_not_regress_without_leaf_tables(self, monkeypatch):
-        # the bound's own pruning, down to single picks
+        # the bound's own pruning, down to single picks; capping inside
+        # edges by deg(x) - a made 74/87/87/74/87/95 and 218/1455/1010/
+        # 723/1995/1150 bounds calls
         monkeypatch.setattr(solvers, "_LEAF", 0)
         _assert_bound_calls_within(monkeypatch, {
-            ("regular:10:3", 3): (74, 87, 87, 74, 87, 95),
-            ("random:16:0.5", 1729): (218, 1455, 1010, 723, 1995, 1150),
+            ("regular:10:3", 3): ((48, 5), (87, 0), (87, 0), (48, 5), (87, 0), (70, 10)),
+            ("random:16:0.5", 1729): ((154, 69), (1455, 0), (1010, 0), (647, 807), (1995, 0), (1070, 2075)),
         })
 
     @given(small_graphs(max_n=8))
@@ -428,7 +487,7 @@ def _assert_bound_calls_within(monkeypatch, pins):
         for kind in KIND_ORDER:
             assert profile_branch_bound(g, kind).values == walked[kind].values, (spec, kind.key)
         for kind, pin in zip(KIND_ORDER, counts):
-            assert calls[kind] <= pin, (spec, kind.key, calls[kind])
+            assert all(made <= most for made, most in zip(calls[kind], pin)), (spec, kind.key, calls[kind])
 
 
 def _assert_one_search_matches_size_by_size(g):
