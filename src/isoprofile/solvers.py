@@ -25,13 +25,17 @@ routes:
   search for every size at once. Each node carries the sizes that no
   ancestor pruned, and bounds them all from one sorted list of
   admissible completion terms; greedy picks seed each size's
-  incumbent. A node with at most 8 pool vertices stops branching and
-  scores its live sizes from one packed table of 16-bit fields over the
-  pool's subsets, grouped by size and, within a size, in depth-first
-  order; a size takes the first field of its maximum only when it
-  strictly beats the incumbent, which is the set the branching would
-  keep. Values match the exhaustive route; witnesses are the first
-  optimum it reaches.
+  incumbent. A node with at most 12 pool vertices stops branching and
+  scores each live size t from one packed table of 16-bit fields over
+  the pool's t-subsets, in depth-first order. A broadword carry test
+  (one multiply, one add, two XORs and an AND) finds whether any field
+  strictly beats the incumbent, and only then is the table decoded and
+  the first field of its maximum taken, which is the set the branching
+  would keep. A table is built the first time
+  a node reads it, and is shared by the kinds that order the vertices
+  alike. A field holds at most 12 (2n - 1), below 2^16 for n <= 2^15 /
+  12, so the search takes at most 2730 vertices. Values match the
+  exhaustive route; witnesses are the first optimum it reaches.
 * ``profile_by_reduction``: derive one profile from already computed
   ones through exact counting identities (cover totals from induced
   counts of complementary subsets, induced counts through the
@@ -72,7 +76,7 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate, combinations, islice
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .graphs import Graph, VertexSet, complement
 from .metrics import metrics_from_mask
@@ -422,63 +426,71 @@ def extremal_exhaustive(
 _GAIN = {"induced": (0, 1), "covered": (1, -1), "cut": (1, -2)}
 
 # A search node whose pool has at most _LEAF vertices scores its live
-# sizes from one table over the pool's subsets instead of branching. A
-# field of that table holds n per pick plus the signed counter change of
-# its picks, which each change the counter by at most n - 1 either way,
-# so it lies in [1, _LEAF * (2n - 1)]: below 2^16 for n <= 4096.
-_LEAF = 8
-_SEARCH_MAX_N = 4096
+# sizes from tables over the pool's subsets instead of branching. A field
+# of such a table holds n per pick plus the signed counter change of its
+# picks, which each change the counter by at most n - 1 either way, so it
+# lies in [1, _LEAF * (2n - 1)]: below 2^16 for n <= 2^15 / _LEAF.
+_LEAF = 12
+_SEARCH_MAX_N = (1 << 15) // _LEAF
 
 
 @functools.cache
-def _leaf_layout(p: int):
-    # Field order over the 2^p subsets T of pool positions 0..p-1: by
-    # size, then in the order the depth-first search reaches them, which
-    # is lexicographic in T's sorted positions. Returns each field's T as
-    # a position mask, each size's field range [a, z), per position j the
-    # int whose field T is 1 when T holds j, and the int whose field T is
-    # |T|.
-    subsets, spans = [], []
-    for t in range(p + 1):
-        a = len(subsets)
-        subsets += [sum(1 << j for j in picks) for picks in combinations(range(p), t)]
-        spans.append((a, len(subsets)))
+def _leaf_layout(p: int, t: int) -> tuple[list[int], list[int], int]:
+    # The t-subsets T of pool positions 0..p-1 in the order the
+    # depth-first search reaches them, which is lexicographic in T's
+    # sorted positions. Returns each T as a position mask, per position j
+    # the int of 16-bit fields whose field T is 1 when T holds j (bit j of
+    # every field of the masks packed as one int), and the int with every
+    # field 1.
+    subsets = list(map(sum, combinations([1 << j for j in range(p)], t)))
     pack = struct.Struct(f"{len(subsets)}H").pack
-    members = [int.from_bytes(pack(*[subset >> j & 1 for subset in subsets]), sys.byteorder) for j in range(p)]
-    return subsets, spans, members, sum(members)
+    masks, ones = (int.from_bytes(pack(*fields), sys.byteorder) for fields in (subsets, [1] * len(subsets)))
+    return subsets, [masks >> j & ones for j in range(p)], ones
+
+
+def _leaf_sums(degrees: tuple[int, ...], pool: tuple[int, ...], edges: list[tuple[int, int]], t: int) -> tuple[int, int]:
+    # the ints whose field T, a t-subset of pool, holds the degree sum of
+    # T and the number of edges, given as pairs of pool positions, inside T
+    members = _leaf_layout(len(pool), t)[1]
+    return sum(degrees[v] * member for v, member in zip(pool, members)), sum(members[i] & members[j] for i, j in edges)
 
 
 @functools.lru_cache(maxsize=2)
-def _leaf_tables(graph: Graph, order: tuple[int, ...], leaf: int) -> list[tuple[int, int]]:
-    # Per pool size p <= leaf, over the pool order[n - p:], the ints whose
-    # field T holds the degree sum of T and the edges inside T. They
-    # depend on the graph and the order only, so the kinds that share an
-    # order (the max kinds, the min kinds, all six on a regular graph)
-    # share them.
-    n, adj, degrees = graph.n, graph.adj, graph.degrees
-    tables = []
-    for p in range(min(leaf, n) + 1):
-        pool, members = order[n - p :], _leaf_layout(p)[2]
-        tables.append((
-            sum(degrees[v] * member for v, member in zip(pool, members)),
-            sum(members[i] & members[j] for j in range(p) for i in range(j) if adj[pool[i]] >> pool[j] & 1),
-        ))
-    return tables
+def _leaf_tables(graph: Graph, order: tuple[int, ...]) -> Callable[[int, int], tuple[int, int]]:
+    # table(p, t) is _leaf_sums over the pool order[n - p:], built on first
+    # use. The sums depend on the graph and the order only, so the kinds
+    # that share an order (the max kinds, the min kinds, all six on a
+    # regular graph) share them. The pool's edges are listed once per p.
+    n, adj = graph.n, graph.adj
+    edges: dict[int, list[tuple[int, int]]] = {}
+    tables: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def table(p: int, t: int) -> tuple[int, int]:
+        found = tables.get((p, t))
+        if found is None:
+            pool = order[n - p :]
+            if p not in edges:
+                edges[p] = [(i, j) for j in range(p) for i in range(j) if adj[pool[i]] >> pool[j] & 1]
+            found = tables[p, t] = _leaf_sums(graph.degrees, pool, edges[p], t)
+        return found
+
+    return table
 
 
-def _bound_fn(kind: MetricKind, adj, degrees, order, pool_mask) -> tuple[Callable[..., tuple[list[int], int]], Callable[..., int]]:
+def _bound_fn(kind: MetricKind, adj, degrees, order, pool_mask) -> tuple[Callable[..., tuple[list[int], int, list]], Callable[..., int]]:
     """(bounds, refine), in the search's signed frame. bounds(start,
-    chosen, top) returns (sums, exact): sums[r], for r in [0, top], is at
-    least what r more picks from the pool order[start:], the set
+    chosen, top) returns (sums, exact, terms): sums[r], for r in [0, top],
+    is at least what r more picks from the pool order[start:], the set
     pool_mask[start], can add to the signed counter of the set chosen.
-    refine(start, chosen, r) is the module docstring's rule for one r.
+    terms are the node's terms, and refine(terms, r) is the module
+    docstring's rule for one r, reusing them.
 
     sums[r] sums the r largest terms of r = top, which are admissible for
-    each r <= top, and equals refine(start, chosen, r) from r = exact on:
-    for every r where inside < 0, whose terms do not depend on r (exact
-    is 0), and where inside > 0 once r exceeds the largest p over the
-    pool (exact is the smaller of top and that p plus one). The search
-    refines only the live sizes below exact.
+    each r <= top, and equals refine(terms, r) from r = exact on: for
+    every r where inside < 0, whose terms do not depend on r (exact is
+    0), and where inside > 0 once r exceeds the largest p over the pool
+    (exact is the smaller of top and that p plus one). The search refines
+    only the live sizes below exact.
     """
     sign = 1 if kind.is_max else -1
     per_degree, per_inside = _GAIN[kind.counter]
@@ -488,35 +500,35 @@ def _bound_fn(kind: MetricKind, adj, degrees, order, pool_mask) -> tuple[Callabl
         # deg_T(x) >= 0 drops the inside-edge term, so the doubled terms
         # are even and the same for every r: summed undoubled, one sort is
         # exact for every r
-        def bounds(start: int, chosen: int, top: int) -> tuple[list[int], int]:
+        def bounds(start: int, chosen: int, top: int) -> tuple[list[int], int, list[int]]:
             gains = sorted([d + inside * (nb & chosen).bit_count() for nb, d in pool[start:]], reverse=True)
-            return list(accumulate(gains, initial=0)), 0
+            return list(accumulate(gains, initial=0)), 0, gains
 
-        def refine(start: int, chosen: int, r: int) -> int:
-            return bounds(start, chosen, r)[0][r]
+        def refine(gains: list[int], r: int) -> int:
+            return sum(gains[:r])
 
         return bounds, refine
 
-    def terms(start: int, chosen: int, k: int) -> list[int]:
-        # the doubled term of each pool vertex among k + 1 picks
+    def doubled(terms: list[tuple[int, int]], k: int) -> list[int]:
+        # the doubled term of each pool vertex among k + 1 picks, largest first
+        return sorted([fixed + inside * (p if p < k else k) for fixed, p in terms], reverse=True)
+
+    # per start, the largest p over the pool plus one, which chosen does not change
+    widest: dict[int, int] = {}
+    pool, twice = [(nb, 2 * d) for nb, d in pool], 2 * inside
+
+    def bounds(start: int, chosen: int, top: int) -> tuple[list[int], int, list[tuple[int, int]]]:
+        # per pool vertex, its doubled term without the inside-edge cap, and p
         free = pool_mask[start]
-        return [
-            2 * (d + inside * (nb & chosen).bit_count()) + inside * (p if (p := (nb & free).bit_count()) < k else k)
-            for nb, d in pool[start:]
-        ]
+        terms = [(d + twice * (nb & chosen).bit_count(), (nb & free).bit_count()) for nb, d in pool[start:]]
+        exact = widest.get(start)
+        if exact is None:
+            exact = widest[start] = max([p for _, p in terms], default=0) + 1
+        sums = accumulate(doubled(terms, top - 1), initial=0)
+        return [total // 2 for total in islice(sums, top + 1)], min(top, exact), terms
 
-    @functools.cache
-    def widest(start: int) -> int:
-        # the largest p over the pool, which chosen does not change
-        free = pool_mask[start]
-        return max([(nb & free).bit_count() for nb, _ in pool[start:]], default=0)
-
-    def bounds(start: int, chosen: int, top: int) -> tuple[list[int], int]:
-        sums = accumulate(sorted(terms(start, chosen, top - 1), reverse=True), initial=0)
-        return [total // 2 for total in islice(sums, top + 1)], min(top, widest(start) + 1)
-
-    def refine(start: int, chosen: int, r: int) -> int:
-        return sum(sorted(terms(start, chosen, r - 1), reverse=True)[:r]) // 2
+    def refine(terms: list[tuple[int, int]], r: int) -> int:
+        return sum(doubled(terms, r - 1)[:r]) // 2
 
     return bounds, refine
 
@@ -550,20 +562,31 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
     as in a search for that size alone.
 
     A node whose pool holds p <= _LEAF vertices does not branch: after
-    the whole pool and the bound it scores every live size from one leaf
-    table over the pool's 2^p subsets T, packed as 16-bit fields of one
-    int. The fields are grouped by |T| and, within a size, run in the
-    order the depth-first search below the node would reach the sets,
-    lexicographic in their pool positions. Field T holds n|T| plus the
+    the whole pool and the bound it scores each live size, t picks away,
+    from one leaf table over the pool's C(p, t) subsets T of size t,
+    packed as 16-bit fields of one int. The fields run in the order the
+    depth-first search below the node would reach the sets,
+    lexicographic in their pool positions. Field T holds nt plus the
     signed counter that T adds to chosen: the part fixed by the pool
     (signed degree terms, inside times the edges inside T) is tabulated
-    once per graph, order and p, and the node adds inside * |adj(v) &
-    chosen| times the indicator int of each pool vertex v. One decode and
-    one C-level max per live size follow. A size takes the first field
-    of its maximum, and only if that strictly beats its incumbent: the
-    branching search would end this subtree holding exactly that set, the
-    first of the best value it reaches, so values, witnesses and the
-    state every later node sees are unchanged.
+    once per graph, order and (p, t), and the node adds inside * |adj(v)
+    & chosen| times the indicator int of each pool vertex v. A field
+    beats the incumbent when it reaches the least such value d, and
+    adding 2^16 - d to every field carries out of some field exactly
+    when one does (Knuth, TAOCP 4A, 7.1.3), so one test on the packed
+    int says whether the size improves; on random:24:0.5 and
+    regular:24:3 fewer than 1% of leaf reads do. Only then follow one
+    decode and one C-level max, and the size takes the first field of
+    its maximum: the branching search would end this subtree holding
+    exactly that set, the first of the best value it reaches, so values,
+    witnesses and the state every later node sees are unchanged.
+
+    Only the live sizes are filled, and each table is built the first
+    time a leaf reads it: its degree and edge sums once per graph and
+    order, shared by the kinds with that order, and its signed table
+    once per searcher. A leaf on random:24:0.5 or regular:24:3 reads
+    about three live sizes, a small part of all 2^p fields. The fields stay below 2^16
+    for n <= _SEARCH_MAX_N = 2^15 // _LEAF.
     """
     n, adj = graph.n, graph.adj
     if n > _SEARCH_MAX_N:
@@ -574,12 +597,21 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
     inside = sign * per_inside
     order = sorted(range(n), key=lambda v: (-sign * graph.degrees[v], v))
 
-    # per leaf pool size p, its layout and its table at chosen = 0
+    # per leaf pool size p and pick count t, its layout and its table at
+    # chosen = 0, built when a leaf first reads it
     leaf = min(_LEAF, n)
-    leaves = []
-    for p, (degrees, edges) in enumerate(_leaf_tables(graph, tuple(order), leaf)):
-        subsets, spans, members, sizes = _leaf_layout(p)
-        leaves.append((subsets, spans, members, n * sizes + sign * per_degree * degrees + inside * edges))
+    sums = _leaf_tables(graph, tuple(order))
+    leaves = [[None] * (p + 1) for p in range(leaf + 1)]
+
+    def leaf_table(p: int, t: int) -> tuple[list[int], list[int], int, int, int]:
+        # with the int of every field 1 and the int of the bits a carry out
+        # of each field lands on
+        degrees, edges = sums(p, t)
+        subsets, members, ones = _leaf_layout(p, t)
+        table = n * t * ones + sign * per_degree * degrees + inside * edges
+        leaves[p][t] = found = (subsets, members, table, ones, ones << 16)
+        return found
+
     # counters are never negative, and no max kind's bound beats m + 1
     ceiling = graph.m + 1 if sign > 0 else 0
 
@@ -620,29 +652,41 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
             top, one = live[-1], picked + 1
             if top > one:
                 # a min kind's incumbent at its ceiling of 0 cannot improve
-                found, exact = bounds(start, chosen, top - picked)
+                found, exact, terms = bounds(start, chosen, top - picked)
                 live = [
                     s for s in live
                     if s == one
                     or val + found[s - picked] > incumbent[s] < ceiling
-                    and (s - picked >= exact or val + refine(start, chosen, s - picked) > incumbent[s])
+                    and (s - picked >= exact or val + refine(terms, s - picked) > incumbent[s])
                 ]
                 if not live:
                     return
             if n - start <= leaf:
-                subsets, spans, members, table = leaves[n - start]
-                pool = order[start:]
-                shared = [a * member for v, member in zip(pool, members) if (a := (adj[v] & chosen).bit_count())]
-                fields = memoryview((table + inside * sum(shared)).to_bytes(2 << n - start, sys.byteorder)).cast("H")
+                p, pool = n - start, order[start:]
+                counts = [(adj[v] & chosen).bit_count() for v in pool]
+                row = leaves[p]
                 for s in live:
-                    at, end = spans[s - picked]
-                    most = max(fields[at:end])
-                    if val + most - n * (s - picked) > incumbent[s]:
-                        # the first field of the maximum is the first set
-                        # the depth-first search would reach with it
-                        picks = subsets[at + fields[at:end].tolist().index(most)]
-                        incumbent[s] = val + most - n * (s - picked)
-                        best[s] = chosen | sum([1 << v for j, v in enumerate(pool) if picks >> j & 1])
+                    t = s - picked
+                    subsets, members, table, ones, carries = row[t] or leaf_table(p, t)
+                    packed = table + inside * sum([a * member for a, member in zip(counts, members) if a])
+                    # A field beats the incumbent when it reaches least, which
+                    # every field (at least t) does if least <= 1 and none
+                    # (below 2^16) does if least = 2^16. Otherwise, with
+                    # 2^16 - least added to every field, some field carries
+                    # out exactly when one reaches least: the lowest field
+                    # that carries had no carry in.
+                    least = min(incumbent[s] - val + n * t + 1, 0x10000)
+                    if least > 1:
+                        lift = (0x10000 - least) * ones
+                        if not (packed + lift ^ packed ^ lift) & carries:
+                            continue
+                    # the first field of the maximum is the first set the
+                    # depth-first search would reach with it
+                    fields = memoryview(packed.to_bytes(2 * len(subsets), sys.byteorder)).cast("H")
+                    most = max(fields)
+                    picks = subsets[fields.tolist().index(most)]
+                    incumbent[s] = val + most - n * t
+                    best[s] = chosen | sum([1 << v for j, v in enumerate(pool) if picks >> j & 1])
                 return
             first, low, high = live[0], live[0] == one, len(live)
             for idx in range(start, n - first + picked + 1):
@@ -773,8 +817,8 @@ def profile_by_reduction(
 # Strategy layer
 
 
-def _first_mismatch(a: Profile, b: Profile) -> int | None:
-    for i, (x, y) in enumerate(zip(a.values, b.values)):
+def _first_mismatch(a: Sequence[int], b: Sequence[int]) -> int | None:
+    for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
             return i
     return None
@@ -787,18 +831,19 @@ def _checked_profiles(
     # values the reductions have just checked against them.
     exhaustive = profile_exhaustive(graph, cap=graph.n)
     for kind in KIND_ORDER:
-        bounded = profile_branch_bound(graph, kind, cap=graph.n)
-        i = _first_mismatch(exhaustive[kind], bounded)
+        # only the values are compared, so no witness set is built
+        bounded = [value for value, _ in _searcher(graph, kind)(1, graph.n)]
+        i = _first_mismatch(exhaustive[kind].values, bounded)
         if i is not None:
             raise InternalInconsistencyError(
                 f"solver routes disagree on {kind.key} at i={i}: "
                 f"exhaustive={exhaustive[kind].values[i]}, "
-                f"branch-and-bound={bounded.values[i]}"
+                f"branch-and-bound={bounded[i]}"
             )
     co = profile_exhaustive(complement(graph), cap=graph.n)
     for kind in KIND_ORDER:
         derived = profile_by_reduction(graph, kind, bases=exhaustive, complement_bases=co)
-        i = _first_mismatch(exhaustive[kind], derived)
+        i = _first_mismatch(exhaustive[kind].values, derived.values)
         if i is not None:
             raise InternalInconsistencyError(
                 f"reduction route disagrees on {kind.key} at i={i}: "

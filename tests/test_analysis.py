@@ -231,12 +231,12 @@ class TestVerifySolveCounts:
     @pytest.mark.parametrize("strategy", ["checked", "auto"])
     @pytest.mark.parametrize("graph", [cycle(6), star(7), random_graph(8, 0.5, 3)], ids=["C6", "S7", "G8"])
     def test_checked_verify_solves_complement_once(self, monkeypatch, strategy, graph):
-        # one walk on the graph, one on its complement, branch and bound
-        # once per kind; the identity suite reuses the complement walk
+        # one walk on the graph, one on its complement, one branch-and-bound
+        # search built per kind; the identity suite reuses the complement walk
         import isoprofile.solvers as solvers_mod
 
         walks = self._count(monkeypatch, solvers_mod, "profile_exhaustive")
-        searches = self._count(monkeypatch, solvers_mod, "profile_branch_bound")
+        searches = self._count(monkeypatch, solvers_mod, "_searcher")
         report = verify_theorem(graph, strategy=strategy)
         assert report.consistent
         assert walks == [graph, complement(graph)]

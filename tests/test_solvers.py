@@ -356,18 +356,18 @@ class TestBound:
         for kind in KIND_ORDER:
             sign = 1 if kind.is_max else -1
             bounds, refine = _bound(g, kind, order)
-            found, exact = bounds(start, mask, r)
+            found, exact, terms = bounds(start, mask, r)
             value = brute_count(edges, chosen, kind.counter)
             for picked in range(1, r + 1):
                 best = max(
                     sign * brute_count(edges, chosen | set(picks), kind.counter)
                     for picks in combinations(order[start:], picked)
                 )
-                for bound in (found[picked], refine(start, mask, picked)):
+                for bound in (found[picked], refine(terms, picked)):
                     assert sign * value + bound >= best, (kind.key, picked)
                 if picked >= exact:
                     # the search skips refine here, so the screen must be it
-                    assert found[picked] == refine(start, mask, picked), (kind.key, picked)
+                    assert found[picked] == refine(terms, picked), (kind.key, picked)
 
     @pytest.mark.parametrize("kind, bound", [
         (MetricKind.MAX_INDUCED, 0),
@@ -380,8 +380,9 @@ class TestBound:
         # a neighbour, as deg(x) - a does, gives 2, 2 and 0
         sign = 1 if kind.is_max else -1
         bounds, refine = _bound(star(8), kind, list(range(8)))
-        assert sign * bounds(1, 0, 4)[0][4] == bound
-        assert sign * refine(1, 0, 4) == bound
+        found, _, terms = bounds(1, 0, 4)
+        assert sign * found[4] == bound
+        assert sign * refine(terms, 4) == bound
 
     def test_max_induced_counts_each_future_edge_once(self):
         # four picks from K8 induce C(4, 2) = 6 edges; counting every edge
@@ -410,15 +411,17 @@ class TestBound:
     def test_search_nodes_do_not_regress(self, monkeypatch):
         # timing-free regression signal: (bounds, refine) calls per kind in
         # the one search that solves every size, on three fixed graphs.
-        # Capping inside edges by deg(x) - a instead of the pool degree
-        # made 13 bounds calls per kind on regular:10:3, 201/612/473/554/
-        # 722/824 on random:16:0.5 and 9897/8386/8386/9897/8386/11281 on
-        # regular:20:4; a search per size made 274/428/428/274/428/371
-        # and 994/5753/4057/3475/7961/6298 on the first two
+        # Leaves of 8 pool vertices made (13, 3)/(13, 0)/(13, 0)/(13, 3)/
+        # (13, 0)/(13, 5) on regular:10:3, 139/612/473/496/722/819 bounds
+        # calls on random:16:0.5 and 3370/8386/8386/3370/8386/5136 on
+        # regular:20:4. Capping inside edges by deg(x) - a instead of the
+        # pool degree made 201/612/473/554/722/824 and 9897/8386/8386/9897/
+        # 8386/11281 on the last two; a search per size made 274/428/428/
+        # 274/428/371 and 994/5753/4057/3475/7961/6298 on the first two
         _assert_bound_calls_within(monkeypatch, {
-            ("regular:10:3", 3): ((13, 3), (13, 0), (13, 0), (13, 3), (13, 0), (13, 5)),
-            ("random:16:0.5", 1729): ((139, 67), (612, 0), (473, 0), (496, 718), (722, 0), (819, 1938)),
-            ("regular:20:4", 1729): ((3370, 397), (8386, 0), (8386, 0), (3370, 397), (8386, 0), (5136, 1009)),
+            ("regular:10:3", 3): ((1, 2), (1, 0), (1, 0), (1, 2), (1, 0), (1, 2)),
+            ("random:16:0.5", 1729): ((68, 50), (72, 0), (83, 0), (87, 212), (86, 0), (88, 381)),
+            ("regular:20:4", 1729): ((1138, 222), (1099, 0), (1099, 0), (1138, 222), (1099, 0), (1247, 437)),
         })
 
     def test_search_nodes_do_not_regress_without_leaf_tables(self, monkeypatch):
@@ -473,10 +476,51 @@ class TestBound:
         monkeypatch.setattr(solvers, "_LEAF", leaf)
         _assert_branch_bound_golden()
 
-    def test_search_refuses_more_than_4096_vertices(self):
-        # a leaf table's 16-bit fields would overflow above it
-        with pytest.raises(VertexCapError, match="at most 4096"):
-            profile_branch_bound(empty(4097), MetricKind.MAX_INDUCED, cap=4097)
+    @pytest.mark.parametrize("spec, seed", [
+        ("random:13:0.5", 1),
+        ("random:14:0.3", 2),
+        ("regular:15:4", 3),
+        ("random:16:0.7", 4),
+    ])
+    def test_partial_leaves_keep_every_witness(self, spec, seed):
+        # above the leaf size the root branches, and many of its leaves
+        # score only one or two live sizes: values and witnesses do not
+        # depend on where the branching stops
+        g = from_spec(spec, seed)
+        for kind in KIND_ORDER:
+            found = {}
+            for leaf in (0, 8, solvers._LEAF):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(solvers, "_LEAF", leaf)
+                    found[leaf] = solvers._searcher(g, kind)(1, g.n)
+            assert found[0] == found[8] == found[solvers._LEAF], kind.key
+
+    def test_leaf_tables_are_built_lazily_and_shared(self, monkeypatch):
+        # random:10:0.5 is one leaf at the root, and a search for size 4
+        # reads only the (10, 4) sums; the max kinds share one order, so
+        # the second and third search read them from the first
+        built = []
+        real = solvers._leaf_sums
+
+        def counting(degrees, pool, edges, t):
+            built.append((len(pool), t))
+            return real(degrees, pool, edges, t)
+
+        monkeypatch.setattr(solvers, "_leaf_sums", counting)
+        solvers._leaf_tables.cache_clear()
+        g = from_spec("random:10:0.5", 2)
+        walked = profile_exhaustive(g)
+        for kind in (MetricKind.MAX_INDUCED, MetricKind.MAX_COVERED, MetricKind.MAX_CUT):
+            assert solvers._searcher(g, kind)(4, 4)[4][0] == walked[kind].values[4], kind.key
+        assert built == [(10, 4)]
+
+    def test_search_refuses_more_vertices_than_its_fields_hold(self):
+        # a leaf table field holds at most _LEAF * (2n - 1), which must
+        # stay below 2^16, so the vertex limit follows from the leaf size
+        limit = solvers._SEARCH_MAX_N
+        assert solvers._LEAF * (2 * limit - 1) < 1 << 16
+        with pytest.raises(VertexCapError, match=f"at most {limit} vertices"):
+            profile_branch_bound(empty(limit + 1), MetricKind.MAX_INDUCED, cap=limit + 1)
 
 
 def _assert_bound_calls_within(monkeypatch, pins):
