@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
     )
     run.add_argument("--format", choices=["human", "json", "csv"], default="human")
     run.add_argument("--seed", type=int, default=DEFAULT_SEED, help=f"RNG seed (default {DEFAULT_SEED})")
-    run.add_argument("--cap", type=int, default=None, help="override the solver vertex cap (default 24)")
+    run.add_argument("--cap", type=int, default=None, help="override the solver vertex cap (default 24, at most 64)")
     run.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
     profile = sub.add_parser("profile", parents=[source, run], help="emit the six profiles and their difference sequences")

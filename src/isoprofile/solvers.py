@@ -33,9 +33,9 @@ routes:
   the first field of its maximum taken, which is the set the branching
   would keep. A table is built the first time
   a node reads it, and is shared by the kinds that order the vertices
-  alike. A field holds at most 12 (2n - 1), below 2^16 for n <= 2^15 /
-  12, so the search takes at most 2730 vertices. Values match the
-  exhaustive route; witnesses are the first optimum it reaches.
+  alike. A field holds at most 12 (2n - 1), below 2^16 at the solvers'
+  limit of 64 vertices. Values match the exhaustive route; witnesses are
+  the first optimum it reaches.
 * ``profile_by_reduction``: derive one profile from already computed
   ones through exact counting identities (cover totals from induced
   counts of complementary subsets, induced counts through the
@@ -43,6 +43,11 @@ routes:
 
 ``all_profiles`` wires the routes into strategies, including a checked
 mode that runs all of them and refuses to return if they disagree.
+
+Every route refuses a graph above the caller's cap (default 24) and,
+whatever the cap, above 64 vertices: the walk reverses its masks as
+64-bit words and could never finish beyond them, and the search's leaf
+fields and recursion depth are sized for them.
 
 The branch and bound bounds in its signed frame (always maximize, sign
 = +-1), where a pick x adds sign * (per_degree * deg(x) + per_inside * a)
@@ -98,7 +103,7 @@ __all__ = [
     "profile_exhaustive",
 ]
 
-# C(24, 12) subsets per size keep even the exhaustive route feasible.
+# The walk visits 2^(n-1) subsets: at n = 24 it takes under half a second.
 DEFAULT_VERTEX_CAP = 24
 
 STRATEGIES = ("auto", "oracle", "reduced", "checked")
@@ -179,12 +184,15 @@ class Profile:
 
 
 def _require_within_cap(n: int, cap: int | None) -> None:
+    # the one place every route and the command line check a vertex count
     limit = DEFAULT_VERTEX_CAP if cap is None else cap
     if n > limit:
         raise VertexCapError(
             f"graph on {n} vertices exceeds the solver cap of {limit}; "
             f"pass a larger cap explicitly to proceed"
         )
+    if n > 64:
+        raise VertexCapError(f"graph on {n} vertices: the solvers take at most 64 vertices, whatever the cap")
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +313,9 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKi
     is then set exactly where the field matches or beats its size's
     best, and subtracting the all-ones int first leaves only the fields
     that beat it. Every field is nonnegative and at most m < 2^15, so no
-    field carries into or borrows from the next. Step 0 meets only the
-    sentinels and reads every size.
+    field carries into or borrows from the next. At step 0 every best is
+    still its sentinel, -1 or m + 1, which every field beats, so the same
+    test reads every size.
 
     The marks, as bytes, are searched for the sizes they touch. A size
     with a beaten best is decoded (``_fields``, the walk's only decode)
@@ -328,9 +337,6 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKi
     when H falls below it. These are the two cases.
     """
     _require_within_cap(graph.n, cap)
-    if graph.n > 64:
-        # masks are reversed as 64-bit words, and 2^63 steps never finish
-        raise VertexCapError(f"the exhaustive walk takes at most 64 vertices, not {graph.n}")
     n, m = graph.n, graph.m
     adj = _reversed(graph.adj[::-1], n)
     degrees = graph.degrees[::-1]
@@ -352,7 +358,6 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKi
     trackers = [tracker(sign) for _ in range(3) for sign in (1, -1)]
     pairs = trackers[0:2], trackers[2:4], trackers[4:6]
     width, order, top = 2 * len(masks), sys.byteorder, ones << 15
-    everything = b"\x80" * width
     high = cross = high_induced = high_degrees = size = 0
     for step in range(1 << (n - 1 - k)):
         if step:
@@ -368,31 +373,27 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKi
         for packed, pair in zip((induced, covered, covered - induced), pairs):
             fields = None
             for sign, (values, first, last, thresholds) in zip((1, -1), pair):
-                if not step:
-                    # every best is still a sentinel, which every field beats
-                    marks = everything
-                else:
-                    if size not in thresholds:
-                        pieces = [(0x8000 - sign * best).to_bytes(2, order) * (z - a) for best, (a, z) in zip(values[size:], spans)]
-                        thresholds[size] = int.from_bytes(b"".join(pieces), order)
-                    probe = thresholds[size] + packed if sign > 0 else thresholds[size] - packed
-                    hit = probe & top
-                    if not hit:
-                        continue
-                    beat = (probe - ones) & top
-                    # ties alone move no witness while high lies between
-                    # every size's last and first tie
-                    if not beat and max(last[size : size + k + 1]) <= high <= min(first[size : size + k + 1]):
-                        continue
-                    # a matched or beaten field's high byte reads 0x80, and
-                    # a beaten one's low byte too
-                    marks = (hit | beat >> 8).to_bytes(width, order)
+                if size not in thresholds:
+                    pieces = [(0x8000 - sign * best).to_bytes(2, order) * (z - a) for best, (a, z) in zip(values[size:], spans)]
+                    thresholds[size] = int.from_bytes(b"".join(pieces), order)
+                probe = thresholds[size] + packed if sign > 0 else thresholds[size] - packed
+                hit = probe & top
+                if not hit:
+                    continue
+                beat = (probe - ones) & top
+                # ties alone move no witness while high lies between
+                # every size's last and first tie
+                if not beat and max(last[size : size + k + 1]) <= high <= min(first[size : size + k + 1]):
+                    continue
+                # a matched or beaten field's high byte reads 0x80, and
+                # a beaten one's low byte too
+                marks = (hit | beat >> 8).to_bytes(width, order)
                 at = marks.find(0x80)
                 while at >= 0:
                     t, a, z, a2, z2 = where[at >> 1]
                     s = size + t
                     # two 0x80 bytes in a row hold a beaten field's low byte
-                    if not step or marks.find(b"\x80\x80", a2, z2) >= 0:
+                    if marks.find(b"\x80\x80", a2, z2) >= 0:
                         if fields is None:
                             fields, groups = _fields(packed, width), {}
                         group = groups.get(t) or groups.setdefault(t, fields[a:z].tolist())
@@ -429,9 +430,8 @@ _GAIN = {"induced": (0, 1), "covered": (1, -1), "cut": (1, -2)}
 # sizes from tables over the pool's subsets instead of branching. A field
 # of such a table holds n per pick plus the signed counter change of its
 # picks, which each change the counter by at most n - 1 either way, so it
-# lies in [1, _LEAF * (2n - 1)]: below 2^16 for n <= 2^15 / _LEAF.
+# lies in [1, _LEAF * (2n - 1)]: below 2^16 at the solvers' 64 vertices.
 _LEAF = 12
-_SEARCH_MAX_N = (1 << 15) // _LEAF
 
 
 @functools.cache
@@ -585,12 +585,12 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
     time a leaf reads it: its degree and edge sums once per graph and
     order, shared by the kinds with that order, and its signed table
     once per searcher. A leaf on random:24:0.5 or regular:24:3 reads
-    about three live sizes, a small part of all 2^p fields. The fields stay below 2^16
-    for n <= _SEARCH_MAX_N = 2^15 // _LEAF.
+    about three live sizes, a small part of all 2^p fields. A field holds
+    at most _LEAF (2n - 1), and the least value to beat at most m + nt + 1,
+    both below 2^16 at the solvers' limit of 64 vertices, where the
+    recursion is also at most 64 - _LEAF + 1 calls deep.
     """
     n, adj = graph.n, graph.adj
-    if n > _SEARCH_MAX_N:
-        raise VertexCapError(f"branch and bound takes at most {_SEARCH_MAX_N} vertices, not {n}")
     sign = 1 if kind.is_max else -1
     per_degree, per_inside = _GAIN[kind.counter]
     base = [sign * per_degree * d for d in graph.degrees]
@@ -670,12 +670,11 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
                     subsets, members, table, ones, carries = row[t] or leaf_table(p, t)
                     packed = table + inside * sum([a * member for a, member in zip(counts, members) if a])
                     # A field beats the incumbent when it reaches least, which
-                    # every field (at least t) does if least <= 1 and none
-                    # (below 2^16) does if least = 2^16. Otherwise, with
-                    # 2^16 - least added to every field, some field carries
-                    # out exactly when one reaches least: the lowest field
-                    # that carries had no carry in.
-                    least = min(incumbent[s] - val + n * t + 1, 0x10000)
+                    # every field (at least t) does if least <= 1. Otherwise,
+                    # with 2^16 - least added to every field, some field
+                    # carries out exactly when one reaches least: the lowest
+                    # field that carries had no carry in.
+                    least = incumbent[s] - val + n * t + 1
                     if least > 1:
                         lift = (0x10000 - least) * ones
                         if not (packed + lift ^ packed ^ lift) & carries:

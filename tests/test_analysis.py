@@ -400,6 +400,8 @@ class TestHypercubeInequality:
         for d in (0, 27):
             with pytest.raises(ValueError, match="1..26"):
                 hypercube_inequality_check(d)
+        with pytest.raises(VertexCapError, match="at most 64 vertices"):
+            hypercube_inequality_check(7, cap=128)
 
     def test_note_mentions_direction_and_base(self):
         report = hypercube_inequality_check(1)

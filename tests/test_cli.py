@@ -185,6 +185,14 @@ class TestOversizedInputs:
         assert code == 1 and out == ""
         assert "graph on 1048576 vertices exceeds the solver cap of 24" in err
 
+    def test_above_64_vertices_whatever_the_cap(self, capsys, monkeypatch):
+        import isoprofile.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "from_spec", _never_called)
+        code, out, err = run(capsys, "profile", "--gen", "empty:65", "--cap", "65", "--strategy", "reduced")
+        assert code == 1 and out == ""
+        assert "graph on 65 vertices: the solvers take at most 64 vertices" in err
+
     def test_within_cap_still_builds(self, capsys):
         code, out, _ = run(capsys, "profile", "--gen", "hypercube:4", "--format", "csv")
         assert code == 0 and len(out.splitlines()) == 18

@@ -31,6 +31,7 @@ from isoprofile import (
     profile_exhaustive,
     star,
     subset_metrics,
+    verify_theorem,
 )
 from isoprofile import solvers
 from isoprofile.formats import load_graph_text
@@ -515,10 +516,12 @@ class TestBound:
         assert built == [(10, 4)]
 
     def test_search_refuses_more_vertices_than_its_fields_hold(self):
-        # a leaf table field holds at most _LEAF * (2n - 1), which must
-        # stay below 2^16, so the vertex limit follows from the leaf size
-        limit = solvers._SEARCH_MAX_N
+        # at the solvers' limit of 64 vertices a leaf table field, at most
+        # _LEAF * (2n - 1), and the least value a field must reach to beat
+        # its incumbent, at most m + n * _LEAF + 1, stay below 2^16
+        limit = 64
         assert solvers._LEAF * (2 * limit - 1) < 1 << 16
+        assert math.comb(limit, 2) + limit * solvers._LEAF + 1 < 1 << 16
         with pytest.raises(VertexCapError, match=f"at most {limit} vertices"):
             profile_branch_bound(empty(limit + 1), MetricKind.MAX_INDUCED, cap=limit + 1)
 
@@ -751,10 +754,22 @@ class TestCap:
         profile = profile_branch_bound(g, MetricKind.MAX_INDUCED, cap=25)
         assert set(profile.values) == {0}
 
-    def test_walk_refuses_more_than_64_vertices(self):
-        # a raised cap admits the graph, but the walk could never finish
-        with pytest.raises(VertexCapError, match="at most 64"):
-            profile_exhaustive(empty(65), cap=65)
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda g: profile_exhaustive(g, cap=65),
+            lambda g: profile_branch_bound(g, MetricKind.MIN_CUT, cap=65),
+            lambda g: branch_bound_extremal(g, MetricKind.MAX_INDUCED, 3, cap=65),
+            *[lambda g, strategy=strategy: all_profiles(g, strategy, cap=65) for strategy in solvers.STRATEGIES],
+            lambda g: verify_theorem(g, cap=65),
+        ],
+        ids=["exhaustive", "branch_bound", "extremal", *solvers.STRATEGIES, "verify"],
+    )
+    def test_every_route_refuses_more_than_64_vertices(self, route):
+        # a raised cap admits the graph, but the walk could never finish,
+        # and every other route shares its limit
+        with pytest.raises(VertexCapError, match="at most 64 vertices"):
+            route(empty(65))
 
     def test_constructors_ignore_cap(self):
         assert empty(30).n == 30
