@@ -27,19 +27,21 @@ routes:
   admissible completion terms; greedy picks seed each size's
   incumbent. A node with at most 12 pool vertices stops branching and
   scores each live size t from one packed table of 16-bit fields over
-  the pool's t-subsets, in depth-first order. A broadword carry test
-  (one multiply, one add, two XORs and an AND) finds whether any field
-  strictly beats the incumbent, and only then is the table decoded and
-  the first field of its maximum taken, which is the set the branching
-  would keep. A table is built the first time
-  a node reads it, and is shared by the kinds that order the vertices
-  alike. A field holds at most 12 (2n - 1), below 2^16 at the solvers'
-  limit of 64 vertices. Values match the exhaustive route; witnesses are
-  the first optimum it reaches.
+  the pool's t-subsets, in depth-first order. The walk's threshold test
+  (one multiply, one add and an AND) finds whether any field strictly
+  beats the incumbent, and only then is the table decoded and the first
+  field of its maximum taken, which is the set the branching would
+  keep. A table is built the first time a node reads it, and is shared
+  by the kinds that order the vertices alike. A field holds at most
+  12 (2n - 1), below 2^15 at the solvers' limit of 64 vertices. Values
+  match the exhaustive route; witnesses are the first optimum it
+  reaches.
 * ``profile_by_reduction``: derive one profile from already computed
-  ones through exact counting identities (cover totals from induced
-  counts of complementary subsets, induced counts through the
-  complement graph, cut profiles mirrored around n/2).
+  ones through exact counting identities. The covered and the induced
+  kinds both read the induced profile of the opposite sense: a cover
+  count is m minus the induced count of the complementary subset, and
+  an induced count is C(i, 2) minus the complement graph's. A cut
+  profile is its own lower half mirrored around n/2.
 
 ``all_profiles`` wires the routes into strategies, including a checked
 mode that runs all of them and refuses to return if they disagree.
@@ -127,21 +129,12 @@ class MetricKind(Enum):
     MAX_CUT = ("cut", "max")
     MIN_CUT = ("cut", "min")
 
-    @property
-    def counter(self) -> str:
-        return self.value[0]
-
-    @property
-    def sense(self) -> str:
-        return self.value[1]
-
-    @property
-    def is_max(self) -> bool:
-        return self.value[1] == "max"
-
-    @property
-    def key(self) -> str:
-        return self.name.lower()
+    def __init__(self, counter: str, sense: str) -> None:
+        # plain attributes: the checks read them per witness and per size
+        self.counter = counter
+        self.sense = sense
+        self.is_max = sense == "max"
+        self.key = self.name.lower()
 
 
 KIND_ORDER = (
@@ -218,6 +211,18 @@ def _reversed(masks: list[int], n: int) -> list[int]:
 _BLOCK = 10
 
 
+def _pack(fields: Sequence[int]) -> int:
+    # one int of 16-bit fields, the first field lowest
+    return int.from_bytes(struct.pack(f"{len(fields)}H", *fields), sys.byteorder)
+
+
+def _fields(packed: int, width: int) -> memoryview:
+    # The 16-bit fields of a packed int, in field order: the one decode of
+    # the walk and of the leaves, which each make only for an int holding
+    # a beaten best.
+    return memoryview(packed.to_bytes(width, sys.byteorder)).cast("H")
+
+
 @functools.cache
 def _block_layout(k: int):
     # Field order over the 2^k low sets L (walk bits 1..k): by size, then
@@ -233,16 +238,8 @@ def _block_layout(k: int):
         masks += [mask for mask in range((2 << k) - 2, -1, -2) if mask.bit_count() == t]
         spans.append((a, len(masks)))
         where += [(t, a, len(masks), 2 * a, 2 * len(masks))] * (len(masks) - a)
-    pack = struct.Struct(f"{len(masks)}H").pack
-    members = tuple(int.from_bytes(pack(*[mask >> b & 1 for mask in masks]), sys.byteorder) for b in range(k + 1))
-    ones = int.from_bytes(pack(*[1] * len(masks)), sys.byteorder)
-    return memoryview(pack(*masks)).cast("H"), tuple(spans), where, ones, members
-
-
-def _fields(packed: int, width: int) -> memoryview:
-    # The 16-bit fields of a packed vector, in field order: the walk's one
-    # decode, which a step makes only for a vector holding a beaten best.
-    return memoryview(packed.to_bytes(width, sys.byteorder)).cast("H")
+    packed, ones = _pack(masks), _pack([1] * len(masks))
+    return masks, tuple(spans), where, ones, tuple(packed >> b & ones for b in range(k + 1))
 
 
 def _fold(graph: Graph, trackers) -> dict[MetricKind, Profile]:
@@ -430,7 +427,9 @@ _GAIN = {"induced": (0, 1), "covered": (1, -1), "cut": (1, -2)}
 # sizes from tables over the pool's subsets instead of branching. A field
 # of such a table holds n per pick plus the signed counter change of its
 # picks, which each change the counter by at most n - 1 either way, so it
-# lies in [1, _LEAF * (2n - 1)]: below 2^16 at the solvers' 64 vertices.
+# lies in [1, _LEAF * (2n - 1)]. At the solvers' 64 vertices it exceeds the
+# least value it must reach, at least 1 - m, by less than 2^15, as the
+# threshold test needs.
 _LEAF = 12
 
 
@@ -443,9 +442,8 @@ def _leaf_layout(p: int, t: int) -> tuple[list[int], list[int], int]:
     # every field of the masks packed as one int), and the int with every
     # field 1.
     subsets = list(map(sum, combinations([1 << j for j in range(p)], t)))
-    pack = struct.Struct(f"{len(subsets)}H").pack
-    masks, ones = (int.from_bytes(pack(*fields), sys.byteorder) for fields in (subsets, [1] * len(subsets)))
-    return subsets, [masks >> j & ones for j in range(p)], ones
+    packed, ones = _pack(subsets), _pack([1] * len(subsets))
+    return subsets, [packed >> j & ones for j in range(p)], ones
 
 
 def _leaf_sums(degrees: tuple[int, ...], pool: tuple[int, ...], edges: list[tuple[int, int]], t: int) -> tuple[int, int]:
@@ -571,24 +569,26 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
     (signed degree terms, inside times the edges inside T) is tabulated
     once per graph, order and (p, t), and the node adds inside * |adj(v)
     & chosen| times the indicator int of each pool vertex v. A field
-    beats the incumbent when it reaches the least such value d, and
-    adding 2^16 - d to every field carries out of some field exactly
-    when one does (Knuth, TAOCP 4A, 7.1.3), so one test on the packed
-    int says whether the size improves; on random:24:0.5 and
-    regular:24:3 fewer than 1% of leaf reads do. Only then follow one
-    decode and one C-level max, and the size takes the first field of
-    its maximum: the branching search would end this subtree holding
-    exactly that set, the first of the best value it reaches, so values,
-    witnesses and the state every later node sees are unchanged.
+    beats the incumbent when it reaches the least such value d. As in
+    the walk's threshold test (Knuth, TAOCP 4A, 7.1.3), adding 0x8000 - d
+    to every field sets bit 15 of exactly the fields that reach d, so one
+    test on the packed int says whether the size improves; on
+    random:24:0.5 and regular:24:3 fewer than 1% of leaf reads do. Only
+    then follow one decode (``_fields``) and one C-level max, and the
+    size takes the first field of its maximum: the branching search
+    would end this subtree holding exactly that set, the first of the
+    best value it reaches, so values, witnesses and the state every
+    later node sees are unchanged.
 
     Only the live sizes are filled, and each table is built the first
     time a leaf reads it: its degree and edge sums once per graph and
     order, shared by the kinds with that order, and its signed table
     once per searcher. A leaf on random:24:0.5 or regular:24:3 reads
-    about three live sizes, a small part of all 2^p fields. A field holds
-    at most _LEAF (2n - 1), and the least value to beat at most m + nt + 1,
-    both below 2^16 at the solvers' limit of 64 vertices, where the
-    recursion is also at most 64 - _LEAF + 1 calls deep.
+    about three live sizes, a small part of all 2^p fields. A field lies
+    in [1, _LEAF (2n - 1)] and the least value to beat in [1 - m, m + nt
+    + 1], so a field plus 0x8000 - d stays in [0, 2^16) at the solvers'
+    limit of 64 vertices, where the recursion is also at most
+    64 - _LEAF + 1 calls deep.
     """
     n, adj = graph.n, graph.adj
     sign = 1 if kind.is_max else -1
@@ -604,12 +604,11 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
     leaves = [[None] * (p + 1) for p in range(leaf + 1)]
 
     def leaf_table(p: int, t: int) -> tuple[list[int], list[int], int, int, int]:
-        # with the int of every field 1 and the int of the bits a carry out
-        # of each field lands on
+        # with the int of every field 1 and the int of every field's bit 15
         degrees, edges = sums(p, t)
         subsets, members, ones = _leaf_layout(p, t)
         table = n * t * ones + sign * per_degree * degrees + inside * edges
-        leaves[p][t] = found = (subsets, members, table, ones, ones << 16)
+        leaves[p][t] = found = (subsets, members, table, ones, ones << 15)
         return found
 
     # counters are never negative, and no max kind's bound beats m + 1
@@ -667,23 +666,19 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
                 row = leaves[p]
                 for s in live:
                     t = s - picked
-                    subsets, members, table, ones, carries = row[t] or leaf_table(p, t)
+                    subsets, members, table, ones, top = row[t] or leaf_table(p, t)
                     packed = table + inside * sum([a * member for a, member in zip(counts, members) if a])
-                    # A field beats the incumbent when it reaches least, which
-                    # every field (at least t) does if least <= 1. Otherwise,
-                    # with 2^16 - least added to every field, some field
-                    # carries out exactly when one reaches least: the lowest
-                    # field that carries had no carry in.
+                    # A field beats the incumbent when it reaches least. With
+                    # 0x8000 - least added to every field, bit 15 of a field
+                    # is set exactly when it does: the walk's threshold test.
                     least = incumbent[s] - val + n * t + 1
-                    if least > 1:
-                        lift = (0x10000 - least) * ones
-                        if not (packed + lift ^ packed ^ lift) & carries:
-                            continue
+                    if not (packed + (0x8000 - least) * ones) & top:
+                        continue
                     # the first field of the maximum is the first set the
                     # depth-first search would reach with it
-                    fields = memoryview(packed.to_bytes(2 * len(subsets), sys.byteorder)).cast("H")
+                    fields = _fields(packed, 2 * len(subsets)).tolist()
                     most = max(fields)
-                    picks = subsets[fields.tolist().index(most)]
+                    picks = subsets[fields.index(most)]
                     incumbent[s] = val + most - n * t
                     best[s] = chosen | sum([1 << v for j, v in enumerate(pool) if picks >> j & 1])
                 return
@@ -763,52 +758,33 @@ def profile_by_reduction(
     max_cut / min_cut: values mirrored around n/2  base: same graph, same
         kind (only the lower half of the base is read)
 
-    Witnesses carry over: complements of the base witnesses for the
-    cover reductions and the mirrored upper half, the base witnesses
-    themselves otherwise.
+    Each size i reads one base size j and takes either the base witness
+    or its complement, a choice fixed per kind: the covered kinds read
+    j = n - i and always complement, the induced kinds read j = i and
+    never do, and the cut kinds read j = min(i, n - i) and complement
+    above n/2.
     """
-    bases = dict(bases) if bases else {}
-    complement_bases = dict(complement_bases) if complement_bases else {}
-    n = graph.n
-    m = graph.m
-    sizes = range(n + 1)
-
-    if kind in (MetricKind.MAX_COVERED, MetricKind.MIN_COVERED):
-        wanted = (
-            MetricKind.MIN_INDUCED
-            if kind is MetricKind.MAX_COVERED
-            else MetricKind.MAX_INDUCED
-        )
-        base = _need_base(bases, wanted, n, kind, "of the same graph")
-        values = tuple(m - base.values[n - i] for i in sizes)
-        witnesses = (
-            tuple(base.witnesses[n - i].complement() for i in sizes)
-            if base.witnesses
-            else None
-        )
-        provenance = f"reduction({kind.key}(i) = m - {wanted.key}(n-i))"
-    elif kind in (MetricKind.MAX_INDUCED, MetricKind.MIN_INDUCED):
-        wanted = (
-            MetricKind.MIN_INDUCED
-            if kind is MetricKind.MAX_INDUCED
-            else MetricKind.MAX_INDUCED
-        )
-        base = _need_base(complement_bases, wanted, n, kind, "of the complement graph")
-        values = tuple(math.comb(i, 2) - base.values[i] for i in sizes)
-        witnesses = base.witnesses
-        provenance = f"reduction({kind.key}(i) = C(i,2) - complement {wanted.key}(i))"
+    n, m = graph.n, graph.m
+    opposite = MetricKind.MIN_INDUCED if kind.is_max else MetricKind.MAX_INDUCED
+    if kind.counter == "covered":
+        base = _need_base(bases or {}, opposite, n, kind, "of the same graph")
+        plan = [(n - i, True) for i in range(n + 1)]
+        derive = lambda i, x: m - x
+        provenance = f"reduction({kind.key}(i) = m - {opposite.key}(n-i))"
+    elif kind.counter == "induced":
+        base = _need_base(complement_bases or {}, opposite, n, kind, "of the complement graph")
+        plan = [(i, False) for i in range(n + 1)]
+        derive = lambda i, x: math.comb(i, 2) - x
+        provenance = f"reduction({kind.key}(i) = C(i,2) - complement {opposite.key}(i))"
     else:
-        base = _need_base(bases, kind, n, kind, "of the same graph")
-        half = n // 2
-        values = tuple(base.values[i if i <= half else n - i] for i in sizes)
-        if base.witnesses:
-            witnesses = tuple(
-                base.witnesses[i] if i <= half else base.witnesses[n - i].complement()
-                for i in sizes
-            )
-        else:
-            witnesses = None
+        base = _need_base(bases or {}, kind, n, kind, "of the same graph")
+        plan = [(min(i, n - i), i > n // 2) for i in range(n + 1)]
+        derive = lambda i, x: x
         provenance = f"reduction({kind.key} mirrored around n/2)"
+    values = tuple(derive(i, base.values[j]) for i, (j, _) in enumerate(plan))
+    witnesses = None
+    if base.witnesses:
+        witnesses = tuple(base.witnesses[j].complement() if flip else base.witnesses[j] for j, flip in plan)
     return Profile(kind, values, witnesses, provenance)
 
 
@@ -816,41 +792,29 @@ def profile_by_reduction(
 # Strategy layer
 
 
-def _first_mismatch(a: Sequence[int], b: Sequence[int]) -> int | None:
-    for i, (x, y) in enumerate(zip(a, b)):
+def _agree(kind: MetricKind, truth: Sequence[int], route: str, values: Sequence[int]) -> None:
+    for i, (x, y) in enumerate(zip(truth, values)):
         if x != y:
-            return i
-    return None
+            raise InternalInconsistencyError(
+                f"solver routes disagree on {kind.key} at i={i}: exhaustive={x}, {route}={y}"
+            )
 
 
 def _checked_profiles(
     graph: Graph,
 ) -> tuple[dict[MetricKind, Profile], dict[MetricKind, Profile]]:
     # Returns the cross-checked profiles and the complement's walk, whose
-    # values the reductions have just checked against them.
+    # values the reductions have just checked against them. Per kind, the
+    # branch-and-bound values and the reduction's are compared with the
+    # walk's, and then every walk witness is evaluated again.
     exhaustive = profile_exhaustive(graph, cap=graph.n)
-    for kind in KIND_ORDER:
-        # only the values are compared, so no witness set is built
-        bounded = [value for value, _ in _searcher(graph, kind)(1, graph.n)]
-        i = _first_mismatch(exhaustive[kind].values, bounded)
-        if i is not None:
-            raise InternalInconsistencyError(
-                f"solver routes disagree on {kind.key} at i={i}: "
-                f"exhaustive={exhaustive[kind].values[i]}, "
-                f"branch-and-bound={bounded[i]}"
-            )
     co = profile_exhaustive(complement(graph), cap=graph.n)
     for kind in KIND_ORDER:
-        derived = profile_by_reduction(graph, kind, bases=exhaustive, complement_bases=co)
-        i = _first_mismatch(exhaustive[kind].values, derived.values)
-        if i is not None:
-            raise InternalInconsistencyError(
-                f"reduction route disagrees on {kind.key} at i={i}: "
-                f"exhaustive={exhaustive[kind].values[i]}, "
-                f"derived={derived.values[i]} ({derived.provenance})"
-            )
-    for kind in KIND_ORDER:
         profile = exhaustive[kind]
+        # only the values are compared, so no witness set is built
+        _agree(kind, profile.values, "branch-and-bound", [value for value, _ in _searcher(graph, kind)(1, graph.n)])
+        derived = profile_by_reduction(graph, kind, bases=exhaustive, complement_bases=co)
+        _agree(kind, profile.values, derived.provenance, derived.values)
         for i, witness in enumerate(profile.witnesses):
             metrics = metrics_from_mask(graph, witness.bits)
             if metrics.size != i or getattr(metrics, kind.counter) != profile.values[i]:

@@ -328,6 +328,24 @@ class TestInternalInconsistency:
         with pytest.raises(InternalInconsistencyError, match="witness of min_cut at i=2"):
             all_profiles(cycle(4), strategy="checked")
 
+    def test_checked_strategy_rejects_wrong_reduction(self, monkeypatch):
+        import isoprofile.solvers as solvers_mod
+        from isoprofile import InternalInconsistencyError
+
+        real = solvers_mod.profile_by_reduction
+
+        def lying(graph, kind, **kwargs):
+            derived = real(graph, kind, **kwargs)
+            if kind is not MetricKind.MIN_COVERED:
+                return derived
+            values = list(derived.values)
+            values[3] += 1
+            return replace(derived, values=tuple(values))
+
+        monkeypatch.setattr(solvers_mod, "profile_by_reduction", lying)
+        with pytest.raises(InternalInconsistencyError, match=r"min_covered at i=3: exhaustive=\d+, reduction\("):
+            all_profiles(cycle(5), strategy="checked")
+
 
 class TestHypercubeInequality:
     @pytest.mark.parametrize("d", [1, 2, 3])

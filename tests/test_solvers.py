@@ -516,12 +516,15 @@ class TestBound:
         assert built == [(10, 4)]
 
     def test_search_refuses_more_vertices_than_its_fields_hold(self):
-        # at the solvers' limit of 64 vertices a leaf table field, at most
-        # _LEAF * (2n - 1), and the least value a field must reach to beat
-        # its incumbent, at most m + n * _LEAF + 1, stay below 2^16
+        # at the solvers' limit of 64 vertices a leaf table field lies in
+        # [1, _LEAF * (2n - 1)] and the least value a field must reach to
+        # beat its incumbent in [1 - m, m + n * _LEAF + 1]; the threshold
+        # test adds 0x8000 - least to every field, so both the largest
+        # least and the largest field minus the smallest least must stay
+        # below 2^15 for no field to borrow from or carry into the next
         limit = 64
-        assert solvers._LEAF * (2 * limit - 1) < 1 << 16
-        assert math.comb(limit, 2) + limit * solvers._LEAF + 1 < 1 << 16
+        assert math.comb(limit, 2) + limit * solvers._LEAF + 1 < 1 << 15
+        assert solvers._LEAF * (2 * limit - 1) + math.comb(limit, 2) - 1 < 1 << 15
         with pytest.raises(VertexCapError, match=f"at most {limit} vertices"):
             profile_branch_bound(empty(limit + 1), MetricKind.MAX_INDUCED, cap=limit + 1)
 
@@ -661,6 +664,22 @@ class TestReductions:
     def test_missing_base(self):
         with pytest.raises(ValueError, match="missing base profile"):
             profile_by_reduction(cycle(4), MetricKind.MAX_COVERED)
+
+    @given(small_graphs(max_n=10))
+    @settings(max_examples=60, deadline=None)
+    def test_every_reduction_keeps_valid_witnesses(self, g):
+        # each derived witness, n/2 included, is checked against the graph
+        # itself: a covered kind takes the complement of its base witness
+        # at every size, an induced kind at none, and a cut kind above n/2
+        walked = profile_exhaustive(g)
+        co = profile_exhaustive(complement(g))
+        for kind in KIND_ORDER:
+            derived = profile_by_reduction(g, kind, bases=walked, complement_bases=co)
+            assert derived.values == walked[kind].values, kind.key
+            for i, witness in enumerate(derived.witnesses):
+                metrics = metrics_from_mask(g, witness.bits)
+                assert metrics.size == i, (kind.key, i)
+                assert getattr(metrics, kind.counter) == derived.values[i], (kind.key, i)
 
     def test_reduction_equivalence_sample(self, corpus):
         for name, g in corpus[:60]:
