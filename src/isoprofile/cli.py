@@ -91,6 +91,9 @@ def _build_parser() -> _Parser:
     run.add_argument("--cap", type=int, default=None, help="override the solver vertex cap (default 24, at most 64)")
     run.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
 
+    # Each subcommand's --strategy default lives in strategy_default, not
+    # in set_defaults(strategy=...): the parents share one --strategy
+    # Action, so the last such default would apply to every subcommand.
     profile = sub.add_parser("profile", parents=[source, run], help="emit the six profiles and their difference sequences")
     profile.set_defaults(func=_cmd_profile, strategy_default="auto")
 
@@ -120,12 +123,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require_spec_within_cap(spec: str, cap: int | None) -> None:
-    n = _spec_order(spec)
-    if n is not None:
-        _require_within_cap(n, cap)
-
-
 def _load_graph(args) -> Graph:
     # The declared vertex count is checked against the cap before the
     # graph is built: adjacency grows as n^2, so an oversized input
@@ -140,7 +137,7 @@ def _load_graph(args) -> Graph:
     if args.g6:
         _require_within_cap(_graph6_order(args.g6), args.cap)
         return parse_graph6(args.g6)
-    _require_spec_within_cap(args.gen, args.cap)
+    _require_within_cap(_spec_order(args.gen), args.cap)
     return from_spec(args.gen, args.seed)
 
 
@@ -215,13 +212,12 @@ def _profile_human(graph: Graph, profiles, diffs) -> str:
 
 def _cmd_profile(args) -> int:
     graph = _load_graph(args)
-    strategy = args.strategy or args.strategy_default
-    profiles = all_profiles(graph, strategy=strategy, cap=args.cap)
+    profiles = all_profiles(graph, strategy=args.strategy, cap=args.cap)
     diffs = {kind: diff_sequence(profiles[kind]) for kind in KIND_ORDER}
     if args.format == "csv":
         text = _profile_csv(graph, profiles, diffs)
     elif args.format == "json":
-        text = _dump_json(_profile_payload(graph, profiles, diffs, strategy))
+        text = _dump_json(_profile_payload(graph, profiles, diffs, args.strategy))
     else:
         text = _profile_human(graph, profiles, diffs)
     _emit(text, args.out)
@@ -268,11 +264,8 @@ def _report_human(report: VerificationReport) -> str:
 
 
 def _cmd_verify(args) -> int:
-    if args.format == "csv":
-        raise _UsageError("csv output applies to the profile command only")
     graph = _load_graph(args)
-    strategy = args.strategy or args.strategy_default
-    report = verify_theorem(graph, strategy=strategy, cap=args.cap)
+    report = verify_theorem(graph, strategy=args.strategy, cap=args.cap)
     if args.format == "json":
         text = _dump_json(report.to_dict())
     else:
@@ -293,17 +286,14 @@ def _sweep_human(summary: SweepSummary) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    if args.format == "csv":
-        raise _UsageError("csv output applies to the profile command only")
     specs = [s for chunk in args.gen for s in chunk.split(",") if s]
     for spec in specs:
-        _require_spec_within_cap(spec, args.cap)
-    strategy = args.strategy or args.strategy_default
+        _require_within_cap(_spec_order(spec), args.cap)
     summary = counterexample_sweep(
         specs,
         args.count,
         seed=args.seed,
-        strategy=strategy,
+        strategy=args.strategy,
         cap=args.cap,
         workers=args.workers,
         findings_path=args.findings,
@@ -322,6 +312,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.cap is not None and args.cap < 1:
             raise _UsageError(f"--cap must be at least 1, got {args.cap}")
+        if args.format == "csv" and args.command != "profile":
+            raise _UsageError("csv output applies to the profile command only")
+        args.strategy = args.strategy or args.strategy_default
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,7 +4,9 @@ graph6 packs the upper triangle of the adjacency matrix, read column by
 column, into 6-bit groups offset by 63 into printable ASCII. The size
 header is a single byte n+63 for n <= 62, or '~' followed by three
 6-bit bytes for 63 <= n <= 258047. Adjacency bits are zero padded to a
-multiple of 6; nonzero padding is rejected.
+multiple of 6; nonzero padding is rejected. Both directions go through
+one bit string: decoding joins the 6-bit groups and reads it back column
+by column, encoding joins the columns and cuts it into groups.
 
 The edge-list format is line oriented: a header line "n m" followed by
 m lines "u v" with 0-based endpoints. Lines starting with '#' and blank
@@ -81,25 +83,17 @@ def parse_graph6(text: str) -> Graph:
             f"adjacency section has {got} bytes starting at offset {pos}, "
             f"expected {need_bytes} for n={n}"
         )
+    bits = "".join(format(byte - _OFFSET, "06b") for byte in data[pos:])
+    if "1" in bits[need_bits:]:
+        raise Graph6Error(f"nonzero padding bit at offset {len(data) - 1}")
     adj = [0] * n
-    index = 0
-    column = 1  # current upper-triangle column (0-based vertex j)
-    row = 0
-    for k in range(need_bytes):
-        group = data[pos + k] - _OFFSET
-        for t in range(6):
-            bit = (group >> (5 - t)) & 1
-            if index < need_bits:
-                if bit:
-                    adj[row] |= 1 << column
-                    adj[column] |= 1 << row
-                row += 1
-                if row == column:
-                    column += 1
-                    row = 0
-                index += 1
-            elif bit:
-                raise Graph6Error(f"nonzero padding bit at offset {pos + k}")
+    for j in range(1, n):
+        # column j holds rows 0..j-1, row i at string index i
+        column = bits[j * (j - 1) // 2:j * (j + 1) // 2]
+        adj[j] = int(column[::-1], 2)
+        for i, bit in enumerate(column):
+            if bit == "1":
+                adj[i] |= 1 << j
     return Graph(n, adj)
 
 
@@ -117,20 +111,9 @@ def to_graph6(graph: Graph) -> str:
         ]
     else:
         raise Graph6Error(f"graph on {n} vertices exceeds the supported graph6 size range")
-    group = 0
-    filled = 0
-    for column in range(1, n):
-        col_bits = graph.adj[column]
-        for row in range(column):
-            group = (group << 1) | ((col_bits >> row) & 1)
-            filled += 1
-            if filled == 6:
-                chars.append(chr(_OFFSET + group))
-                group = 0
-                filled = 0
-    if filled:
-        group <<= 6 - filled
-        chars.append(chr(_OFFSET + group))
+    bits = "".join(format(graph.adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    chars.extend(chr(_OFFSET + int(bits[k:k + 6], 2)) for k in range(0, len(bits), 6))
     return "".join(chars)
 
 
@@ -143,48 +126,43 @@ def _content_lines(text: str) -> list[str]:
     return out
 
 
+def _two_ints(line: str, what: str, form: str) -> tuple[int, int]:
+    # The two integers on a line; ValueError naming the line otherwise.
+    tokens = line.split()
+    if len(tokens) != 2:
+        raise ValueError(f"{what} must be {form!r}, got {line!r}")
+    try:
+        return int(tokens[0]), int(tokens[1])
+    except ValueError:
+        raise ValueError(f"{what} must be two integers, got {line!r}") from None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" edge-list format defined in the module docstring."""
     lines = _content_lines(text)
     if not lines:
         raise ValueError("edge-list input has no content lines")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"edge-list header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError(f"edge-list header must be two integers, got {lines[0]!r}") from None
+    n, m = _two_ints(lines[0], "edge-list header", "n m")
     if len(lines) - 1 != m:
         raise ValueError(f"edge-list declares {m} edges but has {len(lines) - 1} edge lines")
-    edges = []
-    for line in lines[1:]:
-        toks = line.split()
-        if len(toks) != 2:
-            raise ValueError(f"edge line must be 'u v', got {line!r}")
-        try:
-            edges.append((int(toks[0]), int(toks[1])))
-        except ValueError:
-            raise ValueError(f"edge line must be two integers, got {line!r}") from None
-    return from_edge_list(n, edges)
-
-
-def _edge_list_order(line: str) -> int | None:
-    # n when the line is an "n m" header of two integers, else None.
-    head = line.split()
-    if len(head) != 2:
-        return None
-    try:
-        n, _ = int(head[0]), int(head[1])
-    except ValueError:
-        return None
-    return n
+    return from_edge_list(n, [_two_ints(line, "edge line", "u v") for line in lines[1:]])
 
 
 def format_edge_list(graph: Graph) -> str:
     lines = [f"{graph.n} {graph.m}"]
     lines.extend(f"{u} {v}" for u, v in graph.edges())
     return "\n".join(lines) + "\n"
+
+
+def _sniff(text: str) -> tuple[str, int | None]:
+    # The first content line, and n when it is an "n m" edge-list header.
+    lines = _content_lines(text)
+    if not lines:
+        raise ValueError("no graph content found in input")
+    try:
+        return lines[0], _two_ints(lines[0], "edge-list header", "n m")[0]
+    except ValueError:
+        return lines[0], None
 
 
 def load_graph_text(text: str) -> Graph:
@@ -194,20 +172,13 @@ def load_graph_text(text: str) -> Graph:
     else is treated as a graph6 line. The two cannot collide because a
     space is not a valid graph6 byte.
     """
-    lines = _content_lines(text)
-    if not lines:
-        raise ValueError("no graph content found in input")
-    if _edge_list_order(lines[0]) is not None:
-        return parse_edge_list(text)
-    return parse_graph6(lines[0])
+    line, n = _sniff(text)
+    return parse_graph6(line) if n is None else parse_edge_list(text)
 
 
 def _text_order(text: str) -> int:
     """Vertex count in the header of graph file content, sniffed as
     load_graph_text does, without parsing the rest; raises its errors
     for a missing or malformed header."""
-    lines = _content_lines(text)
-    if not lines:
-        raise ValueError("no graph content found in input")
-    n = _edge_list_order(lines[0])
-    return _graph6_order(lines[0]) if n is None else n
+    line, n = _sniff(text)
+    return _graph6_order(line) if n is None else n

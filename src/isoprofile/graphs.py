@@ -327,10 +327,7 @@ def _switch_chain(n: int, d: int, rng: random.Random) -> list[int]:
     """
     offsets = list(range(1, d // 2 + 1)) + ([n // 2] if d % 2 else [])
     edges = [(v, (v + k) % n) for v in range(n) for k in offsets if k < n - k or v < n // 2]
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = list(from_edge_list(n, edges).adj)
     for _ in range(SWITCHES_PER_EDGE * len(edges)):
         i, j = rng.randrange(len(edges)), rng.randrange(len(edges))
         a, b = edges[i]
@@ -391,16 +388,13 @@ def from_spec(spec: str, seed: int = DEFAULT_SEED) -> Graph:
     return constructor(*values, seed) if seeded else constructor(*values)
 
 
-def _spec_order(spec: str) -> int | None:
+def _spec_order(spec: str) -> int:
     """Vertex count from_spec(spec) would build, read from the spec alone.
 
-    The first argument, or 2**d for hypercube:d. None when from_spec
-    would refuse the spec before building anything (unknown name, wrong
+    The first argument, or 2**d for hypercube:d. Raises the ValueError
+    from_spec raises before it builds anything: unknown name, wrong
     argument count, an argument that does not parse, dimension outside
-    1..26).
+    1..26. Errors of the constructors themselves are not checked here.
     """
-    try:
-        name, values = _parse_spec(spec)
-        return _hypercube_order(values[0]) if name == "hypercube" else values[0]
-    except ValueError:
-        return None
+    name, values = _parse_spec(spec)
+    return _hypercube_order(values[0]) if name == "hypercube" else values[0]

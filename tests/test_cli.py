@@ -185,6 +185,18 @@ class TestOversizedInputs:
         assert code == 1 and out == ""
         assert "graph on 1048576 vertices exceeds the solver cap of 24" in err
 
+    def test_malformed_sweep_spec_refused_before_any_graph(self, capsys, monkeypatch, tmp_path):
+        # the stream never reaches bogus:1 at --count 1; it is refused anyway
+        import isoprofile.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "counterexample_sweep", _never_called)
+        code, out, err = run(
+            capsys, "sweep", "--gen", "cycle:5,bogus:1", "--count", "1",
+            "--findings", str(tmp_path / "f"),
+        )
+        assert code == 1 and out == ""
+        assert err == "error: unknown generator 'bogus' in 'bogus:1'\n"
+
     def test_above_64_vertices_whatever_the_cap(self, capsys, monkeypatch):
         import isoprofile.cli as cli_mod
 

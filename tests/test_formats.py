@@ -16,6 +16,7 @@ from isoprofile import (
     random_graph,
     to_graph6,
 )
+from isoprofile.formats import _text_order
 
 
 @st.composite
@@ -59,6 +60,11 @@ class TestGraph6Decode:
         with pytest.raises(Graph6Error, match="padding"):
             parse_graph6("AO")
 
+    def test_nonzero_padding_in_later_byte(self):
+        # n=5 uses 10 adjacency bits; 'A' sets the last padding bit of byte 2
+        with pytest.raises(Graph6Error, match="nonzero padding bit at offset 2"):
+            parse_graph6("D?A")
+
     def test_length_mismatch(self):
         with pytest.raises(Graph6Error, match="expected 2"):
             parse_graph6("D?")
@@ -95,6 +101,16 @@ class TestGraph6Encode:
         assert nx.to_graph6_bytes(G, header=False).decode().strip() == to_graph6(g)
         decoded = nx.from_graph6_bytes(to_graph6(g).encode())
         assert sorted(tuple(sorted(e)) for e in decoded.edges()) == g.edges()
+
+    @pytest.mark.parametrize("n", [63, 64, 100])
+    def test_matches_networkx_beyond_short_header(self, n):
+        g = random_graph(n, 0.5, 4000 + n)
+        G = nx.Graph()
+        G.add_nodes_from(range(n))
+        G.add_edges_from(g.edges())
+        theirs = nx.to_graph6_bytes(G, header=False).decode().strip()
+        assert theirs == to_graph6(g)
+        assert parse_graph6(theirs) == g
 
 
 class TestEdgeList:
@@ -138,6 +154,17 @@ class TestLoader:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             load_graph_text("")
+
+    @given(
+        small_graphs(),
+        st.booleans(),
+        st.lists(st.sampled_from(["", "   ", "# note", "  # indented note"]), max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_text_order_matches_loaded_graph(self, g, as_graph6, preamble):
+        body = to_graph6(g) + "\n" if as_graph6 else format_edge_list(g)
+        text = "".join(line + "\n" for line in preamble) + body
+        assert _text_order(text) == load_graph_text(text).n == g.n
 
 
 def test_many_random_roundtrips():

@@ -197,6 +197,21 @@ class TestRandomGraphs:
         # to the fallback
         assert to_graph6(from_spec(spec, seed)) == graph6
 
+    def test_switch_chain_stream_frozen(self):
+        # the pairing model gives up on regular:10:7, so the switch chain
+        # builds it; a fixed seed keeps its bytes
+        assert to_graph6(from_spec("regular:10:7", 1)) == "I^v~T\\ztw"
+
+    @pytest.mark.parametrize(
+        "n, d, graph6",
+        [(8, 3, "GkEZ@S"), (12, 5, "KxNsOCLUSfG]"), (16, 7, "OAEorEL^D]ySw\\Bh\\GNcB")],
+    )
+    def test_switch_chain_only_streams_frozen(self, monkeypatch, n, d, graph6):
+        import isoprofile.graphs as graphs_mod
+
+        monkeypatch.setattr(graphs_mod, "PAIRING_RESAMPLE_BUDGET", 0)
+        assert to_graph6(random_regular(n, d, n + d)) == graph6
+
     def test_switch_chain_on_every_small_spec(self, monkeypatch):
         import isoprofile.graphs as graphs_mod
 
@@ -264,3 +279,16 @@ class TestFromSpec:
             "star": "star:5",
         }[name]
         assert _spec_order(spec) == from_spec(spec, 7).n
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("blob:3", "unknown generator 'blob'"),
+            ("cycle:3:4", "takes 1 argument"),
+            ("random:x:0.4", "expected integer at position 1"),
+            ("hypercube:0", "dimension must be in 1..26"),
+        ],
+    )
+    def test_spec_order_raises_parser_errors(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            _spec_order(spec)
