@@ -127,14 +127,14 @@ def _load_graph(args) -> Graph:
     # The declared vertex count is checked against the cap before the
     # graph is built: adjacency grows as n^2, so an oversized input
     # would otherwise allocate before any solver could refuse it.
-    if args.input:
+    if args.input is not None:
         try:
             text = Path(args.input).read_text()
         except OSError as exc:
             raise _UsageError(f"cannot read {args.input}: {exc}") from None
         _require_within_cap(_text_order(text), args.cap)
         return load_graph_text(text)
-    if args.g6:
+    if args.g6 is not None:
         _require_within_cap(_graph6_order(args.g6), args.cap)
         return parse_graph6(args.g6)
     _require_within_cap(_spec_order(args.gen), args.cap)

@@ -10,11 +10,14 @@ routes:
   the low 10 walked vertices are tabulated once as packed 16-bit fields
   of one int, and a reflected Gray code steps over the other vertices
   only, updating every tabulated set per step with a few int additions.
-  A broadword threshold test (one add, one subtract and two ANDs on the
-  packed int) then marks the fields that match or beat their size's best
-  value so far; most steps mark none, a size whose best is beaten is
-  decoded and reduced with one C-level max or min, and a tie is read off
-  the marks. Every other subset is the complement of a walked one, and
+  The first step decodes each table once and seeds every size's best
+  with one C-level max or min and its first and last index; at n <= 11
+  it is the whole walk. From the second step on, a broadword threshold
+  test (one add, one subtract and two ANDs on the packed int) marks the
+  fields that match or beat their size's best value so far; most steps
+  mark none, a size whose best is beaten is decoded and reduced with one
+  C-level max or min, and a tie is read off the marks. Every other
+  subset is the complement of a walked one, and
   an O(n) fold after the walk reads its counters off the walked set's
   (induced and covered trade places as m minus each other, cut stays).
   This is the ground truth; each witness is the lexicographically first
@@ -80,7 +83,7 @@ import functools
 import math
 import struct
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, combinations, islice
 from typing import Callable, Mapping, Sequence
@@ -242,32 +245,36 @@ def _block_layout(k: int):
     return masks, tuple(spans), where, ones, tuple(packed >> b & ones for b in range(k + 1))
 
 
-def _fold(graph: Graph, trackers) -> dict[MetricKind, Profile]:
+def _fold(graph: Graph, trackers, witnesses: bool) -> dict[MetricKind, Profile]:
     # Size j is attained either by a walked set (direct, size j) or by the
     # complement of one (mirror, size n - j, value m - x when flipped, x
     # otherwise). The trackers run in KIND_ORDER; the mirror of max_induced
     # is min_covered, of min_induced max_covered and so on, and a cut kind
-    # mirrors itself. The last walked tie has the first complement. All
-    # the winning masks are reversed at once, and each distinct one
+    # mirrors itself. Without witnesses each size is one max or min of the
+    # two values. With them, the last walked tie has the first complement,
+    # all the winning masks are reversed at once, and each distinct one
     # becomes one VertexSet.
     n, m = graph.n, graph.m
     full = (1 << n) - 1
     values, walked = [], []
     for kind, direct, mirror in zip(KIND_ORDER, trackers, [trackers[i] for i in (3, 2, 1, 0, 4, 5)]):
-        maximize, flipped = kind.is_max, kind.counter != "cut"
-        for a, wa, b, wb in zip(direct[0], direct[1], reversed(mirror[0]), reversed(mirror[2])):
+        maximize = kind.is_max
+        mirrored = mirror[0][::-1] if kind.counter == "cut" else [m - b for b in reversed(mirror[0])]
+        if not witnesses:
+            values += map(max if maximize else min, direct[0], mirrored)
+            continue
+        for a, wa, b, wb in zip(direct[0], direct[1], mirrored, reversed(mirror[2])):
             wb ^= full
-            if flipped:
-                b = m - b
             if a != b and (a > b) != maximize or a == b and wb > wa:
                 a, wa = b, wb
             values.append(a)
             walked.append(wa)
-    distinct = list(set(walked))
-    sets = dict(zip(distinct, [VertexSet(n, bits) for bits in _reversed(distinct, n)]))
-    witnesses = list(map(sets.__getitem__, walked))
+    if witnesses:
+        distinct = list(set(walked))
+        sets = dict(zip(distinct, [VertexSet(n, bits) for bits in _reversed(distinct, n)]))
+        walked = list(map(sets.__getitem__, walked))
     return {
-        kind: Profile(kind, tuple(values[at : at + n + 1]), tuple(witnesses[at : at + n + 1]), "exhaustive")
+        kind: Profile(kind, tuple(values[at : at + n + 1]), tuple(walked[at : at + n + 1]) if witnesses else None, "exhaustive")
         for kind, at in zip(KIND_ORDER, range(0, len(values), n + 1))
     }
 
@@ -310,9 +317,12 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKi
     is then set exactly where the field matches or beats its size's
     best, and subtracting the all-ones int first leaves only the fields
     that beat it. Every field is nonnegative and at most m < 2^15, so no
-    field carries into or borrows from the next. At step 0 every best is
-    still its sentinel, -1 or m + 1, which every field beats, so the same
-    test reads every size.
+    field carries into or borrows from the next. At step 0 H is empty and
+    every best is still its sentinel, so there is nothing to test: each
+    of the three tables is decoded once, and per size one C-level max or
+    min with its first and last index seeds each tracker. The Gray code
+    and the threshold test start at step 1; at n <= 11 step 0 is the
+    whole walk.
 
     The marks, as bytes, are searched for the sizes they touch. A size
     with a beaten best is decoded (``_fields``, the walk's only decode)
@@ -334,6 +344,13 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKi
     when H falls below it. These are the two cases.
     """
     _require_within_cap(graph.n, cap)
+    return _walk(graph, True)
+
+
+def _walk(graph: Graph, witnesses: bool) -> dict[MetricKind, Profile]:
+    # profile_exhaustive's walk and fold. Without witnesses, which is how
+    # the complement is walked (nothing reads its witnesses), ties are
+    # passed over and the fold keeps the values only.
     n, m = graph.n, graph.m
     adj = _reversed(graph.adj[::-1], n)
     degrees = graph.degrees[::-1]
@@ -355,16 +372,29 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKi
     trackers = [tracker(sign) for _ in range(3) for sign in (1, -1)]
     pairs = trackers[0:2], trackers[2:4], trackers[4:6]
     width, order, top = 2 * len(masks), sys.byteorder, ones << 15
+    # step 0: H is empty, so the fields of size t are the sets of size t,
+    # and their max and min, each first and last taken, are the bests.
+    # Field i is backward[-1 - i], so backward's first match from -z on
+    # is the last match in [a, z).
+    for packed, pair in zip((induced_l, degrees_l - induced_l, degrees_l - 2 * induced_l), pairs):
+        fields = _fields(packed, width).tolist()
+        backward = fields[::-1]
+        for t, (a, z) in enumerate(spans):
+            found = set(fields[a:z])
+            for pick, (values, first, last, _) in zip((max, min), pair):
+                values[t] = value = pick(found)
+                if witnesses:
+                    first[t] = masks[fields.index(value, a)]
+                    last[t] = masks[-1 - backward.index(value, -z)]
     high = cross = high_induced = high_degrees = size = 0
-    for step in range(1 << (n - 1 - k)):
-        if step:
-            b = k + (step & -step).bit_length()
-            high ^= 1 << b
-            sign = 1 if high >> b & 1 else -1
-            cross += sign * crossing[b - k - 1]
-            high_induced += sign * (adj[b] & high).bit_count()
-            high_degrees += sign * degrees[b]
-            size += sign
+    for step in range(1, 1 << (n - 1 - k)):
+        b = k + (step & -step).bit_length()
+        high ^= 1 << b
+        sign = 1 if high >> b & 1 else -1
+        cross += sign * crossing[b - k - 1]
+        high_induced += sign * (adj[b] & high).bit_count()
+        high_degrees += sign * degrees[b]
+        size += sign
         induced = cross + induced_l + high_induced * ones
         covered = degrees_l + high_degrees * ones - induced
         for packed, pair in zip((induced, covered, covered - induced), pairs):
@@ -379,8 +409,10 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKi
                     continue
                 beat = (probe - ones) & top
                 # ties alone move no witness while high lies between
-                # every size's last and first tie
-                if not beat and max(last[size : size + k + 1]) <= high <= min(first[size : size + k + 1]):
+                # every size's last and first tie, nor any value ever
+                if not beat and (
+                    not witnesses or max(last[size : size + k + 1]) <= high <= min(first[size : size + k + 1])
+                ):
                     continue
                 # a matched or beaten field's high byte reads 0x80, and
                 # a beaten one's low byte too
@@ -403,7 +435,7 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKi
                     elif high < last[s]:
                         last[s] = high | masks[marks.rfind(0x80, a2, z2) >> 1]
                     at = marks.find(0x80, z2)
-    return _fold(graph, trackers)
+    return _fold(graph, trackers, witnesses)
 
 
 def extremal_exhaustive(
@@ -578,7 +610,10 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
     size takes the first field of its maximum: the branching search
     would end this subtree holding exactly that set, the first of the
     best value it reaches, so values, witnesses and the state every
-    later node sees are unchanged.
+    later node sees are unchanged. At n <= _LEAF the root is such a node,
+    and the search skips its bound and the pool and bound set-up, which
+    nothing else reads: a size the bound would prune has no field that
+    strictly beats its incumbent, so the threshold test passes it over.
 
     Only the live sizes are filled, and each table is built the first
     time a leaf reads it: its degree and edge sums once per graph and
@@ -627,17 +662,43 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
             if adj[v] >> u & 1:
                 gains[u] += inside
 
-    # per start, the pool order[start:] as a mask and its own signed counter
-    pool_mask, pool_gain = [0] * (n + 1), [0] * (n + 1)
-    for idx in range(n - 1, -1, -1):
-        v = order[idx]
-        pool_mask[idx] = pool_mask[idx + 1] | 1 << v
-        pool_gain[idx] = pool_gain[idx + 1] + base[v] + inside * (adj[v] & pool_mask[idx + 1]).bit_count()
-    bounds, refine = _bound_fn(kind, adj, graph.degrees, order, pool_mask)
+    # per start, the pool order[start:] as a mask and its own signed
+    # counter, and the bound: a root that is already a leaf reads none
+    if n > leaf:
+        pool_mask, pool_gain = [0] * (n + 1), [0] * (n + 1)
+        for idx in range(n - 1, -1, -1):
+            v = order[idx]
+            pool_mask[idx] = pool_mask[idx + 1] | 1 << v
+            pool_gain[idx] = pool_gain[idx + 1] + base[v] + inside * (adj[v] & pool_mask[idx + 1]).bit_count()
+        bounds, refine = _bound_fn(kind, adj, graph.degrees, order, pool_mask)
 
     def search(lo: int, hi: int) -> list[tuple[int, int]]:
         incumbent = [value for value, _ in seeds]
         best = [mask for _, mask in seeds]
+
+        def score(start: int, chosen: int, picked: int, val: int, live: list[int]) -> None:
+            # each live size from its leaf table over the pool order[start:]
+            p, pool = n - start, order[start:]
+            # per pool position j with a neighbour in chosen, a = their count
+            counts = [((adj[v] & chosen).bit_count(), j) for j, v in enumerate(pool) if adj[v] & chosen]
+            row = leaves[p]
+            for s in live:
+                t = s - picked
+                subsets, members, table, ones, top = row[t] or leaf_table(p, t)
+                packed = table + inside * sum([a * members[j] for a, j in counts])
+                # A field beats the incumbent when it reaches least. With
+                # 0x8000 - least added to every field, bit 15 of a field
+                # is set exactly when it does: the walk's threshold test.
+                least = incumbent[s] - val + n * t + 1
+                if not (packed + (0x8000 - least) * ones) & top:
+                    continue
+                # the first field of the maximum is the first set the
+                # depth-first search would reach with it
+                fields = _fields(packed, 2 * len(subsets)).tolist()
+                most = max(fields)
+                picks = subsets[fields.index(most)]
+                incumbent[s] = val + most - n * t
+                best[s] = chosen | sum([1 << v for j, v in enumerate(pool) if picks >> j & 1])
 
         def dfs(start: int, chosen: int, picked: int, val: int, live: list[int]) -> None:
             # live is this call's own list
@@ -661,26 +722,7 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
                 if not live:
                     return
             if n - start <= leaf:
-                p, pool = n - start, order[start:]
-                counts = [(adj[v] & chosen).bit_count() for v in pool]
-                row = leaves[p]
-                for s in live:
-                    t = s - picked
-                    subsets, members, table, ones, top = row[t] or leaf_table(p, t)
-                    packed = table + inside * sum([a * member for a, member in zip(counts, members) if a])
-                    # A field beats the incumbent when it reaches least. With
-                    # 0x8000 - least added to every field, bit 15 of a field
-                    # is set exactly when it does: the walk's threshold test.
-                    least = incumbent[s] - val + n * t + 1
-                    if not (packed + (0x8000 - least) * ones) & top:
-                        continue
-                    # the first field of the maximum is the first set the
-                    # depth-first search would reach with it
-                    fields = _fields(packed, 2 * len(subsets)).tolist()
-                    most = max(fields)
-                    picks = subsets[fields.index(most)]
-                    incumbent[s] = val + most - n * t
-                    best[s] = chosen | sum([1 << v for j, v in enumerate(pool) if picks >> j & 1])
+                score(start, chosen, picked, val, live)
                 return
             first, low, high = live[0], live[0] == one, len(live)
             for idx in range(start, n - first + picked + 1):
@@ -696,7 +738,7 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
 
         sizes = list(range(max(lo, 1), min(hi, n - 1) + 1))
         if sizes:
-            dfs(0, 0, 0, 0, sizes)
+            (dfs if n > leaf else score)(0, 0, 0, 0, sizes)
         return [(sign * value, mask) for value, mask in zip(incumbent, best)]
 
     return search
@@ -803,26 +845,32 @@ def _agree(kind: MetricKind, truth: Sequence[int], route: str, values: Sequence[
 def _checked_profiles(
     graph: Graph,
 ) -> tuple[dict[MetricKind, Profile], dict[MetricKind, Profile]]:
-    # Returns the cross-checked profiles and the complement's walk, whose
-    # values the reductions have just checked against them. Per kind, the
-    # branch-and-bound values and the reduction's are compared with the
-    # walk's, and then every walk witness is evaluated again.
-    exhaustive = profile_exhaustive(graph, cap=graph.n)
-    co = profile_exhaustive(complement(graph), cap=graph.n)
+    # Returns the cross-checked profiles and the complement's walk, values
+    # only, which the reductions have just checked against them. Per kind,
+    # the branch-and-bound values and the reduction's are compared with the
+    # walk's, and then every walk witness is evaluated again, each distinct
+    # set once. Only values are compared, so neither the search nor the
+    # reductions build a witness.
+    n = graph.n
+    exhaustive = profile_exhaustive(graph, cap=n)
+    co = _walk(complement(graph), False)
+    bases = {kind: Profile(kind, profile.values) for kind, profile in exhaustive.items()}
+    evaluated = {}
     for kind in KIND_ORDER:
         profile = exhaustive[kind]
-        # only the values are compared, so no witness set is built
-        _agree(kind, profile.values, "branch-and-bound", [value for value, _ in _searcher(graph, kind)(1, graph.n)])
-        derived = profile_by_reduction(graph, kind, bases=exhaustive, complement_bases=co)
+        _agree(kind, profile.values, "branch-and-bound", [value for value, _ in _searcher(graph, kind)(1, n)])
+        derived = profile_by_reduction(graph, kind, bases=bases, complement_bases=co)
         _agree(kind, profile.values, derived.provenance, derived.values)
         for i, witness in enumerate(profile.witnesses):
-            metrics = metrics_from_mask(graph, witness.bits)
+            metrics = evaluated.get(witness.bits)
+            if metrics is None:
+                metrics = evaluated[witness.bits] = metrics_from_mask(graph, witness.bits)
             if metrics.size != i or getattr(metrics, kind.counter) != profile.values[i]:
                 raise InternalInconsistencyError(
                     f"witness of {kind.key} at i={i} does not attain its value: "
                     f"{profile.values[i]} claimed, {metrics} found"
                 )
-    checked = {kind: replace(exhaustive[kind], provenance="cross-checked") for kind in KIND_ORDER}
+    checked = {kind: Profile(kind, profile.values, profile.witnesses, "cross-checked") for kind, profile in exhaustive.items()}
     return checked, co
 
 
@@ -832,8 +880,9 @@ def _solve(
     """Profiles under a strategy, plus the complement's when the route made them.
 
     The complement profiles come back only from checked, whose reduction
-    check already compared them against the graph's own; every other
-    route returns None in their place.
+    check already compared them against the graph's own. They hold
+    values only, no witnesses; every other route returns None in their
+    place.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
@@ -869,9 +918,10 @@ def all_profiles(
     witnesses. reduced: branch and bound for the induced kinds, and for
     the cut kinds up to n/2, which the cut reduction mirrors; the covered
     kinds derived from the induced ones. checked: the walk on the graph
-    and on its complement, branch and bound for every kind and size, and
-    every reduction; raises InternalInconsistencyError if any value
-    disagrees or any returned witness fails to attain its value. auto:
+    and, values only, on its complement, branch and bound for every kind
+    and size, and every reduction; raises InternalInconsistencyError if
+    any value disagrees or any returned witness fails to attain its
+    value. auto:
     checked for n <= 8, one walk (oracle) above: at n = 24 the walk takes
     under half a second on every density tried, while branch and bound
     for all six kinds takes seconds.

@@ -232,10 +232,11 @@ class TestVerifySolveCounts:
     @pytest.mark.parametrize("graph", [cycle(6), star(7), random_graph(8, 0.5, 3)], ids=["C6", "S7", "G8"])
     def test_checked_verify_solves_complement_once(self, monkeypatch, strategy, graph):
         # one walk on the graph, one on its complement, one branch-and-bound
-        # search built per kind; the identity suite reuses the complement walk
+        # search built per kind; the identity suite reuses the complement walk.
+        # Both walks go through _walk; the complement's folds values only.
         import isoprofile.solvers as solvers_mod
 
-        walks = self._count(monkeypatch, solvers_mod, "profile_exhaustive")
+        walks = self._count(monkeypatch, solvers_mod, "_walk")
         searches = self._count(monkeypatch, solvers_mod, "_searcher")
         report = verify_theorem(graph, strategy=strategy)
         assert report.consistent

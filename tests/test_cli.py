@@ -80,6 +80,19 @@ class TestProfileCommand:
         code, _, err = run(capsys, "profile", "--input", "no-such-file.txt")
         assert code == 1 and "cannot read" in err
 
+    # An empty source is still the source given: it fails as that source,
+    # in one line, instead of falling through to the generator spec.
+    @pytest.mark.parametrize("command", ["profile", "verify"])
+    def test_empty_graph6_string(self, capsys, command):
+        code, out, err = run(capsys, command, "--g6", "")
+        assert (code, out, err) == (1, "", "error: empty graph6 input\n")
+
+    @pytest.mark.parametrize("command", ["profile", "verify"])
+    def test_empty_input_path(self, capsys, command):
+        code, out, err = run(capsys, command, "--input", "")
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
     def test_conflicting_sources(self, capsys):
         code, _, err = run(capsys, "profile", "--g6", "A_", "--gen", "cycle:4")
         assert code == 1

@@ -51,8 +51,9 @@ def small_graphs(draw, max_n=7):
 
 
 def _count_solver_calls(monkeypatch, graph, strategy):
-    # walk: profile_exhaustive calls; search: branch-and-bound searchers,
-    # one per kind whichever strategy builds it
+    # walk: calls of _walk, which the graph's walk and the complement's
+    # values-only walk both go through; search: branch-and-bound
+    # searchers, one per kind whichever strategy builds it
     import isoprofile.solvers as solvers_mod
 
     calls = {"walk": 0, "search": 0}
@@ -64,7 +65,7 @@ def _count_solver_calls(monkeypatch, graph, strategy):
 
         return wrapper
 
-    monkeypatch.setattr(solvers_mod, "profile_exhaustive", counting("walk", solvers_mod.profile_exhaustive))
+    monkeypatch.setattr(solvers_mod, "_walk", counting("walk", solvers_mod._walk))
     monkeypatch.setattr(solvers_mod, "_searcher", counting("search", solvers_mod._searcher))
     all_profiles(graph, strategy=strategy)
     return calls
@@ -159,6 +160,14 @@ class TestExhaustive:
             patch.setattr(solvers, "_BLOCK", width)
             profiles = profile_exhaustive(g)
         _assert_naive_first_witnesses(g, profiles)
+
+    @pytest.mark.parametrize("n", [11, 12])
+    @pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+    def test_first_step_matches_naive_first_witness(self, n, density):
+        # step 0 seeds every tracker from one decode per table; at n = 11
+        # it is the whole walk, at n = 12 the Gray code takes one more step
+        g = from_spec(f"random:{n}:{density}", 11)
+        _assert_naive_first_witnesses(g, profile_exhaustive(g))
 
     def test_walk_decodes_do_not_regress(self, monkeypatch):
         # timing-free regression signal: a step decodes a packed vector
@@ -747,6 +756,56 @@ class TestAllProfiles:
         g = from_spec("random:16:0.5", 1729)
         calls = _count_solver_calls(monkeypatch, g, "checked")
         assert calls == {"walk": 2, "search": len(KIND_ORDER)}
+
+    # Work counts of checked on the two sweep-small generators: each
+    # distinct walk witness is evaluated once (18 of 66 and 38 of 60
+    # witnesses), and the only sets built are the walk's own witnesses.
+    CHECKED_WORK = [("regular:10:3", 3, 18), ("random:9:0.4", 1729, 38)]
+
+    @pytest.mark.parametrize("spec, seed, distinct", CHECKED_WORK)
+    def test_checked_evaluates_each_distinct_witness_once(self, monkeypatch, spec, seed, distinct):
+        g = from_spec(spec, seed)
+        walked = {w.bits for profile in profile_exhaustive(g).values() for w in profile.witnesses}
+        masks = []
+        real = solvers.metrics_from_mask
+        monkeypatch.setattr(solvers, "metrics_from_mask", lambda graph, mask: masks.append(mask) or real(graph, mask))
+        all_profiles(g, strategy="checked")
+        assert len(masks) == len(set(masks)) == distinct
+        assert set(masks) == walked
+
+    @pytest.mark.parametrize("spec, seed, distinct", CHECKED_WORK)
+    def test_checked_builds_no_complement_witness(self, monkeypatch, spec, seed, distinct):
+        g = from_spec(spec, seed)
+        built = []
+        real = VertexSet.__post_init__
+        monkeypatch.setattr(VertexSet, "__post_init__", lambda self: built.append(self.bits) or real(self))
+        profiles, co = solvers._solve(g, "checked", None)
+        assert all(profile.witnesses is None for profile in co.values())
+        assert sorted(built) == sorted({w.bits for profile in profiles.values() for w in profile.witnesses})
+        assert len(built) == distinct
+
+    # the two sweep-small graphs, and graphs whose walk runs the Gray code
+    @pytest.mark.parametrize(
+        "spec, seed",
+        [(spec, seed) for spec, seed, _ in CHECKED_WORK] + [("random:12:0.5", 2), ("regular:14:3", 2), ("random:17:0.3", 1)],
+    )
+    def test_values_only_walk_matches_walk(self, spec, seed):
+        co = complement(from_spec(spec, seed))
+        assert {kind: p.values for kind, p in solvers._walk(co, False).items()} == {
+            kind: p.values for kind, p in profile_exhaustive(co).items()
+        }
+
+    # a block of 2 leaves most of the walk to the Gray code
+    @pytest.mark.parametrize("width", [10, 2])
+    @given(g=small_graphs(max_n=10))
+    @settings(max_examples=60, deadline=None)
+    def test_values_only_walk_matches_walk_sample(self, width, g):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "_BLOCK", width)
+            values, walked = solvers._walk(g, False), profile_exhaustive(g)
+        for kind, profile in walked.items():
+            assert values[kind].values == profile.values
+            assert values[kind].witnesses is None
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):
