@@ -328,7 +328,13 @@ def verify_theorem(
     n = 8 among them (one walk on the graph), solve the complement on
     demand. A cut sequence failing its unconditional
     symmetry raises InternalInconsistencyError: that is a solver bug,
-    never a counterexample.
+    never a counterexample. So does a characterizing sequence that
+    breaks one of the two closed forms the biconditional rests on, on
+    any graph, connected or not: s(1) + s(n) is the minimum degree for
+    max_induced and min_covered and the maximum degree for min_induced
+    and max_covered (max_induced(n - 1) = m - min degree, and so on),
+    and the steps sum to m. A symmetric sequence then has n times that
+    degree equal to 2m, so the graph is regular.
     """
     profiles, complement_profiles = _solve(graph, strategy, cap)
     summary = degree_summary(graph)
@@ -341,6 +347,15 @@ def verify_theorem(
             raise InternalInconsistencyError(
                 f"cut difference sequence {kind.key} failed its unconditional "
                 f"symmetry (target {v.target}, first violations {v.violations[:3]})"
+            )
+    # the docstring's two closed forms; the steps sum to P(n) - P(0) = m
+    for kind in CHARACTERIZING_KINDS:
+        end = summary.min_degree if kind in (MetricKind.MAX_INDUCED, MetricKind.MIN_COVERED) else summary.max_degree
+        total = sum(diffs[kind].values)
+        if verdicts[kind].target != end or total != graph.m:
+            raise InternalInconsistencyError(
+                f"difference sequence {kind.key} breaks its closed forms: s(1) + s(n) = "
+                f"{verdicts[kind].target} (degree {end} expected), sum {total} (m = {graph.m} expected)"
             )
     biconditional = {
         kind: verdicts[kind].symmetric == summary.is_regular for kind in CHARACTERIZING_KINDS

@@ -128,6 +128,9 @@ def _load_graph(args) -> Graph:
     # graph is built: adjacency grows as n^2, so an oversized input
     # would otherwise allocate before any solver could refuse it.
     if args.input is not None:
+        # Path("") is the working directory, so an empty path is refused by name
+        if not args.input:
+            raise _UsageError("--input needs a file path")
         try:
             text = Path(args.input).read_text()
         except OSError as exc:

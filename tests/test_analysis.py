@@ -8,6 +8,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from isoprofile import (
     CHARACTERIZING_KINDS,
@@ -39,6 +41,15 @@ from isoprofile import (
     verify_theorem,
     write_findings,
 )
+
+
+@st.composite
+def small_graphs(draw, max_n=9):
+    # any graph on 1..max_n vertices, disconnected ones included
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    bits = draw(st.integers(min_value=0, max_value=(1 << len(pairs)) - 1))
+    return from_edge_list(n, [pairs[k] for k in range(len(pairs)) if bits >> k & 1])
 
 
 class TestDiffSequence:
@@ -212,6 +223,23 @@ class TestVerifyTheorem:
         for result in report.identities:
             assert result.holds is not False
 
+    @given(g=small_graphs())
+    @example(g=from_edge_list(4, [(0, 1), (2, 3)]))
+    @example(g=from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4)]))
+    @example(g=empty(3))
+    @settings(max_examples=60, deadline=None)
+    def test_closed_forms_hold_connected_or_not(self, g):
+        # s(1) + s(n) is the least degree for max_induced and min_covered
+        # and the largest for min_induced and max_covered, and the steps
+        # sum to m, whether or not the graph is connected
+        walked = profile_exhaustive(g)
+        summary = degree_summary(g)
+        for kind in CHARACTERIZING_KINDS:
+            steps = diff_sequence(walked[kind]).values
+            end = summary.min_degree if kind in (MetricKind.MAX_INDUCED, MetricKind.MIN_COVERED) else summary.max_degree
+            assert (steps[0] + steps[-1], sum(steps)) == (end, g.m), kind.key
+        verify_theorem(g, strategy="oracle")
+
 
 class TestVerifySolveCounts:
     """Solver work done by one verify, counted rather than timed."""
@@ -289,6 +317,28 @@ class TestInternalInconsistency:
         with pytest.raises(InternalInconsistencyError, match="unconditional"):
             verify_theorem(cycle(4))
 
+    # Each shift keeps the other closed form: moving P(n - 1) up moves
+    # s(n) down and s(n - 1) up, and moving P(1) down and P(n) up moves
+    # s(1) down and s(2) and s(n) up.
+    @pytest.mark.parametrize("shifts", [{-2: 1}, {1: -1, -1: 1}], ids=["endpoints", "sum"])
+    @pytest.mark.parametrize("kind", CHARACTERIZING_KINDS, ids=lambda kind: kind.key)
+    def test_broken_closed_form_classified_as_bug(self, monkeypatch, shifts, kind):
+        import isoprofile.analysis as analysis_mod
+        from isoprofile import InternalInconsistencyError
+
+        real = analysis_mod._solve
+
+        def tampered(graph, strategy, cap):
+            profiles, complement_profiles = real(graph, strategy, cap)
+            values = list(profiles[kind].values)
+            for i, shift in shifts.items():
+                values[i] += shift
+            return {**profiles, kind: replace(profiles[kind], values=tuple(values))}, complement_profiles
+
+        monkeypatch.setattr(analysis_mod, "_solve", tampered)
+        with pytest.raises(InternalInconsistencyError, match=f"{kind.key} breaks its closed forms"):
+            verify_theorem(star(5))
+
     def test_checked_strategy_rejects_route_disagreement(self, monkeypatch):
         import isoprofile.solvers as solvers_mod
         from isoprofile import InternalInconsistencyError
@@ -310,6 +360,30 @@ class TestInternalInconsistency:
         monkeypatch.setattr(solvers_mod, "_searcher", lying)
         with pytest.raises(InternalInconsistencyError, match="max_induced at i=2"):
             all_profiles(cycle(4), strategy="checked")
+
+    def test_lower_half_lie_shows_at_dual_upper_size(self, monkeypatch):
+        # min_covered is searched on sizes 1..3 of C6 only; its size 1 is
+        # also max_induced's size 5, which is compared first
+        import isoprofile.solvers as solvers_mod
+        from isoprofile import InternalInconsistencyError
+
+        real = solvers_mod._searcher
+
+        def lying(graph, kind):
+            search = real(graph, kind)
+
+            def lied(lo, hi):
+                found = search(lo, hi)
+                if kind is MetricKind.MIN_COVERED:
+                    value, mask = found[1]
+                    found[1] = value - 1, mask
+                return found
+
+            return lied
+
+        monkeypatch.setattr(solvers_mod, "_searcher", lying)
+        with pytest.raises(InternalInconsistencyError, match="max_induced at i=5: exhaustive=4, branch-and-bound=5"):
+            all_profiles(cycle(6), strategy="checked")
 
     def test_checked_strategy_rejects_false_witness(self, monkeypatch):
         import isoprofile.solvers as solvers_mod

@@ -90,8 +90,7 @@ class TestProfileCommand:
     @pytest.mark.parametrize("command", ["profile", "verify"])
     def test_empty_input_path(self, capsys, command):
         code, out, err = run(capsys, command, "--input", "")
-        assert code == 1 and out == ""
-        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+        assert (code, out, err) == (1, "", "error: --input needs a file path\n")
 
     def test_conflicting_sources(self, capsys):
         code, _, err = run(capsys, "profile", "--g6", "A_", "--gen", "cycle:4")

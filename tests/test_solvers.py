@@ -6,7 +6,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isoprofile import (
@@ -811,14 +811,34 @@ class TestAllProfiles:
         with pytest.raises(ValueError, match="unknown strategy"):
             all_profiles(cycle(4), strategy="psychic")
 
-    def test_mirrored_witnesses_reevaluate(self):
-        g = cycle(7)
-        ps = all_profiles(g, strategy="reduced")
-        for kind in (MetricKind.MAX_CUT, MetricKind.MIN_CUT):
-            profile = ps[kind]
-            for i, witness in enumerate(profile.witnesses):
-                assert len(witness) == i
-                assert subset_metrics(g, witness).cut == profile.values[i]
+    # checked and reduced search each kind on the lower half of the sizes
+    # only, and read the upper half off the dual kind
+    @pytest.mark.parametrize("strategy", ["checked", "reduced"])
+    @pytest.mark.parametrize("spec, seed", [("cycle:6", 0), ("cycle:7", 0), ("random:13:0.5", 1), ("regular:14:3", 2)])
+    def test_each_kind_searched_up_to_half(self, monkeypatch, strategy, spec, seed):
+        g = from_spec(spec, seed)
+        asked = []
+        real = solvers._searcher
+
+        def recording(graph, kind):
+            search = real(graph, kind)
+            return lambda lo, hi: asked.append((kind, lo, hi)) or search(lo, hi)
+
+        monkeypatch.setattr(solvers, "_searcher", recording)
+        all_profiles(g, strategy=strategy)
+        assert sorted(asked, key=lambda call: KIND_ORDER.index(call[0])) == [(kind, 1, g.n // 2) for kind in KIND_ORDER]
+
+    # each reduced witness, searched or read off the dual kind, has its
+    # size and attains its value
+    @given(g=small_graphs(max_n=10))
+    @example(g=cycle(7))
+    @settings(max_examples=60, deadline=None)
+    def test_mirrored_witnesses_reevaluate(self, g):
+        profiles = all_profiles(g, strategy="reduced")
+        for kind in KIND_ORDER:
+            for i, witness in enumerate(profiles[kind].witnesses):
+                assert len(witness) == i, (kind.key, i)
+                assert getattr(subset_metrics(g, witness), kind.counter) == profiles[kind].values[i], (kind.key, i)
 
 
 class TestCap:
