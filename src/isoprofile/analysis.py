@@ -12,18 +12,16 @@ stress-tests streams of generated graphs.
 A sequence s(1..n) is symmetric when s(i) + s(n-i+1) is the same for
 every i, equivalently equals s(1) + s(n). All symmetry tests are exact
 integer comparisons; there is no tolerance anywhere in this module
-except the explicit float guard band in the hypercube check.
+except the float guard band on the hypercube check's natural-log column.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
-from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Mapping, Sequence
+from typing import BinaryIO, Mapping, NamedTuple, Sequence
 
 from .formats import to_graph6
 from .graphs import (
@@ -81,43 +79,45 @@ CUT_KINDS = (MetricKind.MAX_CUT, MetricKind.MIN_CUT)
 
 
 # ---------------------------------------------------------------------------
-# Report serialization. Every JSON key is the name of a record field, so
-# each record binds these two functions as its to_dict and from_dict.
+# Report serialization. Every record is a NamedTuple and every JSON key
+# the name of one of its fields, so each record binds these two functions
+# as its to_dict and from_dict.
 
 
 def _encode(record):
     """JSON-ready form of a record, or of one of its field values.
 
-    Scalars and None pass through, a tuple becomes a list, a
-    MetricKind-keyed mapping a dict keyed by ``kind.key``, and a
-    dataclass a dict over its fields. Scalars are tested first: they are
-    most of the leaves.
+    Scalars and None pass through, a record (a NamedTuple, known by its
+    ``_fields``) becomes a dict over its fields, any other tuple a list,
+    and a MetricKind-keyed mapping a dict keyed by ``kind.key``. Scalars
+    are tested first: they are most of the leaves. Records are tested
+    before tuples, because every record is a tuple.
     """
     if record is None or isinstance(record, (int, float, str)):
         return record
+    if hasattr(record, "_fields"):
+        return {name: _encode(value) for name, value in zip(record._fields, record)}
     if isinstance(record, tuple):
         return [_encode(item) for item in record]
-    if isinstance(record, Mapping):
-        return {kind.key: _encode(value) for kind, value in record.items()}
-    return {f.name: _encode(getattr(record, f.name)) for f in fields(record)}
+    return {kind.key: _encode(value) for kind, value in record.items()}
 
 
 def _decode(cls, data):
     """Rebuild a value of type ``cls`` from its ``_encode`` form.
 
-    ``cls`` is a record class or the type hint of one of its fields:
-    int, bool, str or float (coerced), ``X | None``, ``tuple[X, ...]``,
-    a fixed-length tuple, ``Mapping[MetricKind, V]`` or a nested record.
-    A key missing from ``data`` raises KeyError. Field hints are
-    resolved here, at each call, never at import time.
+    ``cls`` is a record class (a NamedTuple, read through its
+    ``_fields``) or the type hint of one of its fields: int, bool, str or
+    float (coerced), ``X | None``, ``tuple[X, ...]``, a fixed-length
+    tuple, ``Mapping[MetricKind, V]`` or a nested record. A key missing
+    from ``data`` raises KeyError. Field hints are resolved here, by
+    ``get_type_hints`` at each call, never at import time.
     """
     import collections.abc
-    from dataclasses import is_dataclass
     from typing import get_args, get_origin, get_type_hints
 
-    if is_dataclass(cls):
+    if hasattr(cls, "_fields"):
         hints = get_type_hints(cls)
-        return cls(**{f.name: _decode(hints[f.name], data[f.name]) for f in fields(cls)})
+        return cls(*(_decode(hints[name], data[name]) for name in cls._fields))
     origin, args = get_origin(cls), get_args(cls)
     if type(None) in args:
         if data is None:
@@ -133,8 +133,7 @@ def _decode(cls, data):
     return cls(data)
 
 
-@dataclass(frozen=True)
-class DiffSequence:
+class DiffSequence(NamedTuple):
     """Consecutive differences s(1..n) of a profile; values[k] is s(k+1)."""
 
     kind: MetricKind
@@ -159,8 +158,7 @@ def diff_sequence(profile: Profile) -> DiffSequence:
     return DiffSequence(profile.kind, tuple(_diffs(profile.values)))
 
 
-@dataclass(frozen=True)
-class SymmetryVerdict:
+class SymmetryVerdict(NamedTuple):
     """Outcome of the exact symmetry test on one difference sequence."""
 
     symmetric: bool
@@ -184,8 +182,7 @@ def check_symmetry(seq: DiffSequence) -> SymmetryVerdict:
     return SymmetryVerdict(not violations, target, violations)
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     """One counting identity checked at every applicable index.
 
     ``holds`` is None when the identity does not apply to this graph
@@ -288,8 +285,7 @@ def identity_suite(
     return tuple(results)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Self-contained outcome of the regularity/symmetry check on one graph."""
 
     n: int
@@ -387,8 +383,7 @@ def verify_theorem(
 # Hypercube isoperimetric bound
 
 
-@dataclass(frozen=True)
-class IsoperimetricRow:
+class IsoperimetricRow(NamedTuple):
     """One size i of the bound min_cut(i) >= i * (d - log2 i)."""
 
     size: int
@@ -402,8 +397,7 @@ class IsoperimetricRow:
     to_dict = _encode
 
 
-@dataclass(frozen=True)
-class IsoperimetricReport:
+class IsoperimetricReport(NamedTuple):
     dimension: int
     n: int
     min_cut_profile: tuple[int, ...]
@@ -431,10 +425,13 @@ def hypercube_inequality_check(
 ) -> IsoperimetricReport:
     """Evaluate min_cut(i) >= i * (d - log2 i) on the d-dimensional hypercube.
 
-    Powers of two compare exactly in integer arithmetic; other sizes use
-    a 1e-9 guard band on the real-valued right-hand side so float
-    rounding cannot produce a false failure (the margin is far below 1,
-    and min_cut is an integer).
+    The base-2 verdict is exact at every size: with excess
+    e = i * d - min_cut(i), the bound holds when e <= 0 or 2^e <= i^i,
+    compared in integers. ``bound_base2`` is the float right-hand side,
+    for display, and ``exact`` marks the powers of two, where it is an
+    integer. The natural-log column keeps a 1e-9 guard band on its
+    real-valued right-hand side so float rounding cannot produce a false
+    failure (the margin is far below 1, and min_cut is an integer).
     """
     # refuse above the cap before building: the build grows 4x per dimension
     _require_within_cap(_hypercube_order(dimension), cap)
@@ -446,12 +443,12 @@ def hypercube_inequality_check(
         value = min_cut.values[i]
         power_of_two = i & (i - 1) == 0
         if power_of_two:
-            rhs_int = i * (dimension - (i.bit_length() - 1))
-            bound2 = float(rhs_int)
-            holds2 = value >= rhs_int
+            bound2 = float(i * (dimension - (i.bit_length() - 1)))
         else:
             bound2 = i * (dimension - math.log2(i))
-            holds2 = value >= bound2 - _GUARD_BAND
+        # value >= i * (d - log2 i)  <=>  i * d - value <= log2(i^i)
+        excess = i * dimension - value
+        holds2 = excess <= 0 or 1 << excess <= i**i
         bound_n = i * (dimension - math.log(i))
         holds_n = value >= bound_n - _GUARD_BAND
         rows.append(IsoperimetricRow(i, value, bound2, holds2, power_of_two, bound_n, holds_n))
@@ -470,8 +467,7 @@ def hypercube_inequality_check(
 # Counterexample sweep
 
 
-@dataclass(frozen=True)
-class SweepFinding:
+class SweepFinding(NamedTuple):
     index: int
     spec: str
     graph6: str
@@ -481,8 +477,7 @@ class SweepFinding:
     from_dict = classmethod(_decode)
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     seed: int
     count: int
     specs: tuple[str, ...]
@@ -502,6 +497,10 @@ def _child_seed(seed: int, index: int) -> int:
 
 def write_findings(findings: Sequence[SweepFinding], path: str | Path) -> None:
     """One graph6 line followed by one compact JSON report line per finding."""
+    # json is imported only where JSON is written, as pickle is where a
+    # sweep forks: the csv and human outputs never need it
+    import json
+
     lines = []
     for finding in findings:
         lines.append(finding.graph6)

@@ -9,9 +9,7 @@ human format is for reading, never for parsing.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .analysis import (
@@ -152,17 +150,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dump_json(payload) -> str:
+    import json  # see analysis.write_findings
+
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _graph_summary_dict(graph: Graph) -> dict:
     summary = degree_summary(graph)
     info = {"n": graph.n, "m": graph.m}
-    info.update(
-        (field.name, getattr(summary, field.name))
-        for field in fields(DegreeSummary)
-        if field.name != "degree_sequence"
-    )
+    fields = zip(DegreeSummary._fields, summary)
+    info.update((name, value) for name, value in fields if name != "degree_sequence")
     info["connected"] = is_connected(graph)
     return info
 

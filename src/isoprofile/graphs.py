@@ -12,8 +12,7 @@ absence of self-loops, so every reachable ``Graph`` is well formed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "DEFAULT_SEED",
@@ -46,18 +45,38 @@ PAIRING_RESAMPLE_BUDGET = 10_000
 SWITCHES_PER_EDGE = 10
 
 
-@dataclass(frozen=True)
 class VertexSet:
-    """A subset of the vertices 0..n-1 of an ambient graph, as a bitset."""
+    """A subset of the vertices 0..n-1 of an ambient graph, as a bitset.
 
-    n: int
-    bits: int
+    Immutable: compared and hashed by value, and assignment is refused.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    __slots__ = ("n", "bits")
+
+    def __init__(self, n: int, bits: int) -> None:
+        if n < 1:
             raise ValueError("ambient vertex count must be at least 1")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ValueError(f"bitset mentions vertices outside 0..{self.n - 1}")
+        if bits < 0 or bits >> n:
+            raise ValueError(f"bitset mentions vertices outside 0..{n - 1}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits", bits)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable VertexSet")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable VertexSet")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.bits))
+
+    def __reduce__(self):
+        return VertexSet, (self.n, self.bits)
 
     @classmethod
     def from_vertices(cls, n: int, vertices: Iterable[int]) -> "VertexSet":
@@ -159,8 +178,7 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class DegreeSummary:
+class DegreeSummary(NamedTuple):
     """Degree extremes of a graph; regular means min == max."""
 
     min_degree: int

@@ -8,7 +8,7 @@ the cut count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, VertexSet
 
@@ -22,8 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SubsetMetrics:
+class SubsetMetrics(NamedTuple):
     """Edge counts for one vertex subset S.
 
     induced: edges with both endpoints in S

@@ -89,10 +89,9 @@ import functools
 import math
 import struct
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, combinations, islice
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .graphs import Graph, VertexSet, complement
 from .metrics import metrics_from_mask
@@ -163,13 +162,12 @@ def kind_from_key(key: str) -> MetricKind:
     raise ValueError(f"unknown metric kind {key!r}")
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """Extremal values of one kind for every size i in [0, n].
 
     ``values[0]`` is 0 by the empty-set convention (a convention, not a
     derived fact). ``witnesses``, when present, holds one optimal subset
-    per size.
+    per size. Indexing reads ``values``: ``profile[i] == profile.values[i]``.
     """
 
     kind: MetricKind

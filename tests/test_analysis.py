@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -15,10 +14,12 @@ from isoprofile import (
     CHARACTERIZING_KINDS,
     CUT_KINDS,
     KIND_ORDER,
+    DegreeSummary,
     IdentityResult,
     MetricKind,
     SweepFinding,
     SweepSummary,
+    VerificationReport,
     VertexCapError,
     all_profiles,
     check_symmetry,
@@ -216,7 +217,25 @@ class TestVerifyTheorem:
     def test_report_dict_roundtrip(self, build):
         record = build()
         data = json.loads(json.dumps(record.to_dict()))
-        assert type(record).from_dict(data) == record
+        rebuilt = type(record).from_dict(data)
+        # a record is a tuple, equal to any tuple holding the same fields
+        assert rebuilt == record and type(rebuilt) is type(record)
+
+    def test_records_refuse_assignment(self):
+        report = verify_theorem(cycle(5))
+        profile = all_profiles(cycle(5))[MetricKind.MIN_CUT]
+        for record, name in ((report, "consistent"), (profile, "values"), (report.degrees, "min_degree")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert report.consistent and profile[2] == profile.values[2] == 2 and profile.n == 5
+
+    def test_records_are_tuples(self):
+        # records compare as tuples and take _replace in place of
+        # dataclasses.replace
+        verdict = IdentityResult("densest_full_set", True, True, None)
+        assert verdict == ("densest_full_set", True, True, None)
+        assert verdict._replace(holds=False).holds is False and verdict.holds is True
+        assert IdentityResult._fields == ("name", "applicable", "holds", "first_violation")
 
     def test_identities_in_report_all_pass(self):
         report = verify_theorem(cycle(6))
@@ -308,9 +327,7 @@ class TestInternalInconsistency:
             broken = profiles[MetricKind.MAX_CUT]
             values = list(broken.values)
             values[-1] += 1
-            profiles[MetricKind.MAX_CUT] = replace(
-                broken, values=tuple(values), witnesses=None, provenance="tampered"
-            )
+            profiles[MetricKind.MAX_CUT] = broken._replace(values=tuple(values), witnesses=None, provenance="tampered")
             return profiles, complement_profiles
 
         monkeypatch.setattr(analysis_mod, "_solve", tampered)
@@ -333,7 +350,7 @@ class TestInternalInconsistency:
             values = list(profiles[kind].values)
             for i, shift in shifts.items():
                 values[i] += shift
-            return {**profiles, kind: replace(profiles[kind], values=tuple(values))}, complement_profiles
+            return {**profiles, kind: profiles[kind]._replace(values=tuple(values))}, complement_profiles
 
         monkeypatch.setattr(analysis_mod, "_solve", tampered)
         with pytest.raises(InternalInconsistencyError, match=f"{kind.key} breaks its closed forms"):
@@ -396,7 +413,7 @@ class TestInternalInconsistency:
             honest = profiles[MetricKind.MIN_CUT]
             witnesses = list(honest.witnesses)
             witnesses[2] = VertexSet.from_vertices(graph.n, [0, 2])  # cut 4 on C4, not 2
-            profiles[MetricKind.MIN_CUT] = replace(honest, witnesses=tuple(witnesses))
+            profiles[MetricKind.MIN_CUT] = honest._replace(witnesses=tuple(witnesses))
             return profiles
 
         monkeypatch.setattr(solvers_mod, "profile_exhaustive", lying)
@@ -415,7 +432,7 @@ class TestInternalInconsistency:
                 return derived
             values = list(derived.values)
             values[3] += 1
-            return replace(derived, values=tuple(values))
+            return derived._replace(values=tuple(values))
 
         monkeypatch.setattr(solvers_mod, "profile_by_reduction", lying)
         with pytest.raises(InternalInconsistencyError, match=r"min_covered at i=3: exhaustive=\d+, reduction\("):
@@ -462,15 +479,17 @@ class TestHypercubeInequality:
         assert by_size[1].min_cut == 2 and by_size[1].bound_base2 == 2.0
 
     def test_exact_rows_match_float_verdicts(self):
-        # the integer comparison at powers of two agrees with an
-        # all-integer restatement of the bound: 2**(i*d - cut) <= i**i
-        for d in (1, 2, 3):
+        # the verdict agrees with an all-integer restatement of the
+        # bound at every size: 2**(i*d - cut) <= i**i
+        for d in (1, 2, 3, 4):
             report = hypercube_inequality_check(d)
             for row in report.rows:
                 i = row.size
                 exponent = i * d - row.min_cut
                 exact_holds = exponent <= 0 or 2**exponent <= i**i
                 assert row.holds_base2 == exact_holds, (d, i)
+                if abs(row.min_cut - row.bound_base2) > 1e-6:
+                    assert row.holds_base2 == (row.min_cut >= row.bound_base2), (d, i)
 
     def test_natural_log_column_is_informational(self):
         # base-2 passes everywhere; the natural-log variant genuinely
@@ -573,12 +592,14 @@ class TestSweep:
 
         def flagged(graph, **kwargs):
             report = real(graph, **kwargs)
-            return replace(report, consistent=not (flag and graph.n == 5))
+            return report._replace(consistent=not (flag and graph.n == 5))
 
         monkeypatch.setattr(analysis_mod, "verify_theorem", flagged)
         summary = counterexample_sweep(["cycle:4", "star:5"], 2, seed=3)
         assert len(summary.findings) == flag
-        assert SweepSummary.from_dict(json.loads(json.dumps(summary.to_dict()))) == summary
+        rebuilt = SweepSummary.from_dict(json.loads(json.dumps(summary.to_dict())))
+        assert rebuilt == summary and type(rebuilt) is SweepSummary
+        assert all(type(f) is SweepFinding and type(f.report) is VerificationReport for f in rebuilt.findings)
 
     def test_jobs_are_made_as_they_run(self, monkeypatch):
         # a job list made up front held about 150 bytes per graph
@@ -607,7 +628,9 @@ class TestSweep:
         assert lines[0] == "Cs"
         parsed = json.loads(lines[1])
         assert parsed["index"] == 3
-        assert SweepFinding.from_dict(parsed) == finding
+        rebuilt = SweepFinding.from_dict(parsed)
+        assert rebuilt == finding and type(rebuilt) is SweepFinding
+        assert type(rebuilt.report) is VerificationReport and type(rebuilt.report.degrees) is DegreeSummary
 
 
 
@@ -703,7 +726,7 @@ class TestSweepProcesses:
 
         def flag_odd_edge_counts(graph, **kwargs):
             report = real(graph, **kwargs)
-            return replace(report, consistent=report.m % 2 == 0)
+            return report._replace(consistent=report.m % 2 == 0)
 
         monkeypatch.setattr(analysis_mod, "verify_theorem", flag_odd_edge_counts)
         specs = ["random:7:0.5", "cycle:5", "path:6"]

@@ -248,7 +248,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--gen", "cycle:5", "--format", "json")
         assert code == 0
         rebuilt = VerificationReport.from_dict(json.loads(out))
-        assert rebuilt == verify_theorem(cycle(5))
+        assert rebuilt == verify_theorem(cycle(5)) and type(rebuilt) is VerificationReport
 
     def test_csv_rejected(self, capsys):
         code, _, err = run(capsys, "verify", "--gen", "cycle:4", "--format", "csv")
@@ -361,3 +361,26 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_generates_no_dataclass_code():
+    # against a bare interpreter in the same environment, importing the
+    # CLI loads no dataclasses (nor the inspect it pulls in) and no json,
+    # but every package module bench/spans.py reads from sys.modules
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    loaded = []
+    for setup in ("pass", "import isoprofile.cli"):
+        probe = f"{setup}\nimport sys\nprint(' '.join(sys.modules))"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        loaded.append(set(done.stdout.split()))
+    bare, cli = loaded
+    added = cli - bare
+    assert not {"dataclasses", "inspect", "json"} & added, sorted(added)
+    assert {f"isoprofile.{short}" for short in spans.LAYERS} <= added

@@ -241,6 +241,29 @@ class TestVertexSet:
             VertexSet.from_vertices(3, [3])
         with pytest.raises(ValueError):
             VertexSet(3, 0b1000)
+        with pytest.raises(ValueError):
+            VertexSet(3, -1)
+        with pytest.raises(ValueError):
+            VertexSet(0, 0)
+
+    def test_value_semantics(self):
+        import copy
+        import pickle
+
+        s = VertexSet(6, 0b101010)
+        assert s == VertexSet.from_vertices(6, [1, 3, 5]) and hash(s) == hash(VertexSet(6, 0b101010))
+        assert s != VertexSet(7, 0b101010) and s != (6, 0b101010)
+        assert pickle.loads(pickle.dumps(s)) == s and copy.deepcopy(s) == s
+        assert len({s, VertexSet(6, 0b101010), s.complement()}) == 2
+
+    def test_refuses_assignment(self):
+        s = VertexSet(4, 0b11)
+        for name, value in (("bits", 0b1), ("n", 5), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(s, name, value)
+        with pytest.raises(AttributeError):
+            del s.bits
+        assert (s.n, s.bits) == (4, 0b11)
 
 
 class TestFromSpec:

@@ -777,8 +777,8 @@ class TestAllProfiles:
     def test_checked_builds_no_complement_witness(self, monkeypatch, spec, seed, distinct):
         g = from_spec(spec, seed)
         built = []
-        real = VertexSet.__post_init__
-        monkeypatch.setattr(VertexSet, "__post_init__", lambda self: built.append(self.bits) or real(self))
+        real = VertexSet.__init__
+        monkeypatch.setattr(VertexSet, "__init__", lambda self, n, bits: built.append(bits) or real(self, n, bits))
         profiles, co = solvers._solve(g, "checked", None)
         assert all(profile.witnesses is None for profile in co.values())
         assert sorted(built) == sorted({w.bits for profile in profiles.values() for w in profile.witnesses})
