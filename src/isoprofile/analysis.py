@@ -29,6 +29,7 @@ from .graphs import (
     DegreeSummary,
     Graph,
     _hypercube_order,
+    _spec_order,
     complement,
     degree_summary,
     from_spec,
@@ -42,6 +43,7 @@ from .solvers import (
     Profile,
     _require_within_cap,
     _solve,
+    _walk,
     all_profiles,
     kind_from_key,
 )
@@ -202,19 +204,20 @@ def identity_suite(
     graph: Graph,
     profiles: Mapping[MetricKind, Profile],
     complement_profiles: Mapping[MetricKind, Profile] | None = None,
-    strategy: str = "auto",
     cap: int | None = None,
 ) -> tuple[IdentityResult, ...]:
     """Check every counting identity; failures are data, not exceptions.
 
-    Complement-graph profiles are computed on demand when not supplied.
-    verify_theorem supplies them under the checked strategy: they are the
-    complement profiles the reduction route already cross-checked, so the
-    complement is not solved a second time. Regular-only identities come
-    back with applicable=False on irregular graphs.
+    Without ``complement_profiles`` the complement is walked once, values
+    only, whatever strategy solved ``profiles``; a graph above the cap is
+    refused before the complement is built. verify_theorem passes the
+    walk that the checked strategy already made and cross-checked.
+    Regular-only identities come back with applicable=False on irregular
+    graphs.
     """
     if complement_profiles is None:
-        complement_profiles = all_profiles(complement(graph), strategy=strategy, cap=cap)
+        _require_within_cap(graph.n, cap)
+        complement_profiles = _walk(complement(graph), False)
     n, m = graph.n, graph.m
     summary = degree_summary(graph)
     d = summary.min_degree
@@ -317,19 +320,17 @@ def verify_theorem(
     difference sequences and symmetry verdicts, evaluates the
     regular-iff-symmetric biconditional for the four characterizing
     sequences, asserts the unconditional symmetry of the two cut
-    sequences, and runs the identity suite. Under checked (and auto for
-    n <= 8) one solve yields both the graph's profiles and the complement
-    profiles the identity suite needs: the complement walk that the
-    reduction route already cross-checked. Other strategies, auto above
-    n = 8 among them (one walk on the graph), solve the complement on
-    demand. A cut sequence failing its unconditional
-    symmetry raises InternalInconsistencyError: that is a solver bug,
-    never a counterexample. So does a characterizing sequence that
-    breaks one of the two closed forms the biconditional rests on, on
-    any graph, connected or not: s(1) + s(n) is the minimum degree for
-    max_induced and min_covered and the maximum degree for min_induced
-    and max_covered (max_induced(n - 1) = m - min degree, and so on),
-    and the steps sum to m. A symmetric sequence then has n times that
+    sequences, and runs the identity suite, which reads the complement's
+    profiles from one values-only walk of the complement whatever the
+    strategy: checked (and auto for n <= 8) hands over the walk its
+    reduction route already cross-checked. A cut sequence failing its
+    unconditional symmetry raises InternalInconsistencyError: that is a
+    solver bug, never a counterexample. So does a characterizing
+    sequence that breaks one of the two closed forms the biconditional
+    rests on, on any graph, connected or not: s(1) + s(n) is the minimum
+    degree for max_induced and min_covered and the maximum degree for
+    min_induced and max_covered (max_induced(n - 1) = m - min degree,
+    and so on), and the steps sum to m. A symmetric sequence then has n times that
     degree equal to 2m, so the graph is regular.
     """
     profiles, complement_profiles = _solve(graph, strategy, cap)
@@ -356,7 +357,7 @@ def verify_theorem(
     biconditional = {
         kind: verdicts[kind].symmetric == summary.is_regular for kind in CHARACTERIZING_KINDS
     }
-    identities = identity_suite(graph, profiles, complement_profiles, strategy=strategy, cap=cap)
+    identities = identity_suite(graph, profiles, complement_profiles, cap=cap)
     note = (
         None
         if connected
@@ -623,16 +624,23 @@ def counterexample_sweep(
     findings file is written only when some report is inconsistent. An
     InternalInconsistencyError is re-raised with the index, spec and
     graph6 string of the graph that caused it.
+
+    Before any graph is built or any child forked, every spec is
+    checked, including specs the stream never reaches: one that does not
+    parse raises ValueError, and one that declares more vertices than
+    the cap raises VertexCapError.
     """
     # logging is imported only where a sweep logs, as pickle and signal
     # are where it forks: importing it would cost every CLI start about 9 ms
     import logging
 
+    specs = tuple(specs)
+    for spec in specs:
+        _require_within_cap(_spec_order(spec), cap)
     if count < 0:
         raise ValueError("sweep count must be nonnegative")
     if workers < 1:
         raise ValueError(f"sweep workers must be at least 1, got {workers}")
-    specs = tuple(specs)
     if count > 0 and not specs:
         raise ValueError("at least one generator spec is required")
     sweep = (specs, seed, strategy, cap)

@@ -34,10 +34,11 @@ routes:
   (one multiply, one add and an AND) finds whether any field strictly
   beats the incumbent, and only then is the table decoded and the first
   field of its maximum taken, which is the set the branching would
-  keep. A table is built the first time a node reads it, and is shared
-  by the kinds that order the vertices alike. A field holds at most
-  12 (2n - 1), below 2^15 at the solvers' limit of 64 vertices. Values
-  match the exhaustive route; witnesses are the first optimum it
+  keep. A table is built the first time a node reads it. Its degree and
+  edge sums are shared within one search plan by the kinds that order
+  the vertices alike, and nothing outlives the plan. A field holds at
+  most 12 (2n - 1), below 2^15 at the solvers' limit of 64 vertices.
+  Values match the exhaustive route; witnesses are the first optimum it
   reaches.
 * ``profile_by_reduction``: derive one profile from already computed
   ones through exact counting identities. The covered and the induced
@@ -482,33 +483,13 @@ def _leaf_layout(p: int, t: int) -> tuple[list[int], list[int], int]:
     return subsets, [packed >> j & ones for j in range(p)], ones
 
 
-def _leaf_sums(degrees: tuple[int, ...], pool: tuple[int, ...], edges: list[tuple[int, int]], t: int) -> tuple[int, int]:
+def _leaf_sums(graph: Graph, pool: tuple[int, ...], t: int) -> tuple[int, int]:
     # the ints whose field T, a t-subset of pool, holds the degree sum of
-    # T and the number of edges, given as pairs of pool positions, inside T
-    members = _leaf_layout(len(pool), t)[1]
-    return sum(degrees[v] * member for v, member in zip(pool, members)), sum(members[i] & members[j] for i, j in edges)
-
-
-@functools.lru_cache(maxsize=2)
-def _leaf_tables(graph: Graph, order: tuple[int, ...]) -> Callable[[int, int], tuple[int, int]]:
-    # table(p, t) is _leaf_sums over the pool order[n - p:], built on first
-    # use. The sums depend on the graph and the order only, so the kinds
-    # that share an order (the max kinds, the min kinds, all six on a
-    # regular graph) share them. The pool's edges are listed once per p.
-    n, adj = graph.n, graph.adj
-    edges: dict[int, list[tuple[int, int]]] = {}
-    tables: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def table(p: int, t: int) -> tuple[int, int]:
-        found = tables.get((p, t))
-        if found is None:
-            pool = order[n - p :]
-            if p not in edges:
-                edges[p] = [(i, j) for j in range(p) for i in range(j) if adj[pool[i]] >> pool[j] & 1]
-            found = tables[p, t] = _leaf_sums(graph.degrees, pool, edges[p], t)
-        return found
-
-    return table
+    # T and the number of edges inside T
+    members, adj = _leaf_layout(len(pool), t)[1], graph.adj
+    degrees = sum(graph.degrees[v] * member for v, member in zip(pool, members))
+    edges = sum(a & b for (a, u), (b, v) in combinations(zip(members, pool), 2) if adj[u] >> v & 1)
+    return degrees, edges
 
 
 def _bound_fn(kind: MetricKind, adj, degrees, order, pool_mask) -> tuple[Callable[..., tuple[list[int], int, list]], Callable[..., int]]:
@@ -567,7 +548,7 @@ def _bound_fn(kind: MetricKind, adj, degrees, order, pool_mask) -> tuple[Callabl
     return bounds, refine
 
 
-def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple[int, int]]]:
+def _searcher(graph: Graph, kind: MetricKind, sums: dict | None = None) -> Callable[[int, int], list[tuple[int, int]]]:
     """search(lo, hi) -> [(value, mask)] per size 0..n: one branch and bound
     solves the sizes in [lo, hi] of one kind; the other entries hold the
     greedy seed, which is exact at sizes 0 and n.
@@ -603,8 +584,8 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
     lexicographic in their pool positions. Field T holds nt plus the
     signed counter that T adds to chosen: the part fixed by the pool
     (signed degree terms, inside times the edges inside T) is tabulated
-    once per graph, order and (p, t), and the node adds inside * |adj(v)
-    & chosen| times the indicator int of each pool vertex v. A field
+    once per pool and t, and the node adds inside * |adj(v) & chosen|
+    times the indicator int of each pool vertex v. A field
     beats the incumbent when it reaches the least such value d. As in
     the walk's threshold test (Knuth, TAOCP 4A, 7.1.3), adding 0x8000 - d
     to every field sets bit 15 of exactly the fields that reach d, so one
@@ -620,31 +601,36 @@ def _searcher(graph: Graph, kind: MetricKind) -> Callable[[int, int], list[tuple
     strictly beats its incumbent, so the threshold test passes it over.
 
     Only the live sizes are filled, and each table is built the first
-    time a leaf reads it: its degree and edge sums once per graph and
-    order, shared by the kinds with that order, and its signed table
-    once per searcher. A leaf on random:24:0.5 or regular:24:3 reads
-    about three live sizes, a small part of all 2^p fields. A field lies
-    in [1, _LEAF (2n - 1)] and the least value to beat in [1 - m, m + nt
-    + 1], so a field plus 0x8000 - d stays in [0, 2^16) at the solvers'
-    limit of 64 vertices, where the recursion is also at most
-    64 - _LEAF + 1 calls deep.
+    time a leaf reads it: its signed table once per searcher, and its
+    degree and edge sums once per (pool, t) key of ``sums``. A caller
+    may share that dict between the searches of one graph, so kinds
+    that order the vertices alike read one build; without it, the
+    searcher makes its own. A leaf on random:24:0.5 or regular:24:3
+    reads about three live sizes, a small part of all 2^p fields. A
+    field lies in [1, _LEAF (2n - 1)] and the least value to beat in
+    [1 - m, m + nt + 1], so a field plus 0x8000 - d stays in [0, 2^16)
+    at the solvers' limit of 64 vertices, where the recursion is also at
+    most 64 - _LEAF + 1 calls deep.
     """
     n, adj = graph.n, graph.adj
     sign = 1 if kind.is_max else -1
     per_degree, per_inside = _GAIN[kind.counter]
     base = [sign * per_degree * d for d in graph.degrees]
     inside = sign * per_inside
-    order = sorted(range(n), key=lambda v: (-sign * graph.degrees[v], v))
+    order = tuple(sorted(range(n), key=lambda v: (-sign * graph.degrees[v], v)))
 
     # per leaf pool size p and pick count t, its layout and its table at
     # chosen = 0, built when a leaf first reads it
     leaf = min(_LEAF, n)
-    sums = _leaf_tables(graph, tuple(order))
+    sums = {} if sums is None else sums
     leaves = [[None] * (p + 1) for p in range(leaf + 1)]
 
     def leaf_table(p: int, t: int) -> tuple[list[int], list[int], int, int, int]:
         # with the int of every field 1 and the int of every field's bit 15
-        degrees, edges = sums(p, t)
+        pool = order[n - p :]
+        if (pool, t) not in sums:
+            sums[pool, t] = _leaf_sums(graph, pool, t)
+        degrees, edges = sums[pool, t]
         subsets, members, ones = _leaf_layout(p, t)
         table = n * t * ones + sign * per_degree * degrees + inside * edges
         leaves[p][t] = found = (subsets, members, table, ones, ones << 15)
@@ -854,9 +840,11 @@ def _half_searched(graph: Graph) -> dict[MetricKind, list[tuple[int, int]]]:
     # cut(S). So a size i above n//2 is the complement of the dual kind's
     # set at n - i, worth m - x for the induced and covered kinds and x for
     # a cut kind. In KIND_ORDER the duals are max_induced and min_covered,
-    # min_induced and max_covered, and each cut kind with itself.
+    # min_induced and max_covered, and each cut kind with itself. The six
+    # searches share one dict of leaf sums, which ends with the plan.
     n, m, full = graph.n, graph.m, (1 << graph.n) - 1
-    lower = [_searcher(graph, kind)(1, n // 2)[: n // 2 + 1] for kind in KIND_ORDER]
+    sums = {}
+    lower = [_searcher(graph, kind, sums)(1, n // 2)[: n // 2 + 1] for kind in KIND_ORDER]
     return {
         kind: lower[at] + [(x if kind.counter == "cut" else m - x, mask ^ full) for x, mask in reversed(lower[dual][: n - n // 2])]
         for at, (kind, dual) in enumerate(zip(KIND_ORDER, (3, 2, 1, 0, 4, 5)))
@@ -900,10 +888,10 @@ def _solve(
 ) -> tuple[dict[MetricKind, Profile], dict[MetricKind, Profile] | None]:
     """Profiles under a strategy, plus the complement's when the route made them.
 
-    The complement profiles come back only from checked, whose reduction
-    check already compared them against the graph's own. They hold
-    values only, no witnesses; every other route returns None in their
-    place.
+    The complement profiles come back only from checked: its walk of the
+    complement, values only, which the reduction check already compared
+    against the graph's own. Every other route returns None in their
+    place, and ``identity_suite`` makes the same walk when it needs it.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")

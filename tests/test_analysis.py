@@ -17,6 +17,7 @@ from isoprofile import (
     DegreeSummary,
     IdentityResult,
     MetricKind,
+    STRATEGIES,
     SweepFinding,
     SweepSummary,
     VerificationReport,
@@ -260,6 +261,10 @@ class TestVerifyTheorem:
         verify_theorem(g, strategy="oracle")
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("a graph was built or a child forked before the size check")
+
+
 class TestVerifySolveCounts:
     """Solver work done by one verify, counted rather than timed."""
 
@@ -292,12 +297,51 @@ class TestVerifySolveCounts:
 
     @pytest.mark.parametrize("strategy, graph", [("reduced", star(6)), ("auto", cycle(9))])
     def test_unchecked_verify_solves_complement_on_demand(self, monkeypatch, strategy, graph):
+        # the identity suite walks the complement, values only, whatever
+        # strategy solved the graph: reduced searches only the graph, and
+        # auto above n = 8 walks the graph and then its complement
+        import isoprofile.analysis as analysis_mod
+        import isoprofile.solvers as solvers_mod
+
+        walks = self._count(monkeypatch, solvers_mod, "_walk")
+        monkeypatch.setattr(analysis_mod, "_walk", solvers_mod._walk)
+        searches = self._count(monkeypatch, solvers_mod, "_searcher")
+        report = verify_theorem(graph, strategy=strategy)
+        if strategy == "reduced":
+            assert walks == [complement(graph)] and searches == [graph] * 6
+        else:
+            assert walks == [graph, complement(graph)] and searches == []
+        assert all(result.holds is not False for result in report.identities)
+
+    # two C4s and C5 + C5 + an isolated vertex are disconnected, on either
+    # side of auto's switch from checked to one walk at n = 8
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            cycle(6),
+            star(7),
+            random_graph(8, 0.5, 3),
+            from_edge_list(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)]),
+            cycle(9),
+            random_graph(10, 0.4, 1),
+            from_edge_list(11, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7), (7, 8), (8, 9), (9, 5)]),
+            random_graph(12, 0.3, 2),
+        ],
+        ids=["C6", "S7", "G8", "2C4", "C9", "G10", "2C5+K1", "G12"],
+    )
+    def test_identities_do_not_depend_on_strategy(self, graph):
+        results = {strategy: verify_theorem(graph, strategy).identities for strategy in STRATEGIES}
+        assert all(results[strategy] == results["checked"] for strategy in STRATEGIES), graph.n
+        assert all(result.holds is not False for result in results["checked"])
+
+    def test_identity_suite_checks_cap_before_complement(self, monkeypatch):
         import isoprofile.analysis as analysis_mod
 
-        solves = self._count(monkeypatch, analysis_mod, "all_profiles")
-        report = verify_theorem(graph, strategy=strategy)
-        assert solves == [complement(graph)]
-        assert all(result.holds is not False for result in report.identities)
+        monkeypatch.setattr(analysis_mod, "complement", _never_called)
+        with pytest.raises(VertexCapError, match="graph on 25 vertices exceeds the solver cap of 24"):
+            identity_suite(cycle(25), {})
+        with pytest.raises(VertexCapError, match="graph on 6 vertices exceeds the solver cap of 5"):
+            identity_suite(cycle(6), {}, cap=5)
 
     def test_identities_match_independent_complement_solve(self, corpus):
         for name, g in corpus:
@@ -362,8 +406,8 @@ class TestInternalInconsistency:
 
         real = solvers_mod._searcher
 
-        def lying(graph, kind):
-            search = real(graph, kind)
+        def lying(graph, kind, sums):
+            search = real(graph, kind, sums)
 
             def lied(lo, hi):
                 found = search(lo, hi)
@@ -386,8 +430,8 @@ class TestInternalInconsistency:
 
         real = solvers_mod._searcher
 
-        def lying(graph, kind):
-            search = real(graph, kind)
+        def lying(graph, kind, sums):
+            search = real(graph, kind, sums)
 
             def lied(lo, hi):
                 found = search(lo, hi)
@@ -559,6 +603,24 @@ class TestSweep:
     def test_requires_specs(self):
         with pytest.raises(ValueError, match="generator spec"):
             counterexample_sweep([], 3, seed=1)
+
+    # every spec is checked before anything is built or forked, including
+    # specs the stream never reaches (hypercube:20 has 2^20 vertices)
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("bogus:1", "unknown generator 'bogus' in 'bogus:1'"),
+            ("cycle:25", "graph on 25 vertices exceeds the solver cap of 24"),
+            ("hypercube:20", "graph on 1048576 vertices exceeds the solver cap of 24"),
+        ],
+    )
+    def test_specs_refused_before_any_build_or_fork(self, monkeypatch, spec, message):
+        import isoprofile.analysis as analysis_mod
+
+        monkeypatch.setattr(analysis_mod, "from_spec", _never_called)
+        monkeypatch.setattr(os, "fork", _never_called)
+        with pytest.raises(ValueError, match=message):
+            counterexample_sweep(["cycle:5", spec], 40, seed=1, workers=2)
 
     def test_workers_below_one_refused(self):
         for workers in (0, -2):

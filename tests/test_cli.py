@@ -186,10 +186,9 @@ class TestOversizedInputs:
 
     def test_sweep_specs(self, capsys, monkeypatch, tmp_path):
         import isoprofile.analysis as analysis_mod
-        import isoprofile.cli as cli_mod
 
         monkeypatch.setattr(analysis_mod, "from_spec", _never_called)
-        monkeypatch.setattr(cli_mod, "counterexample_sweep", _never_called)
+        monkeypatch.setattr(os, "fork", _never_called)
         code, out, err = run(
             capsys, "sweep", "--gen", "cycle:5,hypercube:20", "--count", "4",
             "--findings", str(tmp_path / "f"),
@@ -199,9 +198,10 @@ class TestOversizedInputs:
 
     def test_malformed_sweep_spec_refused_before_any_graph(self, capsys, monkeypatch, tmp_path):
         # the stream never reaches bogus:1 at --count 1; it is refused anyway
-        import isoprofile.cli as cli_mod
+        import isoprofile.analysis as analysis_mod
 
-        monkeypatch.setattr(cli_mod, "counterexample_sweep", _never_called)
+        monkeypatch.setattr(analysis_mod, "from_spec", _never_called)
+        monkeypatch.setattr(os, "fork", _never_called)
         code, out, err = run(
             capsys, "sweep", "--gen", "cycle:5,bogus:1", "--count", "1",
             "--findings", str(tmp_path / "f"),

@@ -506,23 +506,30 @@ class TestBound:
             assert found[0] == found[8] == found[solvers._LEAF], kind.key
 
     def test_leaf_tables_are_built_lazily_and_shared(self, monkeypatch):
-        # random:10:0.5 is one leaf at the root, and a search for size 4
-        # reads only the (10, 4) sums; the max kinds share one order, so
-        # the second and third search read them from the first
+        # random:10:0.5 is one leaf at the root, and each kind's search on
+        # sizes 1..5 reads the sums of its whole order at t = 1..5 only;
+        # the max kinds share one order and the min kinds another, so one
+        # plan builds each (pool, t) once. Nothing outlives the plan: a
+        # second one builds them all again.
         built = []
         real = solvers._leaf_sums
 
-        def counting(degrees, pool, edges, t):
-            built.append((len(pool), t))
-            return real(degrees, pool, edges, t)
+        def counting(graph, pool, t):
+            built.append((pool, t))
+            return real(graph, pool, t)
 
         monkeypatch.setattr(solvers, "_leaf_sums", counting)
-        solvers._leaf_tables.cache_clear()
         g = from_spec("random:10:0.5", 2)
+        orders = {tuple(sorted(range(g.n), key=lambda v: (-sign * g.degrees[v], v))) for sign in (1, -1)}
+        assert len(orders) == 2
+        once = sorted((order, t) for order in orders for t in range(1, 6))
         walked = profile_exhaustive(g)
-        for kind in (MetricKind.MAX_INDUCED, MetricKind.MAX_COVERED, MetricKind.MAX_CUT):
-            assert solvers._searcher(g, kind)(4, 4)[4][0] == walked[kind].values[4], kind.key
-        assert built == [(10, 4)]
+        plan = solvers._half_searched(g)
+        for kind in KIND_ORDER:
+            assert [value for value, _ in plan[kind]] == list(walked[kind].values), kind.key
+        assert sorted(built) == once
+        solvers._half_searched(g)
+        assert sorted(built) == sorted(once * 2)
 
     def test_search_refuses_more_vertices_than_its_fields_hold(self):
         # at the solvers' limit of 64 vertices a leaf table field lies in
@@ -820,8 +827,8 @@ class TestAllProfiles:
         asked = []
         real = solvers._searcher
 
-        def recording(graph, kind):
-            search = real(graph, kind)
+        def recording(graph, kind, sums):
+            search = real(graph, kind, sums)
             return lambda lo, hi: asked.append((kind, lo, hi)) or search(lo, hi)
 
         monkeypatch.setattr(solvers, "_searcher", recording)
