@@ -9,75 +9,10 @@ identity used along the way can be machine-verified on any graph within
 the solver cap.
 """
 
-from .analysis import (
-    CHARACTERIZING_KINDS,
-    CUT_KINDS,
-    DiffSequence,
-    IdentityResult,
-    IsoperimetricReport,
-    IsoperimetricRow,
-    SweepFinding,
-    SweepSummary,
-    SymmetryVerdict,
-    VerificationReport,
-    check_symmetry,
-    counterexample_sweep,
-    diff_sequence,
-    hypercube_inequality_check,
-    identity_suite,
-    verify_theorem,
-    write_findings,
-)
-from .formats import (
-    Graph6Error,
-    format_edge_list,
-    load_graph_text,
-    parse_edge_list,
-    parse_graph6,
-    to_graph6,
-)
-from .graphs import (
-    DEFAULT_SEED,
-    DegreeSummary,
-    Graph,
-    VertexSet,
-    complement,
-    complete,
-    cycle,
-    degree_summary,
-    empty,
-    from_edge_list,
-    from_spec,
-    hypercube,
-    is_connected,
-    path,
-    random_graph,
-    random_regular,
-    star,
-)
-from .metrics import (
-    SubsetMetrics,
-    covered_edges,
-    cut_edges,
-    induced_edges,
-    metrics_from_mask,
-    subset_metrics,
-)
-from .solvers import (
-    DEFAULT_VERTEX_CAP,
-    KIND_ORDER,
-    STRATEGIES,
-    InternalInconsistencyError,
-    MetricKind,
-    Profile,
-    VertexCapError,
-    all_profiles,
-    branch_bound_extremal,
-    extremal_exhaustive,
-    kind_from_key,
-    profile_branch_bound,
-    profile_by_reduction,
-    profile_exhaustive,
-)
+from .analysis import *
+from .formats import *
+from .graphs import *
+from .metrics import *
+from .solvers import *
 
 __version__ = "0.1.0"

@@ -9,8 +9,9 @@ one bit string: decoding joins the 6-bit groups and reads it back column
 by column, encoding joins the columns and cuts it into groups.
 
 The edge-list format is line oriented: a header line "n m" followed by
-m lines "u v" with 0-based endpoints. Lines starting with '#' and blank
-lines are ignored.
+m lines "u v" with 0-based endpoints, each edge listed once. Lines
+starting with '#' and blank lines are ignored. A graph file holds one
+graph: either an edge list or a single graph6 line.
 """
 
 from __future__ import annotations
@@ -145,7 +146,10 @@ def parse_edge_list(text: str) -> Graph:
     n, m = _two_ints(lines[0], "edge-list header", "n m")
     if len(lines) - 1 != m:
         raise ValueError(f"edge-list declares {m} edges but has {len(lines) - 1} edge lines")
-    return from_edge_list(n, [_two_ints(line, "edge line", "u v") for line in lines[1:]])
+    graph = from_edge_list(n, [_two_ints(line, "edge line", "u v") for line in lines[1:]])
+    if graph.m != m:
+        raise ValueError(f"edge-list declares {m} edges but lists {graph.m} distinct ones")
+    return graph
 
 
 def format_edge_list(graph: Graph) -> str:
@@ -156,12 +160,16 @@ def format_edge_list(graph: Graph) -> str:
 
 def _sniff(text: str) -> tuple[str, int | None]:
     # The first content line, and n when it is an "n m" edge-list header.
+    # Any other content is one graph6 line: a file of several graphs is
+    # refused rather than cut to its first.
     lines = _content_lines(text)
     if not lines:
         raise ValueError("no graph content found in input")
     try:
         return lines[0], _two_ints(lines[0], "edge-list header", "n m")[0]
     except ValueError:
+        if len(lines) > 1:
+            raise Graph6Error(f"graph file holds {len(lines)} graph6 lines; pass one graph per run") from None
         return lines[0], None
 
 

@@ -16,7 +16,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "DEFAULT_SEED",
-    "PAIRING_RESAMPLE_BUDGET",
     "DegreeSummary",
     "Graph",
     "VertexSet",

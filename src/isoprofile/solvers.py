@@ -41,20 +41,19 @@ routes:
   Values match the exhaustive route; witnesses are the first optimum it
   reaches.
 * ``profile_by_reduction``: derive one profile from already computed
-  ones through exact counting identities. The covered and the induced
-  kinds both read the induced profile of the opposite sense: a cover
-  count is m minus the induced count of the complementary subset, and
-  an induced count is C(i, 2) minus the complement graph's. A cut
-  profile is its own lower half mirrored around n/2.
+  ones through exact counting identities. An induced count is C(i, 2)
+  minus the complement graph's, read off its induced profile of the
+  opposite sense. A covered or cut profile at i is read off its dual
+  kind (``MetricKind.dual``) at n - i, since the complement of an i-set
+  is an (n - i)-set: a cover count is m minus the induced count of the
+  complementary subset, and a cut is its complement's.
 
 ``all_profiles`` wires the routes into strategies, including a checked
 mode that runs all of them and refuses to return if they disagree. The
 checked and reduced strategies share one branch-and-bound plan: each
 kind is searched on sizes 1..n/2 only, and each size i above n/2 is read
-off the dual kind at n - i (the complement of an i-set is an (n - i)-set,
-whose induced count is m minus the set's covered count and the other way
-round, and whose cut is the same), so no optimisation problem is
-searched twice.
+off the dual kind at n - i (``MetricKind.dual``), so no optimisation
+problem is searched twice.
 
 Every route refuses a graph above the caller's cap (default 24) and,
 whatever the cap, above 64 vertices: the walk reverses its masks as
@@ -143,17 +142,29 @@ class MetricKind(Enum):
         self.counter = counter
         self.sense = sense
         self.is_max = sense == "max"
+        self.sign = 1 if self.is_max else -1
         self.key = self.name.lower()
+        # a vertex v added to S adds per_degree * deg(v) + per_inside *
+        # |adj(v) & S| to the counter of S
+        self.per_degree, self.per_inside = {"induced": (0, 1), "covered": (1, -1), "cut": (1, -2)}[counter]
+
+    @property
+    def dual(self) -> MetricKind:
+        """The kind whose optimum at n - i, read off the complements V - S,
+        is this kind's at i: induced(V - S) = m - covered(S), covered(V - S)
+        = m - induced(S) and cut(V - S) = cut(S), so induced and covered
+        swap, each taking the other sense, and a cut kind is its own dual."""
+        if self.counter == "cut":
+            return self
+        return MetricKind(("covered" if self.counter == "induced" else "induced", "min" if self.is_max else "max"))
+
+    def from_dual(self, x: int, m: int) -> int:
+        """This kind's counter of V - S, given the dual kind's counter x of S."""
+        return x if self.counter == "cut" else m - x
 
 
-KIND_ORDER = (
-    MetricKind.MAX_INDUCED,
-    MetricKind.MIN_INDUCED,
-    MetricKind.MAX_COVERED,
-    MetricKind.MIN_COVERED,
-    MetricKind.MAX_CUT,
-    MetricKind.MIN_CUT,
-)
+# the declaration order, which the csv header follows
+KIND_ORDER = tuple(MetricKind)
 
 
 def kind_from_key(key: str) -> MetricKind:
@@ -252,19 +263,17 @@ def _block_layout(k: int):
 
 def _fold(graph: Graph, trackers, witnesses: bool) -> dict[MetricKind, Profile]:
     # Size j is attained either by a walked set (direct, size j) or by the
-    # complement of one (mirror, size n - j, value m - x when flipped, x
-    # otherwise). The trackers run in KIND_ORDER; the mirror of max_induced
-    # is min_covered, of min_induced max_covered and so on, and a cut kind
-    # mirrors itself. Without witnesses each size is one max or min of the
-    # two values. With them, the last walked tie has the first complement,
-    # all the winning masks are reversed at once, and each distinct one
-    # becomes one VertexSet.
+    # complement of one: the kind's dual tracker at size n - j, its value
+    # read through kind.from_dual. Without witnesses each size is one max
+    # or min of the two values. With them, the last walked tie has the
+    # first complement, all the winning masks are reversed at once, and
+    # each distinct one becomes one VertexSet.
     n, m = graph.n, graph.m
     full = (1 << n) - 1
     values, walked = [], []
-    for kind, direct, mirror in zip(KIND_ORDER, trackers, [trackers[i] for i in (3, 2, 1, 0, 4, 5)]):
-        maximize = kind.is_max
-        mirrored = mirror[0][::-1] if kind.counter == "cut" else [m - b for b in reversed(mirror[0])]
+    for kind, direct in trackers.items():
+        maximize, mirror = kind.is_max, trackers[kind.dual]
+        mirrored = [kind.from_dual(b, m) for b in reversed(mirror[0])]
         if not witnesses:
             values += map(max if maximize else min, direct[0], mirrored)
             continue
@@ -280,7 +289,7 @@ def _fold(graph: Graph, trackers, witnesses: bool) -> dict[MetricKind, Profile]:
         walked = list(map(sets.__getitem__, walked))
     return {
         kind: Profile(kind, tuple(values[at : at + n + 1]), tuple(walked[at : at + n + 1]) if witnesses else None, "exhaustive")
-        for kind, at in zip(KIND_ORDER, range(0, len(values), n + 1))
+        for kind, at in zip(trackers, range(0, len(values), n + 1))
     }
 
 
@@ -374,8 +383,10 @@ def _walk(graph: Graph, witnesses: bool) -> dict[MetricKind, Profile]:
         # real value, flipped or not) stays.
         return [-1 if sign > 0 else m + 1] * (n + 1), [0] * (n + 1), [0] * (n + 1), {}
 
-    trackers = [tracker(sign) for _ in range(3) for sign in (1, -1)]
-    pairs = trackers[0:2], trackers[2:4], trackers[4:6]
+    # per counter, its max tracker and then its min tracker
+    trackers = {kind: tracker(kind.sign) for kind in KIND_ORDER}
+    rows = list(trackers.values())
+    pairs = rows[0:2], rows[2:4], rows[4:6]
     width, order, top = 2 * len(masks), sys.byteorder, ones << 15
     # step 0: H is empty, so the fields of size t are the sets of size t,
     # and their max and min, each first and last taken, are the bests.
@@ -457,9 +468,6 @@ def extremal_exhaustive(
 # Branch and bound route
 
 
-# a pick v adds per_degree * deg(v) + per_inside * |adj(v) & S| to the counter of S
-_GAIN = {"induced": (0, 1), "covered": (1, -1), "cut": (1, -2)}
-
 # A search node whose pool has at most _LEAF vertices scores its live
 # sizes from tables over the pool's subsets instead of branching. A field
 # of such a table holds n per pick plus the signed counter change of its
@@ -507,10 +515,8 @@ def _bound_fn(kind: MetricKind, adj, degrees, order, pool_mask) -> tuple[Callabl
     (exact is the smaller of top and that p plus one). The search refines
     only the live sizes below exact.
     """
-    sign = 1 if kind.is_max else -1
-    per_degree, per_inside = _GAIN[kind.counter]
-    inside = sign * per_inside
-    pool = [(adj[v], sign * per_degree * degrees[v]) for v in order]
+    inside = kind.sign * kind.per_inside
+    pool = [(adj[v], kind.sign * kind.per_degree * degrees[v]) for v in order]
     if inside < 0:
         # deg_T(x) >= 0 drops the inside-edge term, so the doubled terms
         # are even and the same for every r: summed undoubled, one sort is
@@ -612,11 +618,9 @@ def _searcher(graph: Graph, kind: MetricKind, sums: dict | None = None) -> Calla
     at the solvers' limit of 64 vertices, where the recursion is also at
     most 64 - _LEAF + 1 calls deep.
     """
-    n, adj = graph.n, graph.adj
-    sign = 1 if kind.is_max else -1
-    per_degree, per_inside = _GAIN[kind.counter]
-    base = [sign * per_degree * d for d in graph.degrees]
-    inside = sign * per_inside
+    n, adj, sign = graph.n, graph.adj, kind.sign
+    base = [sign * kind.per_degree * d for d in graph.degrees]
+    inside = sign * kind.per_inside
     order = tuple(sorted(range(n), key=lambda v: (-sign * graph.degrees[v], v)))
 
     # per leaf pool size p and pick count t, its layout and its table at
@@ -632,7 +636,7 @@ def _searcher(graph: Graph, kind: MetricKind, sums: dict | None = None) -> Calla
             sums[pool, t] = _leaf_sums(graph, pool, t)
         degrees, edges = sums[pool, t]
         subsets, members, ones = _leaf_layout(p, t)
-        table = n * t * ones + sign * per_degree * degrees + inside * edges
+        table = n * t * ones + sign * kind.per_degree * degrees + inside * edges
         leaves[p][t] = found = (subsets, members, table, ones, ones << 15)
         return found
 
@@ -783,41 +787,31 @@ def profile_by_reduction(
 ) -> Profile:
     """Derive a profile from base profiles through exact identities.
 
-    max_covered(i) = m - min_induced(n-i)          base: same graph
-    min_covered(i) = m - max_induced(n-i)          base: same graph
-    max_induced(i) = C(i,2) - min_induced(i)       base: complement graph
-    min_induced(i) = C(i,2) - max_induced(i)       base: complement graph
-    max_cut / min_cut: values mirrored around n/2  base: same graph, same
-        kind (only the lower half of the base is read)
+    Two plans, one per identity:
 
-    Each size i reads one base size j and takes either the base witness
-    or its complement, a choice fixed per kind: the covered kinds read
-    j = n - i and always complement, the induced kinds read j = i and
-    never do, and the cut kinds read j = min(i, n - i) and complement
-    above n/2.
+    graph complement, for the induced kinds (base: complement graph):
+        max_induced(i) = C(i,2) - min_induced(i)
+        min_induced(i) = C(i,2) - max_induced(i)
+      each size reads the base at i and keeps its witness.
+
+    set complement, for the covered and cut kinds (base: same graph):
+        kind(i) = m - kind.dual(n-i)     e.g. max_covered from min_induced
+        kind(i) = kind.dual(n-i)         a cut kind, its own dual
+      each size reads the base at n - i and complements its witness.
     """
     n, m = graph.n, graph.m
-    opposite = MetricKind.MIN_INDUCED if kind.is_max else MetricKind.MAX_INDUCED
-    if kind.counter == "covered":
-        base = _need_base(bases or {}, opposite, n, kind, "of the same graph")
-        plan = [(n - i, True) for i in range(n + 1)]
-        derive = lambda i, x: m - x
-        provenance = f"reduction({kind.key}(i) = m - {opposite.key}(n-i))"
-    elif kind.counter == "induced":
+    if kind.counter == "induced":
+        opposite = MetricKind.MIN_INDUCED if kind.is_max else MetricKind.MAX_INDUCED
         base = _need_base(complement_bases or {}, opposite, n, kind, "of the complement graph")
-        plan = [(i, False) for i in range(n + 1)]
-        derive = lambda i, x: math.comb(i, 2) - x
+        values = tuple(math.comb(i, 2) - x for i, x in enumerate(base.values))
         provenance = f"reduction({kind.key}(i) = C(i,2) - complement {opposite.key}(i))"
-    else:
-        base = _need_base(bases or {}, kind, n, kind, "of the same graph")
-        plan = [(min(i, n - i), i > n // 2) for i in range(n + 1)]
-        derive = lambda i, x: x
-        provenance = f"reduction({kind.key} mirrored around n/2)"
-    values = tuple(derive(i, base.values[j]) for i, (j, _) in enumerate(plan))
-    witnesses = None
-    if base.witnesses:
-        witnesses = tuple(base.witnesses[j].complement() if flip else base.witnesses[j] for j, flip in plan)
-    return Profile(kind, values, witnesses, provenance)
+        return Profile(kind, values, base.witnesses or None, provenance)
+    dual = kind.dual
+    base = _need_base(bases or {}, dual, n, kind, "of the same graph")
+    values = tuple(kind.from_dual(x, m) for x in reversed(base.values))
+    witnesses = tuple(witness.complement() for witness in reversed(base.witnesses)) if base.witnesses else None
+    minus = "" if dual is kind else "m - "
+    return Profile(kind, values, witnesses, f"reduction({kind.key}(i) = {minus}{dual.key}(n-i))")
 
 
 # ---------------------------------------------------------------------------
@@ -835,19 +829,16 @@ def _agree(kind: MetricKind, truth: Sequence[int], route: str, values: Sequence[
 def _half_searched(graph: Graph) -> dict[MetricKind, list[tuple[int, int]]]:
     # Per kind, (value, mask) for every size 0..n from one branch and bound
     # on sizes 1..n//2, the one search plan of checked and reduced. The
-    # complement V - S of an i-set S is an (n - i)-set with induced(V - S) =
-    # m - covered(S), covered(V - S) = m - induced(S) and cut(V - S) =
-    # cut(S). So a size i above n//2 is the complement of the dual kind's
-    # set at n - i, worth m - x for the induced and covered kinds and x for
-    # a cut kind. In KIND_ORDER the duals are max_induced and min_covered,
-    # min_induced and max_covered, and each cut kind with itself. The six
-    # searches share one dict of leaf sums, which ends with the plan.
+    # complement of an i-set is an (n - i)-set, so a size i above n//2 is
+    # the complement of kind.dual's set at n - i, its value read through
+    # kind.from_dual. The six searches share one dict of leaf sums, which
+    # ends with the plan.
     n, m, full = graph.n, graph.m, (1 << graph.n) - 1
     sums = {}
-    lower = [_searcher(graph, kind, sums)(1, n // 2)[: n // 2 + 1] for kind in KIND_ORDER]
+    lower = {kind: _searcher(graph, kind, sums)(1, n // 2)[: n // 2 + 1] for kind in KIND_ORDER}
     return {
-        kind: lower[at] + [(x if kind.counter == "cut" else m - x, mask ^ full) for x, mask in reversed(lower[dual][: n - n // 2])]
-        for at, (kind, dual) in enumerate(zip(KIND_ORDER, (3, 2, 1, 0, 4, 5)))
+        kind: found + [(kind.from_dual(x, m), mask ^ full) for x, mask in reversed(lower[kind.dual][: n - n // 2])]
+        for kind, found in lower.items()
     }
 
 
@@ -917,12 +908,11 @@ def all_profiles(
     oracle: one exhaustive Gray-code walk, lexicographically first
     witnesses. reduced: branch and bound for every kind on sizes 1..n/2,
     each size above n/2 read off the dual kind's set at n - i and
-    complemented (max_induced with min_covered, min_induced with
-    max_covered, each cut kind with itself); each witness attains its
-    value. checked: the walk on the graph and, values only, on its
-    complement, the same half-range branch and bound, and every
-    reduction; raises InternalInconsistencyError if any value disagrees
-    or any returned witness fails to attain its value. auto: checked for
+    complemented; each witness attains its value. checked: the walk on
+    the graph and, values only, on its complement, the same half-range
+    branch and bound, and every reduction; raises
+    InternalInconsistencyError if any value disagrees or any returned
+    witness fails to attain its value. auto: checked for
     n <= 8, one walk (oracle) above. At n = 24 on a 2-core VM
     (Python 3.11) the walk took 0.15-0.28 s, while the six half-range
     searches took 0.41 s on random:24:0.5, 0.47 s on regular:24:3,

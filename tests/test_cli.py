@@ -92,6 +92,19 @@ class TestProfileCommand:
         code, out, err = run(capsys, command, "--input", "")
         assert (code, out, err) == (1, "", "error: --input needs a file path\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("C~\nD??\n", "graph file holds 2 graph6 lines; pass one graph per run"),
+            ("3 2\n0 1\n1 0\n", "edge-list declares 2 edges but lists 1 distinct ones"),
+        ],
+    )
+    def test_input_file_refused(self, capsys, tmp_path, text, message):
+        source = tmp_path / "graph.txt"
+        source.write_text(text)
+        code, out, err = run(capsys, "profile", "--input", str(source))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_conflicting_sources(self, capsys):
         code, _, err = run(capsys, "profile", "--g6", "A_", "--gen", "cycle:4")
         assert code == 1

@@ -140,6 +140,11 @@ class TestEdgeList:
         with pytest.raises(ValueError, match="content"):
             parse_edge_list("# nothing\n")
 
+    def test_duplicate_edge_contradicts_header(self):
+        # two edge lines for one edge: the graph has m = 1, not the declared 2
+        with pytest.raises(ValueError, match="declares 2 edges but lists 1 distinct"):
+            parse_edge_list("3 2\n0 1\n1 0\n")
+
 
 class TestLoader:
     def test_sniffs_edge_list(self):
@@ -154,6 +159,14 @@ class TestLoader:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             load_graph_text("")
+
+    def test_several_graph6_lines_refused(self):
+        # K4 then the empty graph on 5 vertices: not cut to the first graph
+        text = "C~\n# next\nD??\n"
+        with pytest.raises(Graph6Error, match="holds 2 graph6 lines; pass one graph per run"):
+            load_graph_text(text)
+        with pytest.raises(Graph6Error, match="holds 2 graph6 lines"):
+            _text_order(text)
 
     @given(
         small_graphs(),

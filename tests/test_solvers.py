@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from isoprofile import (
     KIND_ORDER,
+    InternalInconsistencyError,
     MetricKind,
     VertexCapError,
     VertexSet,
@@ -640,6 +641,51 @@ class TestProfileInvariants:
             assert cut_max[0] == 0 and cut_max[g.n] == 0, name
 
 
+class TestKindAlgebra:
+    # MetricKind's sign, gains and dual against the independent counters
+    # of metrics_from_mask, on every subset of each graph
+
+    @given(small_graphs(max_n=8))
+    @settings(max_examples=40, deadline=None)
+    def test_gains_and_duals_match_the_counters(self, g):
+        full = (1 << g.n) - 1
+        counters = [metrics_from_mask(g, mask) for mask in range(full + 1)]
+        for mask, here in enumerate(counters):
+            there = counters[full ^ mask]
+            for kind in KIND_ORDER:
+                x = getattr(here, kind.counter)
+                for v in range(g.n):
+                    if not mask >> v & 1:
+                        gain = kind.per_degree * g.degrees[v] + kind.per_inside * (g.adj[v] & mask).bit_count()
+                        assert getattr(counters[mask | 1 << v], kind.counter) - x == gain, (kind.key, mask, v)
+                y = getattr(here, kind.dual.counter)
+                expected = y if kind.counter == "cut" else g.m - y
+                assert getattr(there, kind.counter) == expected == kind.from_dual(y, g.m), (kind.key, mask)
+
+    def test_dual_is_an_involution_that_flips_the_sense_off_the_cut(self):
+        for kind in KIND_ORDER:
+            assert kind.dual.dual is kind
+            assert (kind.dual.is_max != kind.is_max) == (kind.counter != "cut"), kind.key
+            assert kind.sign == (1 if kind.is_max else -1)
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            {MetricKind.MAX_COVERED: MetricKind.MAX_INDUCED, MetricKind.MIN_COVERED: MetricKind.MIN_INDUCED},
+            {MetricKind.MAX_CUT: MetricKind.MIN_CUT, MetricKind.MIN_CUT: MetricKind.MAX_CUT},
+            {MetricKind.MAX_INDUCED: MetricKind.MAX_INDUCED},
+        ],
+        ids=["covered-duals-swapped", "cut-kinds-crossed", "max-induced-self-dual"],
+    )
+    @pytest.mark.parametrize("spec", ["cycle:6", "star:6", "random:9:0.4", "random:14:0.5"])
+    def test_wrong_dual_is_caught_under_checked(self, monkeypatch, wrong, spec):
+        g = from_spec(spec)
+        duals = {kind: wrong.get(kind, kind.dual) for kind in KIND_ORDER}
+        monkeypatch.setattr(MetricKind, "dual", property(duals.__getitem__))
+        with pytest.raises(InternalInconsistencyError):
+            all_profiles(g, "checked")
+
+
 class TestReductions:
     def test_max_covered_from_min_induced_on_c4(self):
         g = cycle(4)
@@ -685,8 +731,8 @@ class TestReductions:
     @settings(max_examples=60, deadline=None)
     def test_every_reduction_keeps_valid_witnesses(self, g):
         # each derived witness, n/2 included, is checked against the graph
-        # itself: a covered kind takes the complement of its base witness
-        # at every size, an induced kind at none, and a cut kind above n/2
+        # itself: a covered or cut kind takes the complement of its base
+        # witness at every size, an induced kind at none
         walked = profile_exhaustive(g)
         co = profile_exhaustive(complement(g))
         for kind in KIND_ORDER:
