@@ -130,7 +130,9 @@ def _load_graph(args) -> Graph:
         if not args.input:
             raise _UsageError("--input needs a file path")
         try:
-            text = Path(args.input).read_text()
+            # utf-8-sig drops a leading byte-order mark, which would
+            # otherwise make the first line unreadable
+            text = Path(args.input).read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise _UsageError(f"cannot read {args.input}: {exc}") from None
         _require_within_cap(_text_order(text), args.cap)
@@ -286,7 +288,7 @@ def _sweep_human(summary: SweepSummary) -> str:
 
 
 def _cmd_sweep(args) -> int:
-    specs = [s for chunk in args.gen for s in chunk.split(",") if s]
+    specs = [s.strip() for chunk in args.gen for s in chunk.split(",") if s.strip()]
     summary = counterexample_sweep(
         specs,
         args.count,

@@ -5,8 +5,11 @@ int used as a bitset, which keeps the subset arithmetic underneath the
 solvers (intersection, complement, popcount) cheap and allocation-free.
 
 Graphs and vertex sets are immutable after construction and safe to
-share across threads. Constructors validate adjacency symmetry and the
-absence of self-loops, so every reachable ``Graph`` is well formed.
+share across threads: both derive from one frozen base that refuses
+assignment and deletion. ``Graph.__init__`` is the one graph validator.
+It checks the vertex count, the row range, the absence of self-loops and
+adjacency symmetry, so every reachable ``Graph`` is well formed and the
+builders check only what it cannot see.
 """
 
 from __future__ import annotations
@@ -44,7 +47,20 @@ PAIRING_RESAMPLE_BUDGET = 10_000
 SWITCHES_PER_EDGE = 10
 
 
-class VertexSet:
+class _Frozen:
+    """Base of the immutable classes: once ``__init__`` has set the slots
+    through ``object.__setattr__``, assignment and deletion are refused."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable {type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable {type(self).__name__}")
+
+
+class VertexSet(_Frozen):
     """A subset of the vertices 0..n-1 of an ambient graph, as a bitset.
 
     Immutable: compared and hashed by value, and assignment is refused.
@@ -59,12 +75,6 @@ class VertexSet:
             raise ValueError(f"bitset mentions vertices outside 0..{n - 1}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable VertexSet")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of an immutable VertexSet")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -109,12 +119,13 @@ class VertexSet:
         return f"VertexSet({self.n}, {{{', '.join(map(str, self))}}})"
 
 
-class Graph:
+class Graph(_Frozen):
     """Immutable simple undirected graph on vertices 0..n-1.
 
     ``adj[v]`` is the neighbor bitset of vertex ``v``. The edge count
     ``m`` and the per-vertex ``degrees`` are derived once here and then
-    shared by everything downstream.
+    shared by everything downstream. Assignment is refused, so every
+    reader sees the graph this constructor validated.
     """
 
     __slots__ = ("n", "adj", "degrees", "m")
@@ -130,6 +141,7 @@ class Graph:
                 raise ValueError(f"adjacency row {v} mentions vertices outside 0..{n - 1}")
             if (row >> v) & 1:
                 raise ValueError(f"self-loop at vertex {v}")
+        # inline rather than over VertexSet: this runs on every build
         for v in range(n):
             row = adj[v]
             while row:
@@ -138,10 +150,14 @@ class Graph:
                 row ^= low
                 if not (adj[u] >> v) & 1:
                     raise ValueError(f"asymmetric adjacency between {v} and {u}")
-        self.n = n
-        self.adj = adj
-        self.degrees = tuple(row.bit_count() for row in adj)
-        self.m = sum(self.degrees) // 2
+        degrees = tuple(row.bit_count() for row in adj)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "m", sum(degrees) // 2)
+
+    def __reduce__(self):
+        return Graph, (self.n, self.adj)
 
     def degree(self, v: int) -> int:
         return self.degrees[v]
@@ -150,19 +166,10 @@ class Graph:
         return 0 <= u < self.n and 0 <= v < self.n and (self.adj[u] >> v) & 1 == 1
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(VertexSet(self.n, self.adj[v])) if self.adj[v] else ()
+        return tuple(VertexSet(self.n, self.adj[v]))
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1)
-            v = u + 1
-            while row:
-                if row & 1:
-                    out.append((u, v))
-                row >>= 1
-                v += 1
-        return out
+        return [(u, v) for u in range(self.n) for v in VertexSet(self.n, self.adj[u]) if u < v]
 
     def vertex_set(self) -> VertexSet:
         return VertexSet(self.n, (1 << self.n) - 1)
@@ -189,17 +196,14 @@ class DegreeSummary(NamedTuple):
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from unordered vertex pairs.
 
-    Duplicate edges collapse silently; self-loops are rejected because
-    they would corrupt every counting identity downstream.
+    Duplicate edges collapse silently; ``Graph`` rejects self-loops and
+    an empty vertex set. Endpoints are range-checked here, since a
+    negative one would index ``adj`` from its end.
     """
-    if n < 1:
-        raise ValueError("a graph needs at least one vertex")
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) outside 0..{n - 1}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return Graph(n, adj)
@@ -260,11 +264,8 @@ def is_connected(graph: Graph) -> bool:
     frontier = 1
     while frontier:
         grown = 0
-        bits = frontier
-        while bits:
-            low = bits & -bits
-            grown |= graph.adj[low.bit_length() - 1]
-            bits ^= low
+        for v in VertexSet(graph.n, frontier):
+            grown |= graph.adj[v]
         frontier = grown & ~reached
         reached |= frontier
     return reached == (1 << graph.n) - 1
@@ -278,8 +279,6 @@ def degree_summary(graph: Graph) -> DegreeSummary:
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     """Independent edges with probability p; deterministic for a fixed seed."""
-    if n < 1:
-        raise ValueError("a graph needs at least one vertex")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = random.Random(seed)
@@ -305,6 +304,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     model's rejection rate). Either result is re-verified d-regular
     before return.
     """
+    # checked before the degree, so that regular:0:0 names the vertex count
     if n < 1:
         raise ValueError("a graph needs at least one vertex")
     if not 0 <= d < n:
@@ -316,15 +316,13 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     for _ in range(PAIRING_RESAMPLE_BUDGET):
         rng.shuffle(stubs)
         adj = [0] * n
-        ok = True
-        for k in range(0, len(stubs), 2):
-            u, v = stubs[k], stubs[k + 1]
+        ends = iter(stubs)
+        for u, v in zip(ends, ends):
             if u == v or (adj[u] >> v) & 1:
-                ok = False
                 break
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        if ok:
+        else:  # a simple matching: keep it
             break
     else:
         adj = _switch_chain(n, d, rng)

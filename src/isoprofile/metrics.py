@@ -46,6 +46,7 @@ def metrics_from_mask(graph: Graph, mask: int) -> SubsetMetrics:
     doubled = 0
     degree_sum = 0
     bits = mask
+    # inline rather than over VertexSet: this runs on every checked witness
     while bits:
         low = bits & -bits
         v = low.bit_length() - 1

@@ -105,6 +105,16 @@ class TestProfileCommand:
         code, out, err = run(capsys, "profile", "--input", str(source))
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("text", ["3 2\n0 1\n1 2\n", "Bw\n"])
+    def test_input_file_with_byte_order_mark(self, capsys, tmp_path, text):
+        # some editors start a UTF-8 file with U+FEFF; it is not part of the graph
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        expected = run(capsys, "profile", "--input", str(plain), "--format", "csv")
+        assert expected[0] == 0
+        assert run(capsys, "profile", "--input", str(marked), "--format", "csv") == expected
+
     def test_conflicting_sources(self, capsys):
         code, _, err = run(capsys, "profile", "--g6", "A_", "--gen", "cycle:4")
         assert code == 1
@@ -296,6 +306,13 @@ class TestSweepCommand:
         assert code == 0
         assert "inconsistent=0" in out
         assert not findings.exists()
+
+    def test_spaces_around_specs(self, capsys, tmp_path):
+        # each comma-separated spec is stripped, and an empty one dropped
+        argv = ["sweep", "--count", "4", "--format", "json", "--findings", str(tmp_path / "f")]
+        spaced = run(capsys, *argv, "--gen", " cycle:5, random:6:0.5 ,")
+        assert spaced == run(capsys, *argv, "--gen", "cycle:5,random:6:0.5")
+        assert spaced[0] == 0 and json.loads(spaced[1])["specs"] == ["cycle:5", "random:6:0.5"]
 
     def test_byte_identical_across_runs_and_workers(self, tmp_path):
         outputs = []

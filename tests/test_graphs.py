@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +143,20 @@ class TestComplementAndConnectivity:
         assert is_connected(path(1))
         assert not is_connected(empty(2))
 
+    @given(small_graphs(max_n=10), st.integers(min_value=0, max_value=(1 << 10) - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_bit_iteration_matches_has_edge_and_networkx(self, g, side):
+        # dropping every edge across the split (side, rest) makes most
+        # samples disconnected
+        g = Graph(g.n, [row & side if (side >> v) & 1 else row & ~side for v, row in enumerate(g.adj)])
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
+        assert g.edges() == pairs
+        for v in range(g.n):
+            assert g.neighbors(v) == tuple(u for u in range(g.n) if g.has_edge(v, u))
+        reference = nx.Graph(pairs)
+        reference.add_nodes_from(range(g.n))
+        assert is_connected(g) == nx.is_connected(reference)
+
 
 class TestRandomGraphs:
     def test_p_zero_and_one(self):
@@ -190,6 +205,7 @@ class TestRandomGraphs:
             ("regular:10:3", 5, "I`U_IOq_o"),
             ("regular:12:5", 3, "Kwcixr?XGjq["),
             ("regular:20:4", 1729, "SAO@?wCLH?O?U_?@?oKDOo@?@Gk@I@OQ?"),
+            ("regular:10:3", 1, "I`eB@HSAo"),
         ],
     )
     def test_pairing_streams_frozen(self, spec, seed, graph6):
@@ -255,6 +271,10 @@ class TestVertexSet:
         assert s != VertexSet(7, 0b101010) and s != (6, 0b101010)
         assert pickle.loads(pickle.dumps(s)) == s and copy.deepcopy(s) == s
         assert len({s, VertexSet(6, 0b101010), s.complement()}) == 2
+        # Graph shares the frozen base, and pickles and copies by value too
+        g = cycle(5)
+        assert g == from_edge_list(5, g.edges()) and hash(g) == hash(cycle(5))
+        assert pickle.loads(pickle.dumps(g)) == g and copy.deepcopy(g) == g and copy.copy(g) == g
 
     def test_refuses_assignment(self):
         s = VertexSet(4, 0b11)
@@ -264,6 +284,13 @@ class TestVertexSet:
         with pytest.raises(AttributeError):
             del s.bits
         assert (s.n, s.bits) == (4, 0b11)
+        g = cycle(5)
+        for name, value in (("n", 6), ("adj", ()), ("degrees", ()), ("m", 7), ("extra", 1)):
+            with pytest.raises(AttributeError, match=f"field '{name}' of an immutable Graph"):
+                setattr(g, name, value)
+            with pytest.raises(AttributeError, match=f"field '{name}' of an immutable Graph"):
+                delattr(g, name)
+        assert (g.n, g.m, hash(g)) == (5, 5, hash(cycle(5)))
 
 
 class TestFromSpec:
