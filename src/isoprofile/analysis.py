@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from pathlib import Path
 from typing import BinaryIO, Mapping, NamedTuple, Sequence
@@ -331,9 +332,11 @@ def verify_theorem(
     degree for max_induced and min_covered and the maximum degree for
     min_induced and max_covered (max_induced(n - 1) = m - min degree,
     and so on), and the steps sum to m. A symmetric sequence then has n times that
-    degree equal to 2m, so the graph is regular.
+    degree equal to 2m, so the graph is regular. A failed identity
+    raises too, as every applicable one holds on every graph. The report
+    reads values only, so no route builds a witness (``_solve``).
     """
-    profiles, complement_profiles = _solve(graph, strategy, cap)
+    profiles, complement_profiles = _solve(graph, strategy, cap, False)
     summary = degree_summary(graph)
     connected = is_connected(graph)
     diffs = {kind: diff_sequence(profiles[kind]) for kind in KIND_ORDER}
@@ -358,6 +361,10 @@ def verify_theorem(
         kind: verdicts[kind].symmetric == summary.is_regular for kind in CHARACTERIZING_KINDS
     }
     identities = identity_suite(graph, profiles, complement_profiles, cap=cap)
+    for result in identities:
+        if result.holds is False:
+            i, lhs, rhs = result.first_violation
+            raise InternalInconsistencyError(f"identity {result.name} fails at i={i}: {lhs} != {rhs}")
     note = (
         None
         if connected
@@ -619,9 +626,10 @@ def counterexample_sweep(
     ``os.fork`` does not exist. The calling process runs the first block;
     each other block runs in a forked child that builds and verifies its
     own graphs and sends back its findings. Blocks are collected in order,
-    each logged at DEBUG level, so findings and the first error come back
-    in index order and the result does not depend on ``workers``. The
-    findings file is written only when some report is inconsistent. An
+    each logged at DEBUG level once ``logging`` has been imported, so
+    findings and the first error come back in index order and the result
+    does not depend on ``workers``. The findings file is written only
+    when some report is inconsistent. An
     InternalInconsistencyError is re-raised with the index, spec and
     graph6 string of the graph that caused it.
 
@@ -630,9 +638,8 @@ def counterexample_sweep(
     parse raises ValueError, and one that declares more vertices than
     the cap raises VertexCapError.
     """
-    # logging is imported only where a sweep logs, as pickle and signal
-    # are where it forks: importing it would cost every CLI start about 9 ms
-    import logging
+    # logged only if a caller, who alone could handle the records, loaded logging
+    logging = sys.modules.get("logging")
 
     specs = tuple(specs)
     for spec in specs:
@@ -659,9 +666,10 @@ def counterexample_sweep(
                 pid, stream = children[b - 1]
                 outcome = _receive(pid, stream, block)
             ok, value, seconds = outcome
-            logging.getLogger(__name__).debug(
-                "sweep graphs %d..%d: pid %d, %.3f s", block[0], block[-1], pid, seconds
-            )
+            if logging is not None:
+                logging.getLogger(__name__).debug(
+                    "sweep graphs %d..%d: pid %d, %.3f s", block[0], block[-1], pid, seconds
+                )
             if not ok:
                 raise value
             findings.extend(value)

@@ -36,7 +36,7 @@ from .solvers import (
     InternalInconsistencyError,
     VertexCapError,
     _require_within_cap,
-    all_profiles,
+    _solve,
 )
 
 __all__ = ["main", "CSV_HEADER"]
@@ -140,8 +140,10 @@ def _load_graph(args) -> Graph:
     if args.g6 is not None:
         _require_within_cap(_graph6_order(args.g6), args.cap)
         return parse_graph6(args.g6)
-    _require_within_cap(_spec_order(args.gen), args.cap)
-    return from_spec(args.gen, args.seed)
+    # stripped as sweep strips each of its specs
+    spec = args.gen.strip()
+    _require_within_cap(_spec_order(spec), args.cap)
+    return from_spec(spec, args.seed)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -214,7 +216,8 @@ def _profile_human(graph: Graph, profiles, diffs) -> str:
 
 def _cmd_profile(args) -> int:
     graph = _load_graph(args)
-    profiles = all_profiles(graph, strategy=args.strategy, cap=args.cap)
+    # values only: no output format prints a witness
+    profiles = _solve(graph, args.strategy, args.cap, False)[0]
     diffs = {kind: diff_sequence(profiles[kind]) for kind in KIND_ORDER}
     if args.format == "csv":
         text = _profile_csv(graph, profiles, diffs)

@@ -137,6 +137,11 @@ class MetricKind(Enum):
     MAX_CUT = ("cut", "max")
     MIN_CUT = ("cut", "min")
 
+    # Members are singletons, so identity hashing is exact, and it is
+    # C-level: Enum's own __hash__ hashes the name in Python, once per
+    # dict read keyed by a kind. No output iterates a set of kinds.
+    __hash__ = object.__hash__
+
     def __init__(self, counter: str, sense: str) -> None:
         # plain attributes: the checks read them per witness and per size
         self.counter = counter
@@ -148,20 +153,21 @@ class MetricKind(Enum):
         # |adj(v) & S| to the counter of S
         self.per_degree, self.per_inside = {"induced": (0, 1), "covered": (1, -1), "cut": (1, -2)}[counter]
 
-    @property
-    def dual(self) -> MetricKind:
-        """The kind whose optimum at n - i, read off the complements V - S,
-        is this kind's at i: induced(V - S) = m - covered(S), covered(V - S)
-        = m - induced(S) and cut(V - S) = cut(S), so induced and covered
-        swap, each taking the other sense, and a cut kind is its own dual."""
-        if self.counter == "cut":
-            return self
-        return MetricKind(("covered" if self.counter == "induced" else "induced", "min" if self.is_max else "max"))
-
     def from_dual(self, x: int, m: int) -> int:
         """This kind's counter of V - S, given the dual kind's counter x of S."""
         return x if self.counter == "cut" else m - x
 
+
+# kind.dual is the kind whose optimum at n - i, read off the complements
+# V - S, is this kind's at i: induced(V - S) = m - covered(S), covered(V -
+# S) = m - induced(S) and cut(V - S) = cut(S), so induced and covered
+# swap, each taking the other sense, and a cut kind is its own dual. A
+# plain attribute beside sign, set once the members exist.
+for _kind in MetricKind:
+    _kind.dual = _kind if _kind.counter == "cut" else MetricKind(
+        ("covered" if _kind.counter == "induced" else "induced", "min" if _kind.is_max else "max")
+    )
+del _kind
 
 # the declaration order, which the csv header follows
 KIND_ORDER = tuple(MetricKind)
@@ -293,8 +299,11 @@ def _fold(graph: Graph, trackers, witnesses: bool) -> dict[MetricKind, Profile]:
     }
 
 
-def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKind, Profile]:
+def profile_exhaustive(graph: Graph, *, cap: int | None = None, witnesses: bool = True) -> dict[MetricKind, Profile]:
     """Ground truth: all six profiles from one walk over half the subsets.
+
+    With ``witnesses`` false the profiles hold values only (witnesses
+    None): the walk passes over ties and builds no witness set.
 
     The walk covers the 2^(n-1) subsets S without vertex n-1, numbering
     vertex u as bit n-1-u, so that of two sets of one size the
@@ -358,7 +367,7 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None) -> dict[MetricKi
     when H falls below it. These are the two cases.
     """
     _require_within_cap(graph.n, cap)
-    return _walk(graph, True)
+    return _walk(graph, witnesses)
 
 
 def _walk(graph: Graph, witnesses: bool) -> dict[MetricKind, Profile]:
@@ -491,12 +500,13 @@ def _leaf_layout(p: int, t: int) -> tuple[list[int], list[int], int]:
     return subsets, [packed >> j & ones for j in range(p)], ones
 
 
-def _leaf_sums(graph: Graph, pool: tuple[int, ...], t: int) -> tuple[int, int]:
+def _leaf_sums(graph: Graph, pool: tuple[int, ...], t: int, pairs: list[tuple[int, int]]) -> tuple[int, int]:
     # the ints whose field T, a t-subset of pool, holds the degree sum of
-    # T and the number of edges inside T
-    members, adj = _leaf_layout(len(pool), t)[1], graph.adj
+    # T and the number of edges inside T; pairs are the pool's edges as
+    # position pairs
+    members = _leaf_layout(len(pool), t)[1]
     degrees = sum(graph.degrees[v] * member for v, member in zip(pool, members))
-    edges = sum(a & b for (a, u), (b, v) in combinations(zip(members, pool), 2) if adj[u] >> v & 1)
+    edges = sum(members[j] & members[k] for j, k in pairs)
     return degrees, edges
 
 
@@ -555,15 +565,15 @@ def _bound_fn(kind: MetricKind, adj, degrees, order, pool_mask) -> tuple[Callabl
 
 
 def _searcher(graph: Graph, kind: MetricKind, sums: dict | None = None) -> Callable[[int, int], list[tuple[int, int]]]:
-    """search(lo, hi) -> [(value, mask)] per size 0..n: one branch and bound
-    solves the sizes in [lo, hi] of one kind; the other entries hold the
-    greedy seed, which is exact at sizes 0 and n.
+    """search(lo, hi) -> [(value, mask)] per size 0..hi, for hi <= n: one
+    branch and bound solves the sizes in [lo, hi] of one kind; the other
+    entries hold the greedy seed, which is exact at sizes 0 and n.
 
     The search always maximizes; a min kind maximizes its negated
     counter, where a pick v adds sign * (per_degree * deg(v) + per_inside
     * |adj(v) & S|). Greedy picks, the lowest vertex of best gain, ignore
-    the size, so one chain of n picks seeds every size: its first s picks
-    are the incumbent of size s.
+    the size, so one chain of hi picks seeds every size it returns: its
+    first s picks are the incumbent of size s, whatever hi is.
 
     One depth-first search serves every size. A node with p picks is the
     candidate of size p, and carries down the live sizes: those above p
@@ -608,7 +618,8 @@ def _searcher(graph: Graph, kind: MetricKind, sums: dict | None = None) -> Calla
 
     Only the live sizes are filled, and each table is built the first
     time a leaf reads it: its signed table once per searcher, and its
-    degree and edge sums once per (pool, t) key of ``sums``. A caller
+    degree and edge sums once per (pool, t) key of ``sums``, from the
+    pool's edges as position pairs, found once per pool key. A caller
     may share that dict between the searches of one graph, so kinds
     that order the vertices alike read one build; without it, the
     searcher makes its own. A leaf on random:24:0.5 or regular:24:3
@@ -633,7 +644,10 @@ def _searcher(graph: Graph, kind: MetricKind, sums: dict | None = None) -> Calla
         # with the int of every field 1 and the int of every field's bit 15
         pool = order[n - p :]
         if (pool, t) not in sums:
-            sums[pool, t] = _leaf_sums(graph, pool, t)
+            # the pool's edges, found once per pool for all its t
+            if pool not in sums:
+                sums[pool] = [(j, k) for (j, u), (k, v) in combinations(enumerate(pool), 2) if adj[u] >> v & 1]
+            sums[pool, t] = _leaf_sums(graph, pool, t, sums[pool])
         degrees, edges = sums[pool, t]
         subsets, members, ones = _leaf_layout(p, t)
         table = n * t * ones + sign * kind.per_degree * degrees + inside * edges
@@ -642,19 +656,6 @@ def _searcher(graph: Graph, kind: MetricKind, sums: dict | None = None) -> Calla
 
     # counters are never negative, and no max kind's bound beats m + 1
     ceiling = graph.m + 1 if sign > 0 else 0
-
-    seeds = [(0, 0)]
-    mask = value = 0
-    gains, rest = base[:], list(range(n))
-    for _ in range(n):
-        v = max(rest, key=gains.__getitem__)
-        rest.remove(v)
-        value += gains[v]
-        mask |= 1 << v
-        seeds.append((value, mask))
-        for u in rest:
-            if adj[v] >> u & 1:
-                gains[u] += inside
 
     # per start, the pool order[start:] as a mask and its own signed
     # counter, and the bound: a root that is already a leaf reads none
@@ -667,8 +668,17 @@ def _searcher(graph: Graph, kind: MetricKind, sums: dict | None = None) -> Calla
         bounds, refine = _bound_fn(kind, adj, graph.degrees, order, pool_mask)
 
     def search(lo: int, hi: int) -> list[tuple[int, int]]:
-        incumbent = [value for value, _ in seeds]
-        best = [mask for _, mask in seeds]
+        # the greedy chain's first hi picks seed sizes 0..hi, the sizes returned
+        incumbent, best = [0], [0]
+        gains, rest = base[:], list(range(n))
+        for _ in range(hi):
+            v = max(rest, key=gains.__getitem__)
+            rest.remove(v)
+            incumbent.append(incumbent[-1] + gains[v])
+            best.append(best[-1] | 1 << v)
+            for u in rest:
+                if adj[v] >> u & 1:
+                    gains[u] += inside
 
         def score(start: int, chosen: int, picked: int, val: int, live: list[int]) -> None:
             # each live size from its leaf table over the pool order[start:]
@@ -828,14 +838,14 @@ def _agree(kind: MetricKind, truth: Sequence[int], route: str, values: Sequence[
 
 def _half_searched(graph: Graph) -> dict[MetricKind, list[tuple[int, int]]]:
     # Per kind, (value, mask) for every size 0..n from one branch and bound
-    # on sizes 1..n//2, the one search plan of checked and reduced. The
-    # complement of an i-set is an (n - i)-set, so a size i above n//2 is
-    # the complement of kind.dual's set at n - i, its value read through
-    # kind.from_dual. The six searches share one dict of leaf sums, which
-    # ends with the plan.
+    # on sizes 1..n//2, the one search plan of checked and reduced; its
+    # greedy chain stops there too, at n//2 picks. The complement of an
+    # i-set is an (n - i)-set, so a size i above n//2 is the complement of
+    # kind.dual's set at n - i, its value read through kind.from_dual. The
+    # six searches share one dict of leaf sums, which ends with the plan.
     n, m, full = graph.n, graph.m, (1 << graph.n) - 1
     sums = {}
-    lower = {kind: _searcher(graph, kind, sums)(1, n // 2)[: n // 2 + 1] for kind in KIND_ORDER}
+    lower = {kind: _searcher(graph, kind, sums)(1, n // 2) for kind in KIND_ORDER}
     return {
         kind: found + [(kind.from_dual(x, m), mask ^ full) for x, mask in reversed(lower[kind.dual][: n - n // 2])]
         for kind, found in lower.items()
@@ -843,15 +853,16 @@ def _half_searched(graph: Graph) -> dict[MetricKind, list[tuple[int, int]]]:
 
 
 def _checked_profiles(
-    graph: Graph,
+    graph: Graph, witnesses: bool
 ) -> tuple[dict[MetricKind, Profile], dict[MetricKind, Profile]]:
     # Returns the cross-checked profiles and the complement's walk, values
     # only, which the reductions have just checked against them. Per kind,
     # the branch-and-bound values and the reduction's are compared with the
-    # walk's, and then every walk witness is evaluated again, each distinct
-    # set once. Only values are compared, so neither the search nor the
-    # reductions build a witness.
-    exhaustive = profile_exhaustive(graph, cap=graph.n)
+    # walk's. With witnesses, every walk witness is then evaluated again,
+    # each distinct set once; without them the walk keeps values only and
+    # there is no witness to evaluate. Only values are compared, so neither
+    # the search nor the reductions build a witness.
+    exhaustive = profile_exhaustive(graph, cap=graph.n, witnesses=witnesses)
     co = _walk(complement(graph), False)
     bases = {kind: Profile(kind, profile.values) for kind, profile in exhaustive.items()}
     searched = _half_searched(graph)
@@ -861,7 +872,7 @@ def _checked_profiles(
         _agree(kind, profile.values, "branch-and-bound", [value for value, _ in searched[kind]])
         derived = profile_by_reduction(graph, kind, bases=bases, complement_bases=co)
         _agree(kind, profile.values, derived.provenance, derived.values)
-        for i, witness in enumerate(profile.witnesses):
+        for i, witness in enumerate(profile.witnesses or ()):
             metrics = evaluated.get(witness.bits)
             if metrics is None:
                 metrics = evaluated[witness.bits] = metrics_from_mask(graph, witness.bits)
@@ -875,9 +886,17 @@ def _checked_profiles(
 
 
 def _solve(
-    graph: Graph, strategy: str, cap: int | None
+    graph: Graph, strategy: str, cap: int | None, witnesses: bool = True
 ) -> tuple[dict[MetricKind, Profile], dict[MetricKind, Profile] | None]:
     """Profiles under a strategy, plus the complement's when the route made them.
+
+    With ``witnesses`` false every profile comes back with values only
+    (witnesses None), and no route builds a witness set: oracle walks
+    without keeping its ties, reduced builds no VertexSet, and checked
+    walks the graph values only and so has no witness to evaluate again,
+    while it still compares the walk, the complement walk, the half-range
+    search and every reduction. ``verify_theorem`` and the profile
+    command pass False, as their output reads values only.
 
     The complement profiles come back only from checked: its walk of the
     complement, values only, which the reduction check already compared
@@ -889,11 +908,16 @@ def _solve(
     _require_within_cap(graph.n, cap)
     resolved = ("checked" if graph.n <= 8 else "oracle") if strategy == "auto" else strategy
     if resolved == "oracle":
-        return profile_exhaustive(graph, cap=graph.n), None
+        return profile_exhaustive(graph, cap=graph.n, witnesses=witnesses), None
     if resolved == "checked":
-        return _checked_profiles(graph)
+        return _checked_profiles(graph, witnesses)
     return {
-        kind: Profile(kind, tuple(x for x, _ in found), tuple(VertexSet(graph.n, mask) for _, mask in found), "branch-and-bound")
+        kind: Profile(
+            kind,
+            tuple(x for x, _ in found),
+            tuple(VertexSet(graph.n, mask) for _, mask in found) if witnesses else None,
+            "branch-and-bound",
+        )
         for kind, found in _half_searched(graph).items()
     }, None
 
@@ -905,17 +929,22 @@ def all_profiles(
 ) -> dict[MetricKind, Profile]:
     """All six profiles under one strategy.
 
-    oracle: one exhaustive Gray-code walk, lexicographically first
-    witnesses. reduced: branch and bound for every kind on sizes 1..n/2,
-    each size above n/2 read off the dual kind's set at n - i and
-    complemented; each witness attains its value. checked: the walk on
-    the graph and, values only, on its complement, the same half-range
-    branch and bound, and every reduction; raises
-    InternalInconsistencyError if any value disagrees or any returned
-    witness fails to attain its value. auto: checked for
-    n <= 8, one walk (oracle) above. At n = 24 on a 2-core VM
-    (Python 3.11) the walk took 0.15-0.28 s, while the six half-range
-    searches took 0.41 s on random:24:0.5, 0.47 s on regular:24:3,
-    0.77 s on random:24:0.8 and 1.32 s on regular:24:11.
+    Every profile carries one witness per size. oracle: one exhaustive
+    Gray-code walk, lexicographically first witnesses. reduced: branch
+    and bound for every kind on sizes 1..n/2, each size above n/2 read
+    off the dual kind's set at n - i and complemented; each witness
+    attains its value. checked: the walk on the graph and, values only,
+    on its complement, the same half-range branch and bound, and every
+    reduction; raises InternalInconsistencyError if any value disagrees
+    or any returned witness fails to attain its value. auto: checked for
+    n <= 8, one walk (oracle) above. At n = 24 on a 2-core VM (Python
+    3.11) the walk took 0.15-0.28 s, while the six half-range searches
+    took 0.41 s on random:24:0.5, 0.47 s on regular:24:3, 0.77 s on
+    random:24:0.8 and 1.32 s on regular:24:11.
+
+    This function always returns witnesses, and checked always checks
+    them. The command line prints values only, so its profile and
+    verify paths solve through ``_solve`` without witnesses: no route
+    then builds a witness set, and checked has none to evaluate again.
     """
     return _solve(graph, strategy, cap)[0]

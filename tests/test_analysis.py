@@ -365,8 +365,8 @@ class TestInternalInconsistency:
 
         real = analysis_mod._solve
 
-        def tampered(graph, strategy, cap):
-            solved, complement_profiles = real(graph, strategy, cap)
+        def tampered(graph, *args):
+            solved, complement_profiles = real(graph, *args)
             profiles = dict(solved)
             broken = profiles[MetricKind.MAX_CUT]
             values = list(broken.values)
@@ -389,8 +389,8 @@ class TestInternalInconsistency:
 
         real = analysis_mod._solve
 
-        def tampered(graph, strategy, cap):
-            profiles, complement_profiles = real(graph, strategy, cap)
+        def tampered(graph, *args):
+            profiles, complement_profiles = real(graph, *args)
             values = list(profiles[kind].values)
             for i, shift in shifts.items():
                 values[i] += shift
@@ -481,6 +481,61 @@ class TestInternalInconsistency:
         monkeypatch.setattr(solvers_mod, "profile_by_reduction", lying)
         with pytest.raises(InternalInconsistencyError, match=r"min_covered at i=3: exhaustive=\d+, reduction\("):
             all_profiles(cycle(5), strategy="checked")
+    # Every applicable identity holds on every graph, so one that fails is
+    # a solver bug: verify raises, naming it and its first violation, where
+    # it used to report the failure as data and exit 0. On C6, min_induced
+    # of the complement at i = 2 is 0, so one more breaks
+    # complement_induced_split there: 1 + 1 != C(2, 2).
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_failed_identity_classified_as_bug(self, monkeypatch, capsys, strategy):
+        from isoprofile import InternalInconsistencyError
+        from isoprofile.cli import main
+
+        _lie_about_complement(monkeypatch)
+        message = "identity complement_induced_split fails at i=2: 2 != 1"
+        with pytest.raises(InternalInconsistencyError, match=message):
+            verify_theorem(cycle(6), strategy)
+        assert main(["verify", "--gen", "cycle:6", "--strategy", strategy]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"internal inconsistency: {message}\n"
+
+    def test_identity_suite_still_returns_failures(self, monkeypatch):
+        _lie_about_complement(monkeypatch)
+        g = cycle(6)
+        failed = [r.name for r in identity_suite(g, all_profiles(g, "oracle")) if r.holds is False]
+        assert failed == ["complement_induced_split", "complement_diff_coupling"]
+
+    def test_failed_identity_stops_the_sweep(self, monkeypatch):
+        from isoprofile import InternalInconsistencyError
+
+        _lie_about_complement(monkeypatch)
+        with pytest.raises(
+            InternalInconsistencyError,
+            match=rf"^graph 0 \(cycle:6, graph6 {to_graph6(cycle(6))}\): identity complement_induced_split fails at i=2",
+        ):
+            counterexample_sweep(["cycle:6"], 3)
+
+
+def _lie_about_complement(monkeypatch):
+    # the complement's min_induced at i = 2, one too high, wherever the
+    # identity suite reads it: checked's solve hands over its complement
+    # walk, and under every other strategy the suite walks it itself
+    import isoprofile.analysis as analysis_mod
+
+    def lie(profiles):
+        profile = profiles[MetricKind.MIN_INDUCED]
+        values = list(profile.values)
+        values[2] += 1
+        return {**profiles, MetricKind.MIN_INDUCED: profile._replace(values=tuple(values))}
+
+    real_solve, real_walk = analysis_mod._solve, analysis_mod._walk
+
+    def solve(graph, *args):
+        profiles, complement_profiles = real_solve(graph, *args)
+        return profiles, complement_profiles and lie(complement_profiles)
+
+    monkeypatch.setattr(analysis_mod, "_solve", solve)
+    monkeypatch.setattr(analysis_mod, "_walk", lambda graph, witnesses: lie(real_walk(graph, witnesses)))
 
 
 class TestHypercubeInequality:

@@ -50,6 +50,16 @@ class TestProfileCommand:
         assert code == 0
         assert "n=2 m=1" in out
 
+    # auto is one walk at n = 24 and checked at n = 8; both print values only
+    @pytest.mark.parametrize("spec, seed, fmt, golden", [
+        ("regular:24:3", "1", "csv", "regular24_3_s1_profile.csv"),
+        ("random:8:0.5", "1729", "json", "random8_05_s1729_profile.json"),
+    ])
+    def test_generated_profile_matches_golden(self, capsys, spec, seed, fmt, golden):
+        code, out, err = run(capsys, "profile", "--gen", spec, "--seed", seed, "--format", fmt)
+        assert code == 0 and err == ""
+        assert out == (GOLDEN / golden).read_text()
+
     def test_human_format_matches_golden(self, capsys):
         code, out, err = run(capsys, "profile", "--g6", "EhEG")  # C6
         assert code == 0 and err == ""
@@ -157,6 +167,14 @@ class TestProfileCommand:
     def test_bad_generator_spec(self, capsys):
         code, _, err = run(capsys, "profile", "--gen", "mystery:4")
         assert code == 1 and "mystery" in err
+
+
+@pytest.mark.parametrize("command", ["profile", "verify"])
+def test_spaces_around_spec(capsys, command):
+    # --gen is stripped as sweep strips each of its specs
+    spaced = run(capsys, command, "--gen", " cycle:5 ", "--format", "json")
+    assert spaced == run(capsys, command, "--gen", "cycle:5", "--format", "json")
+    assert spaced[0] == 0 and spaced[2] == ""
 
 
 def _graph6_header(n):
@@ -414,3 +432,24 @@ def test_cli_import_generates_no_dataclass_code():
     added = cli - bare
     assert not {"dataclasses", "inspect", "json"} & added, sorted(added)
     assert {f"isoprofile.{short}" for short in spans.LAYERS} <= added
+
+
+def test_sweep_leaves_logging_unloaded(tmp_path):
+    # a sweep logs each block at DEBUG only when logging is already
+    # loaded, as it is wherever a caller handles the records; importing it
+    # would cost every sweep about 7 ms and 0.4 MB
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = ["sweep", "--gen", "cycle:5,random:6:0.5", "--count", "4", "--workers", "2",
+            "--out", str(tmp_path / "out"), "--findings", str(tmp_path / "f")]
+    probe = (
+        "import sys\n"
+        "before = 'logging' in sys.modules\n"
+        "from isoprofile.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, before, 'logging' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    code, before, after = done.stdout.split()
+    assert code == "0" and after == before

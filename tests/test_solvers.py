@@ -1,6 +1,7 @@
 import json
 import math
 import operator
+import sys
 from itertools import accumulate, combinations
 from pathlib import Path
 from unittest import mock
@@ -515,9 +516,9 @@ class TestBound:
         built = []
         real = solvers._leaf_sums
 
-        def counting(graph, pool, t):
+        def counting(graph, pool, t, pairs):
             built.append((pool, t))
-            return real(graph, pool, t)
+            return real(graph, pool, t, pairs)
 
         monkeypatch.setattr(solvers, "_leaf_sums", counting)
         g = from_spec("random:10:0.5", 2)
@@ -573,7 +574,7 @@ def _assert_one_search_matches_size_by_size(g):
 
         with mock.patch.object(solvers, "_bound_fn", recording):
             search = solvers._searcher(g, kind)
-        together = search(1, g.n - 1)
+        together = search(1, g.n)
         assert len(set(seen)) == len(seen), kind.key
         for size in range(g.n + 1):
             assert together[size] == search(size, size)[size], (kind.key, size)
@@ -680,8 +681,8 @@ class TestKindAlgebra:
     @pytest.mark.parametrize("spec", ["cycle:6", "star:6", "random:9:0.4", "random:14:0.5"])
     def test_wrong_dual_is_caught_under_checked(self, monkeypatch, wrong, spec):
         g = from_spec(spec)
-        duals = {kind: wrong.get(kind, kind.dual) for kind in KIND_ORDER}
-        monkeypatch.setattr(MetricKind, "dual", property(duals.__getitem__))
+        for kind, dual in wrong.items():
+            monkeypatch.setattr(kind, "dual", dual)
         with pytest.raises(InternalInconsistencyError):
             all_profiles(g, "checked")
 
@@ -810,10 +811,11 @@ class TestAllProfiles:
         calls = _count_solver_calls(monkeypatch, g, "checked")
         assert calls == {"walk": 2, "search": len(KIND_ORDER)}
 
-    # Work counts of checked on the two sweep-small generators: each
-    # distinct walk witness is evaluated once (18 of 66 and 38 of 60
-    # witnesses), and the only sets built are the walk's own witnesses.
-    CHECKED_WORK = [("regular:10:3", 3, 18), ("random:9:0.4", 1729, 38)]
+    # Work counts of checked with witnesses on the two sweep-small
+    # generators and on random:16:0.5: each distinct walk witness is
+    # evaluated once (18 of 66, 38 of 60 and 82 of 102 witnesses), and the
+    # only sets built are the walk's own witnesses.
+    CHECKED_WORK = [("regular:10:3", 3, 18), ("random:9:0.4", 1729, 38), ("random:16:0.5", 1729, 82)]
 
     @pytest.mark.parametrize("spec, seed, distinct", CHECKED_WORK)
     def test_checked_evaluates_each_distinct_witness_once(self, monkeypatch, spec, seed, distinct):
@@ -837,7 +839,47 @@ class TestAllProfiles:
         assert sorted(built) == sorted({w.bits for profile in profiles.values() for w in profile.witnesses})
         assert len(built) == distinct
 
-    # the two sweep-small graphs, and graphs whose walk runs the Gray code
+    # Neither verify nor the profile command prints a witness, so under
+    # every strategy they build no witness set and evaluate none, on the
+    # same graphs.
+    @staticmethod
+    def _witness_work(monkeypatch):
+        # the masks of the sets the solver routes build (their VertexSets
+        # and the reductions' complements) and of those they evaluate
+        built, evaluated = [], []
+        real_set, real_complement, real_metrics = solvers.VertexSet, VertexSet.complement, solvers.metrics_from_mask
+        monkeypatch.setattr(solvers, "VertexSet", lambda n, bits: built.append(bits) or real_set(n, bits))
+        monkeypatch.setattr(VertexSet, "complement", lambda self: built.append(self.bits) or real_complement(self))
+        monkeypatch.setattr(solvers, "metrics_from_mask", lambda graph, mask: evaluated.append(mask) or real_metrics(graph, mask))
+        return built, evaluated
+
+    @pytest.mark.parametrize("strategy", solvers.STRATEGIES)
+    @pytest.mark.parametrize("spec, seed", [(spec, seed) for spec, seed, _ in CHECKED_WORK])
+    def test_verify_builds_and_evaluates_no_witness(self, monkeypatch, strategy, spec, seed):
+        g = from_spec(spec, seed)
+        built, evaluated = self._witness_work(monkeypatch)
+        assert verify_theorem(g, strategy).consistent
+        assert built == [] and evaluated == []
+
+    @pytest.mark.parametrize("strategy", solvers.STRATEGIES)
+    @pytest.mark.parametrize("spec, seed", [(spec, seed) for spec, seed, _ in CHECKED_WORK])
+    def test_profile_command_builds_and_evaluates_no_witness(self, monkeypatch, capsys, strategy, spec, seed):
+        from isoprofile.cli import main
+
+        built, evaluated = self._witness_work(monkeypatch)
+        for fmt in ("csv", "json", "human"):
+            assert main(["profile", "--gen", spec, "--seed", str(seed), "--strategy", strategy, "--format", fmt]) == 0
+        assert built == [] and evaluated == []
+
+    @pytest.mark.parametrize("spec, seed, distinct", CHECKED_WORK)
+    def test_checked_with_witnesses_still_evaluates_them(self, monkeypatch, spec, seed, distinct):
+        # the pins above count what they should: all_profiles still builds
+        # and evaluates every distinct witness
+        built, evaluated = self._witness_work(monkeypatch)
+        all_profiles(from_spec(spec, seed), "checked")
+        assert len(set(built)) == len(evaluated) == distinct
+
+    # the sweep-small graphs and random:16:0.5, and graphs whose walk runs the Gray code
     @pytest.mark.parametrize(
         "spec, seed",
         [(spec, seed) for spec, seed, _ in CHECKED_WORK] + [("random:12:0.5", 2), ("regular:14:3", 2), ("random:17:0.3", 1)],
@@ -880,6 +922,29 @@ class TestAllProfiles:
         monkeypatch.setattr(solvers, "_searcher", recording)
         all_profiles(g, strategy=strategy)
         assert sorted(asked, key=lambda call: KIND_ORDER.index(call[0])) == [(kind, 1, g.n // 2) for kind in KIND_ORDER]
+
+    # Each search of the half-range plan makes one greedy pick per size it
+    # returns, n // 2 of them, where it used to pick all n vertices and
+    # drop the top half. A pick removes its vertex from the remaining ones,
+    # the only list.remove that search itself calls.
+    @pytest.mark.parametrize("spec, seed", [("cycle:7", 0), ("regular:10:3", 3), ("random:9:0.4", 1729), ("random:16:0.5", 1729)])
+    def test_half_range_greedy_chains_stop_at_half(self, spec, seed):
+        g = from_spec(spec, seed)
+        picks = []
+
+        def profiler(frame, event, arg):
+            if event == "c_call" and frame.f_code.co_name == "search" and getattr(arg, "__name__", "") == "remove":
+                picks.append(frame.f_lineno)
+
+        previous = sys.getprofile()
+        sys.setprofile(profiler)
+        try:
+            plan = solvers._half_searched(g)
+        finally:
+            sys.setprofile(previous)
+        assert len(picks) == len(KIND_ORDER) * (g.n // 2)
+        walked = profile_exhaustive(g)
+        assert all([value for value, _ in plan[kind]] == list(walked[kind].values) for kind in KIND_ORDER)
 
     # each reduced witness, searched or read off the dual kind, has its
     # size and attains its value
