@@ -37,7 +37,7 @@ def main():
 
     value, witness = extremal_exhaustive(cycle(4), MetricKind.MAX_INDUCED, 2)
     print(f"densest pair of the 4-cycle: {value} edge, witness {sorted(witness)}")
-    print("(the witness is the first optimal subset in lexicographic order)")
+    print("(the witness is the first optimal subset the exhaustive walk meets)")
 
 
 if __name__ == "__main__":

@@ -44,9 +44,9 @@ from .solvers import (
     Profile,
     _require_within_cap,
     _solve,
-    _walk,
     all_profiles,
     kind_from_key,
+    profile_exhaustive,
 )
 
 __all__ = [
@@ -218,7 +218,7 @@ def identity_suite(
     """
     if complement_profiles is None:
         _require_within_cap(graph.n, cap)
-        complement_profiles = _walk(complement(graph), False)
+        complement_profiles = profile_exhaustive(complement(graph), cap=cap, witnesses=False)
     n, m = graph.n, graph.m
     summary = degree_summary(graph)
     d = summary.min_degree

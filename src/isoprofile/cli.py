@@ -317,6 +317,11 @@ def main(argv=None) -> int:
             raise _UsageError(f"--cap must be at least 1, got {args.cap}")
         if args.format == "csv" and args.command != "profile":
             raise _UsageError("csv output applies to the profile command only")
+        # an empty --out would fall back to stdout, and Path("") is the
+        # working directory, so both are refused before any work
+        for flag in ("out", "findings"):
+            if getattr(args, flag, None) == "":
+                raise _UsageError(f"--{flag} needs a file path")
         args.strategy = args.strategy or args.strategy_default
         return args.func(args)
     except _UsageError as exc:

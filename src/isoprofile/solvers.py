@@ -11,18 +11,16 @@ routes:
   of one int, and a reflected Gray code steps over the other vertices
   only, updating every tabulated set per step with a few int additions.
   The first step decodes each table once and seeds every size's best
-  with one C-level max or min and its first and last index; at n <= 11
-  it is the whole walk. From the second step on, a broadword threshold
-  test (one add, one subtract and two ANDs on the packed int) marks the
-  fields that match or beat their size's best value so far; most steps
-  mark none, a size whose best is beaten is decoded and reduced with one
-  C-level max or min, and a tie is read off the marks. Every other
-  subset is the complement of a walked one, and
-  an O(n) fold after the walk reads its counters off the walked set's
-  (induced and covered trade places as m minus each other, cut stays).
-  This is the ground truth; each witness is the lexicographically first
-  optimal subset (compare the sorted vertex tuples), which for a
-  complement means the lexicographically last tie among the walked sets.
+  with one C-level max or min; at n <= 11 it is the whole walk. From the
+  second step on, a broadword threshold test (one add or subtract and an
+  AND on the packed int) marks the fields that strictly beat their
+  size's best value so far; most steps mark none, and a size whose best
+  is beaten is decoded and reduced with one C-level max or min. Every
+  other subset is the complement of a walked one, and an O(n) fold after
+  the walk reads its counters off the walked set's (induced and covered
+  trade places as m minus each other, cut stays). This is the ground
+  truth; each witness is the first optimal set the walk meets, and a
+  walked set comes before the complement of one.
 * ``profile_branch_bound``: one search body for all six kinds (a min
   kind maximizes its negated counter), and per kind one depth-first
   search for every size at once. Each node carries the sizes that no
@@ -230,8 +228,8 @@ def _reversed(masks: list[int], n: int) -> list[int]:
 
 # The walk tabulates its lowest _BLOCK bits at once, as 16-bit fields of
 # one int. A field holds at most 2m while a step sums it and a counter at
-# most m < 2^15 at any walkable n, so the threshold test's 0x8000 plus or
-# minus a best value, plus or minus a counter, stays in [0, 2^16): no
+# most m < 2^15 at any walkable n, so the threshold test's 0x8000 - 1 plus
+# or minus a best value, plus or minus a counter, stays in [0, 2^16): no
 # field ever carries into or borrows from the next.
 _BLOCK = 10
 
@@ -254,15 +252,15 @@ def _block_layout(k: int):
     # by descending mask, so that the first field of a size holding some
     # value is its lexicographically first L. Returns each field's mask,
     # each size's field range [a, z), per field its size t with the field
-    # range [a, z) and the byte range [2a, 2z) of size t, the int with
-    # every field 1, and per walk bit b <= k the int whose field L is 1
-    # when L holds b.
+    # range [a, z) and the end 2z of its byte range, the int with every
+    # field 1, and per walk bit b <= k the int whose field L is 1 when L
+    # holds b.
     masks, spans, where = [], [], []
     for t in range(k + 1):
         a = len(masks)
         masks += [mask for mask in range((2 << k) - 2, -1, -2) if mask.bit_count() == t]
         spans.append((a, len(masks)))
-        where += [(t, a, len(masks), 2 * a, 2 * len(masks))] * (len(masks) - a)
+        where += [(t, a, len(masks), 2 * len(masks))] * (len(masks) - a)
     packed, ones = _pack(masks), _pack([1] * len(masks))
     return masks, tuple(spans), where, ones, tuple(packed >> b & ones for b in range(k + 1))
 
@@ -270,25 +268,18 @@ def _block_layout(k: int):
 def _fold(graph: Graph, trackers, witnesses: bool) -> dict[MetricKind, Profile]:
     # Size j is attained either by a walked set (direct, size j) or by the
     # complement of one: the kind's dual tracker at size n - j, its value
-    # read through kind.from_dual. Without witnesses each size is one max
-    # or min of the two values. With them, the last walked tie has the
-    # first complement, all the winning masks are reversed at once, and
-    # each distinct one becomes one VertexSet.
-    n, m = graph.n, graph.m
-    full = (1 << n) - 1
+    # read through kind.from_dual. Each size is one max or min of the two
+    # values. With witnesses, the walked set is kept when it attains the
+    # optimum and the complement otherwise, all the winning masks are
+    # reversed at once, and each distinct one becomes one VertexSet.
+    n, m, full = graph.n, graph.m, (1 << graph.n) - 1
     values, walked = [], []
-    for kind, direct in trackers.items():
-        maximize, mirror = kind.is_max, trackers[kind.dual]
-        mirrored = [kind.from_dual(b, m) for b in reversed(mirror[0])]
-        if not witnesses:
-            values += map(max if maximize else min, direct[0], mirrored)
-            continue
-        for a, wa, b, wb in zip(direct[0], direct[1], mirrored, reversed(mirror[2])):
-            wb ^= full
-            if a != b and (a > b) != maximize or a == b and wb > wa:
-                a, wa = b, wb
-            values.append(a)
-            walked.append(wa)
+    for kind, (direct, first, _) in trackers.items():
+        mirror, mirror_first, _ = trackers[kind.dual]
+        best = list(map(max if kind.is_max else min, direct, [kind.from_dual(b, m) for b in reversed(mirror)]))
+        values += best
+        if witnesses:
+            walked += [wa if a == v else wb ^ full for v, a, wa, wb in zip(best, direct, first, reversed(mirror_first))]
     if witnesses:
         distinct = list(set(walked))
         sets = dict(zip(distinct, [VertexSet(n, bits) for bits in _reversed(distinct, n)]))
@@ -303,7 +294,7 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None, witnesses: bool 
     """Ground truth: all six profiles from one walk over half the subsets.
 
     With ``witnesses`` false the profiles hold values only (witnesses
-    None): the walk passes over ties and builds no witness set.
+    None): the walk is the same, and the fold builds no witness set.
 
     The walk covers the 2^(n-1) subsets S without vertex n-1, numbering
     vertex u as bit n-1-u, so that of two sets of one size the
@@ -331,49 +322,37 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None, witnesses: bool 
       cut(H + L)     = covered(H + L) - induced(H + L)
 
     Most steps change no tracker, and a broadword threshold test (Knuth,
-    TAOCP 4A, 7.1.3) finds the fields that might without decoding the
+    TAOCP 4A, 7.1.3) finds the fields that do without decoding the
     vector. Per high size |H| each tracker caches one threshold int whose
-    fields of size |L| = t hold 0x8000 - best(|H| + t) for a max tracker
-    and 0x8000 + best(|H| + t) for a min tracker, and it drops the cache
-    whenever one of its best values changes. Bit 15 of each field of
-    (vector + threshold), or of (threshold - vector) for a min tracker,
-    is then set exactly where the field matches or beats its size's
-    best, and subtracting the all-ones int first leaves only the fields
-    that beat it. Every field is nonnegative and at most m < 2^15, so no
+    fields of size |L| = t hold 0x8000 - best(|H| + t) - 1 for a max
+    tracker and 0x8000 + best(|H| + t) - 1 for a min tracker, and it
+    drops the cache whenever one of its best values changes. Bit 15 of
+    each field of (vector + threshold), or of (threshold - vector) for a
+    min tracker, is then set exactly where the field strictly beats its
+    size's best. Every field is nonnegative and at most m < 2^15, so no
     field carries into or borrows from the next. At step 0 H is empty and
     every best is still its sentinel, so there is nothing to test: each
     of the three tables is decoded once, and per size one C-level max or
-    min with its first and last index seeds each tracker. The Gray code
-    and the threshold test start at step 1; at n <= 11 step 0 is the
-    whole walk.
+    min seeds each tracker. The Gray code and the threshold test start
+    at step 1; at n <= 11 step 0 is the whole walk. The marks, as bytes,
+    are searched for the sizes they touch, and each such size is decoded
+    (``_fields``, the walk's only decode) and reduced with one C-level
+    max or min.
 
-    The marks, as bytes, are searched for the sizes they touch. A size
-    with a beaten best is decoded (``_fields``, the walk's only decode)
-    and reduced with one C-level max or min. A size that is only matched
-    needs no decode: its first and last marked fields are its first and
-    last ties. Ties change a tracker only in the two cases below, so a
-    tracker that marks only ties while H lies between the last and the
-    first tie of each of its sizes is passed over before its marks are
-    read.
-
-    Each witness is the lexicographically first optimal subset. A
-    complement is lexicographically first exactly when its walked set is
-    lexicographically last among the ties, so each tracker keeps both
-    its first and its last tie, and the fold picks the earlier of the
-    walked and the complemented candidate. Within a size the fields run
-    from the first L to the last. The high bits lie above the block, so
-    of two high sets the larger one's sets are all earlier: a tie from H
-    replaces the tracker's first tie when H exceeds it and its last tie
-    when H falls below it. These are the two cases.
+    Each witness is the first optimal set the walk meets, and a walked
+    set comes before a complement. Per size a tracker keeps the first
+    field that holds its best, at step 0 and at each beat: the set that
+    first beat that size's best. The fold keeps that set when it attains
+    size j's optimum, and otherwise complements the dual tracker's set at
+    n - j.
     """
     _require_within_cap(graph.n, cap)
     return _walk(graph, witnesses)
 
 
 def _walk(graph: Graph, witnesses: bool) -> dict[MetricKind, Profile]:
-    # profile_exhaustive's walk and fold. Without witnesses, which is how
-    # the complement is walked (nothing reads its witnesses), ties are
-    # passed over and the fold keeps the values only.
+    # profile_exhaustive's walk and fold; without witnesses the fold
+    # keeps the values only
     n, m = graph.n, graph.m
     adj = _reversed(graph.adj[::-1], n)
     degrees = graph.degrees[::-1]
@@ -386,11 +365,11 @@ def _walk(graph: Graph, witnesses: bool) -> dict[MetricKind, Profile]:
     # field L of crossing[j] is |adj(u) & L| for the high vertex u at bit k + 1 + j
     crossing = [sum(members[c] for c in range(1, k + 1) if adj[b] >> c & 1) for b in range(k + 1, n)]
 
-    def tracker(sign: int) -> tuple[list[int], list[int], list[int], dict[int, int]]:
-        # best value, first and last tie per size, and the threshold ints
-        # by |H|. Size n is never walked, so its sentinel (beaten by every
-        # real value, flipped or not) stays.
-        return [-1 if sign > 0 else m + 1] * (n + 1), [0] * (n + 1), [0] * (n + 1), {}
+    def tracker(sign: int) -> tuple[list[int], list[int], dict[int, int]]:
+        # best value and the mask that first reached it per size, and the
+        # threshold ints by |H|. Size n is never walked, so its sentinel
+        # (beaten by every real value, flipped or not) stays.
+        return [-1 if sign > 0 else m + 1] * (n + 1), [0] * (n + 1), {}
 
     # per counter, its max tracker and then its min tracker
     trackers = {kind: tracker(kind.sign) for kind in KIND_ORDER}
@@ -398,19 +377,15 @@ def _walk(graph: Graph, witnesses: bool) -> dict[MetricKind, Profile]:
     pairs = rows[0:2], rows[2:4], rows[4:6]
     width, order, top = 2 * len(masks), sys.byteorder, ones << 15
     # step 0: H is empty, so the fields of size t are the sets of size t,
-    # and their max and min, each first and last taken, are the bests.
-    # Field i is backward[-1 - i], so backward's first match from -z on
-    # is the last match in [a, z).
+    # and their max and min, each first taken, are the bests
     for packed, pair in zip((induced_l, degrees_l - induced_l, degrees_l - 2 * induced_l), pairs):
         fields = _fields(packed, width).tolist()
-        backward = fields[::-1]
         for t, (a, z) in enumerate(spans):
             found = set(fields[a:z])
-            for pick, (values, first, last, _) in zip((max, min), pair):
+            for pick, (values, first, _) in zip((max, min), pair):
                 values[t] = value = pick(found)
                 if witnesses:
                     first[t] = masks[fields.index(value, a)]
-                    last[t] = masks[-1 - backward.index(value, -z)]
     high = cross = high_induced = high_degrees = size = 0
     for step in range(1, 1 << (n - 1 - k)):
         b = k + (step & -step).bit_length()
@@ -424,49 +399,33 @@ def _walk(graph: Graph, witnesses: bool) -> dict[MetricKind, Profile]:
         covered = degrees_l + high_degrees * ones - induced
         for packed, pair in zip((induced, covered, covered - induced), pairs):
             fields = None
-            for sign, (values, first, last, thresholds) in zip((1, -1), pair):
+            for sign, (values, first, thresholds) in zip((1, -1), pair):
                 if size not in thresholds:
-                    pieces = [(0x8000 - sign * best).to_bytes(2, order) * (z - a) for best, (a, z) in zip(values[size:], spans)]
+                    pieces = [(0x8000 - sign * best - 1).to_bytes(2, order) * (z - a) for best, (a, z) in zip(values[size:], spans)]
                     thresholds[size] = int.from_bytes(b"".join(pieces), order)
-                probe = thresholds[size] + packed if sign > 0 else thresholds[size] - packed
-                hit = probe & top
-                if not hit:
+                beat = (thresholds[size] + packed if sign > 0 else thresholds[size] - packed) & top
+                if not beat:
                     continue
-                beat = (probe - ones) & top
-                # ties alone move no witness while high lies between
-                # every size's last and first tie, nor any value ever
-                if not beat and (
-                    not witnesses or max(last[size : size + k + 1]) <= high <= min(first[size : size + k + 1])
-                ):
-                    continue
-                # a matched or beaten field's high byte reads 0x80, and
-                # a beaten one's low byte too
-                marks = (hit | beat >> 8).to_bytes(width, order)
+                if fields is None:
+                    fields, groups = _fields(packed, width), {}
+                # a beaten field's high byte reads 0x80
+                marks = beat.to_bytes(width, order)
                 at = marks.find(0x80)
                 while at >= 0:
-                    t, a, z, a2, z2 = where[at >> 1]
-                    s = size + t
-                    # two 0x80 bytes in a row hold a beaten field's low byte
-                    if marks.find(b"\x80\x80", a2, z2) >= 0:
-                        if fields is None:
-                            fields, groups = _fields(packed, width), {}
-                        group = groups.get(t) or groups.setdefault(t, fields[a:z].tolist())
-                        values[s] = value = max(group) if sign > 0 else min(group)
-                        first[s] = high | masks[a + group.index(value)]
-                        last[s] = high | masks[z - 1 - group[::-1].index(value)]
-                        thresholds.clear()
-                    elif high > first[s]:
-                        first[s] = high | masks[at >> 1]
-                    elif high < last[s]:
-                        last[s] = high | masks[marks.rfind(0x80, a2, z2) >> 1]
-                    at = marks.find(0x80, z2)
+                    t, a, z, end = where[at >> 1]
+                    group = groups.get(t) or groups.setdefault(t, fields[a:z].tolist())
+                    values[size + t] = value = max(group) if sign > 0 else min(group)
+                    first[size + t] = high | masks[a + group.index(value)]
+                    at = marks.find(0x80, end)
+                thresholds.clear()
     return _fold(graph, trackers, witnesses)
 
 
 def extremal_exhaustive(
     graph: Graph, kind: MetricKind, size: int, cap: int | None = None
 ) -> tuple[int, VertexSet]:
-    """Exact optimum for one size; witness is the lexicographically first."""
+    """Exact optimum for one size; the witness is profile_exhaustive's:
+    the first optimal set the walk meets, a walked set before a complement."""
     if not 0 <= size <= graph.n:
         raise ValueError(f"subset size {size} outside 0..{graph.n}")
     profile = profile_exhaustive(graph, cap=cap)[kind]
@@ -863,7 +822,7 @@ def _checked_profiles(
     # there is no witness to evaluate. Only values are compared, so neither
     # the search nor the reductions build a witness.
     exhaustive = profile_exhaustive(graph, cap=graph.n, witnesses=witnesses)
-    co = _walk(complement(graph), False)
+    co = profile_exhaustive(complement(graph), cap=graph.n, witnesses=False)
     bases = {kind: Profile(kind, profile.values) for kind, profile in exhaustive.items()}
     searched = _half_searched(graph)
     evaluated = {}
@@ -891,12 +850,12 @@ def _solve(
     """Profiles under a strategy, plus the complement's when the route made them.
 
     With ``witnesses`` false every profile comes back with values only
-    (witnesses None), and no route builds a witness set: oracle walks
-    without keeping its ties, reduced builds no VertexSet, and checked
-    walks the graph values only and so has no witness to evaluate again,
-    while it still compares the walk, the complement walk, the half-range
-    search and every reduction. ``verify_theorem`` and the profile
-    command pass False, as their output reads values only.
+    (witnesses None), and no route builds a witness set: oracle's fold
+    builds none, reduced builds no VertexSet, and checked walks the
+    graph values only and so has no witness to evaluate again, while it
+    still compares the walk, the complement walk, the half-range search
+    and every reduction. ``verify_theorem`` and the profile command pass
+    False, as their output reads values only.
 
     The complement profiles come back only from checked: its walk of the
     complement, values only, which the reduction check already compared
@@ -930,17 +889,17 @@ def all_profiles(
     """All six profiles under one strategy.
 
     Every profile carries one witness per size. oracle: one exhaustive
-    Gray-code walk, lexicographically first witnesses. reduced: branch
-    and bound for every kind on sizes 1..n/2, each size above n/2 read
-    off the dual kind's set at n - i and complemented; each witness
-    attains its value. checked: the walk on the graph and, values only,
-    on its complement, the same half-range branch and bound, and every
-    reduction; raises InternalInconsistencyError if any value disagrees
-    or any returned witness fails to attain its value. auto: checked for
-    n <= 8, one walk (oracle) above. At n = 24 on a 2-core VM (Python
-    3.11) the walk took 0.15-0.28 s, while the six half-range searches
-    took 0.41 s on random:24:0.5, 0.47 s on regular:24:3, 0.77 s on
-    random:24:0.8 and 1.32 s on regular:24:11.
+    Gray-code walk, each witness the first optimal set it meets.
+    reduced: branch and bound for every kind on sizes 1..n/2, each size
+    above n/2 read off the dual kind's set at n - i and complemented;
+    each witness attains its value. checked: the walk on the graph and,
+    values only, on its complement, the same half-range branch and
+    bound, and every reduction; raises InternalInconsistencyError if any
+    value disagrees or any returned witness fails to attain its value.
+    auto: checked for n <= 8, one walk (oracle) above. At n = 24 on a
+    2-core VM (Python 3.11) the walk took 0.15-0.28 s, while the six
+    half-range searches took 0.41 s on random:24:0.5, 0.47 s on
+    regular:24:3, 0.77 s on random:24:0.8 and 1.32 s on regular:24:11.
 
     This function always returns witnesses, and checked always checks
     them. The command line prints values only, so its profile and

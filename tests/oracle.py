@@ -25,25 +25,65 @@ def brute_count(edges, inside, which):
     return total
 
 
-def brute_extremal(n, edges, which, sense, size):
-    """Optimum of one counter over all size-subsets, with the first witness."""
-    best = None
-    best_set = None
-    for combo in combinations(range(n), size):
-        inside = set(combo)
-        value = brute_count(edges, inside, which)
-        if (
-            best is None
-            or (sense == "max" and value > best)
-            or (sense == "min" and value < best)
-        ):
-            best = value
-            best_set = inside
-    return best, best_set
-
-
 def brute_profile(n, edges, which, sense):
-    return [brute_extremal(n, edges, which, sense, i)[0] for i in range(n + 1)]
+    """Optimum of one counter over the subsets of each size 0..n."""
+    pick = max if sense == "max" else min
+    return [pick(brute_count(edges, set(combo), which) for combo in combinations(range(n), i)) for i in range(n + 1)]
+
+
+def walk_order(n, width):
+    """The subsets without vertex n - 1, in the exhaustive walk's order.
+
+    Vertex u is walk bit n - 1 - u. The block is walk bits 1..k, k =
+    min(width, n - 1), the vertices n - 1 - k .. n - 2; the high bits above
+    it are the vertices 0 .. n - 2 - k. High sets H come in reflected Gray
+    order, step s flipping walk bit k + lowbit(s) (lowbit counted from 1),
+    and within one H the block sets L come lexicographically.
+    """
+    k = min(width, n - 1)
+    high = n - 1 - k
+    block = range(high, n - 1)
+    for step in range(1 << high):
+        gray = step ^ (step >> 1)
+        # walk bit k + j, Gray bit j - 1, is vertex high - j
+        chosen = {high - j for j in range(1, high + 1) if gray >> (j - 1) & 1}
+        for t in range(k + 1):
+            for combo in combinations(block, t):
+                yield chosen | set(combo)
+
+
+def walk_witnesses(n, edges, which, sense, width):
+    """[(optimum, witness)] per size 0..n under the exhaustive walk's rule.
+
+    Per size, each tracker keeps the first walked set that reaches its
+    walked optimum. Size j's optimum is the better of the walked one and
+    the complement of the dual tracker's at n - j (induced and covered
+    swap, each taking the other sense, as m minus each other; a cut kind
+    is its own dual), and the walked set wins a tie.
+    """
+    def firsts(which, sense):
+        best = {}
+        for inside in walk_order(n, width):
+            value = brute_count(edges, inside, which)
+            old = best.get(len(inside))
+            if old is None or (value > old[0] if sense == "max" else value < old[0]):
+                best[len(inside)] = (value, inside)
+        return best
+
+    m, pick = len(edges), (max if sense == "max" else min)
+    if which == "cut":
+        dual = firsts(which, sense)
+    else:
+        dual = firsts("covered" if which == "induced" else "induced", "min" if sense == "max" else "max")
+    direct, found = firsts(which, sense), []
+    for j in range(n + 1):
+        candidates = [direct[j]] if j in direct else []
+        if n - j in dual:
+            x, inside = dual[n - j]
+            candidates.append((x if which == "cut" else m - x, set(range(n)) - inside))
+        value = pick(x for x, _ in candidates)
+        found.append(next(c for c in candidates if c[0] == value))
+    return found
 
 
 def brute_all_profiles(n, edges):

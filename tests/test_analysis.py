@@ -285,7 +285,8 @@ class TestVerifySolveCounts:
     def test_checked_verify_solves_complement_once(self, monkeypatch, strategy, graph):
         # one walk on the graph, one on its complement, one branch-and-bound
         # search built per kind; the identity suite reuses the complement walk.
-        # Both walks go through _walk; the complement's folds values only.
+        # Both walks go through profile_exhaustive and so through _walk;
+        # the complement's folds values only.
         import isoprofile.solvers as solvers_mod
 
         walks = self._count(monkeypatch, solvers_mod, "_walk")
@@ -300,11 +301,9 @@ class TestVerifySolveCounts:
         # the identity suite walks the complement, values only, whatever
         # strategy solved the graph: reduced searches only the graph, and
         # auto above n = 8 walks the graph and then its complement
-        import isoprofile.analysis as analysis_mod
         import isoprofile.solvers as solvers_mod
 
         walks = self._count(monkeypatch, solvers_mod, "_walk")
-        monkeypatch.setattr(analysis_mod, "_walk", solvers_mod._walk)
         searches = self._count(monkeypatch, solvers_mod, "_searcher")
         report = verify_theorem(graph, strategy=strategy)
         if strategy == "reduced":
@@ -453,7 +452,10 @@ class TestInternalInconsistency:
         real = solvers_mod.profile_exhaustive
 
         def lying(graph, **kwargs):
+            # the complement is walked values only: only the graph's walk has witnesses
             profiles = real(graph, **kwargs)
+            if not kwargs.get("witnesses", True):
+                return profiles
             honest = profiles[MetricKind.MIN_CUT]
             witnesses = list(honest.witnesses)
             witnesses[2] = VertexSet.from_vertices(graph.n, [0, 2])  # cut 4 on C4, not 2
@@ -528,14 +530,14 @@ def _lie_about_complement(monkeypatch):
         values[2] += 1
         return {**profiles, MetricKind.MIN_INDUCED: profile._replace(values=tuple(values))}
 
-    real_solve, real_walk = analysis_mod._solve, analysis_mod._walk
+    real_solve, real_exhaustive = analysis_mod._solve, analysis_mod.profile_exhaustive
 
     def solve(graph, *args):
         profiles, complement_profiles = real_solve(graph, *args)
         return profiles, complement_profiles and lie(complement_profiles)
 
     monkeypatch.setattr(analysis_mod, "_solve", solve)
-    monkeypatch.setattr(analysis_mod, "_walk", lambda graph, witnesses: lie(real_walk(graph, witnesses)))
+    monkeypatch.setattr(analysis_mod, "profile_exhaustive", lambda graph, **kwargs: lie(real_exhaustive(graph, **kwargs)))
 
 
 class TestHypercubeInequality:

@@ -102,6 +102,26 @@ class TestProfileCommand:
         code, out, err = run(capsys, command, "--input", "")
         assert (code, out, err) == (1, "", "error: --input needs a file path\n")
 
+    # An empty --out would fall back to stdout, and an empty --findings
+    # names the working directory, found only after the whole sweep: both
+    # are refused by name before any graph is loaded or swept.
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["profile", "--gen", "cycle:5", "--out", ""], "out"),
+            (["verify", "--gen", "cycle:5", "--out", ""], "out"),
+            (["sweep", "--gen", "cycle:5", "--count", "2", "--out", ""], "out"),
+            (["sweep", "--gen", "cycle:5", "--count", "2", "--findings", ""], "findings"),
+        ],
+    )
+    def test_empty_output_path(self, capsys, monkeypatch, argv, flag):
+        from isoprofile import cli
+
+        monkeypatch.setattr(cli, "_load_graph", lambda *args: pytest.fail("loaded a graph"))
+        monkeypatch.setattr(cli, "counterexample_sweep", lambda *args, **kwargs: pytest.fail("ran the sweep"))
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: --{flag} needs a file path\n")
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -38,7 +38,7 @@ from isoprofile import (
 from isoprofile import solvers
 from isoprofile.formats import load_graph_text
 
-from oracle import brute_all_profiles, brute_count, brute_extremal
+from oracle import brute_all_profiles, brute_count, walk_witnesses
 
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -73,11 +73,12 @@ def _count_solver_calls(monkeypatch, graph, strategy):
     return calls
 
 
-def _assert_naive_first_witnesses(g, profiles):
+def _assert_naive_first_witnesses(g, profiles, width=solvers._BLOCK):
+    # every value, and every witness the first optimal set of the walk's
+    # order for a block of width bits, as the naive oracle finds them
     edges = g.edges()
     for kind in KIND_ORDER:
-        for i in range(g.n + 1):
-            value, first = brute_extremal(g.n, edges, kind.counter, kind.sense, i)
+        for i, (value, first) in enumerate(walk_witnesses(g.n, edges, kind.counter, kind.sense, width)):
             assert profiles[kind].values[i] == value, (kind.key, i)
             assert set(profiles[kind].witnesses[i]) == first, (kind.key, i)
 
@@ -117,7 +118,9 @@ class TestExhaustive:
     def test_complete5_max_induced_is_binomial(self):
         assert profile_exhaustive(complete(5))[MetricKind.MAX_INDUCED].values == (0, 0, 1, 3, 6, 10)
 
-    def test_cut_max_witness_is_lexicographic_first(self):
+    def test_cut_max_witness_is_first_walked(self):
+        # at n = 4 step 0 is the whole walk, so the first optimal set it
+        # meets is the lexicographically first one without vertex 3
         profile = profile_exhaustive(cycle(4))[MetricKind.MAX_CUT]
         assert profile.witnesses[2] == VertexSet.from_vertices(4, [0, 2])
 
@@ -128,7 +131,7 @@ class TestExhaustive:
     @given(small_graphs())
     @settings(max_examples=60, deadline=None)
     def test_witnesses_match_naive_first_witness(self, g):
-        # pins the Gray-code walk's tie-break to lexicographic enumeration
+        # pins each walk witness to the first optimum of the naive walk order
         _assert_naive_first_witnesses(g, profile_exhaustive(g))
 
     @pytest.mark.parametrize(
@@ -145,23 +148,23 @@ class TestExhaustive:
     def test_tied_witnesses_match_naive_first_witness(self, g, width):
         # ties abound here: a size's optimum is often attained both by sets
         # without vertex n-1 (walked) and by sets with it (complements of
-        # walked ones), and the fold must still return the first of all;
+        # walked ones), and the fold must still prefer the walked one;
         # a block of 2 walks 2^(n-3) high sets, most of which only tie
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solvers, "_BLOCK", width)
             profiles = profile_exhaustive(g)
-        _assert_naive_first_witnesses(g, profiles)
+        _assert_naive_first_witnesses(g, profiles, width)
 
     @pytest.mark.parametrize("width", [1, 2, 3])
     @given(g=small_graphs())
     @settings(max_examples=40, deadline=None)
     def test_block_seams_match_naive_first_witness(self, width, g):
         # a narrow block leaves most walked bits to the Gray code over the
-        # high sets, so one size's ties are merged across many of them
+        # high sets, so one size's best is beaten across many of them
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solvers, "_BLOCK", width)
             profiles = profile_exhaustive(g)
-        _assert_naive_first_witnesses(g, profiles)
+        _assert_naive_first_witnesses(g, profiles, width)
 
     @pytest.mark.parametrize("n", [11, 12])
     @pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
@@ -185,8 +188,10 @@ class TestExhaustive:
             assert 0 < len(decodes) <= pin, (name, len(decodes))
 
     def test_witnesses_match_golden(self):
-        # (value, witness bits) of every kind and size, written before the
-        # walk was blocked; from n = 12 on the walked bits outnumber the block
+        # (value, witness bits) of every kind and size; the values were
+        # written before the walk was blocked, and the witnesses come from
+        # the naive oracle's walk order. From n = 12 on the walked bits
+        # outnumber the block
         graphs = {
             "random:11:0.5@3": from_spec("random:11:0.5", 3),
             "regular:12:3@3": from_spec("regular:12:3", 3),
@@ -205,6 +210,20 @@ class TestExhaustive:
                 assert found == golden[name][kind.key], (name, kind.key)
 
 
+def _first_walked(n, j):
+    # The walk's witness at size j where every j-set ties, as in the empty
+    # and complete graphs, read off the naive walk order. With k =
+    # min(_BLOCK, n - 1) block vertices n - 1 - k .. n - 2, step 0 meets the
+    # first j of them for j <= k. A larger j needs j - k high vertices, and
+    # the first Gray-code set of that many is the lowest j - k high walk
+    # bits, the vertices just below the block: the run n - 1 - j .. n - 2.
+    # Size n is only a complement, of the empty set.
+    k = min(solvers._BLOCK, n - 1)
+    if j == n:
+        return set(range(n))
+    return set(range(n - 1 - k, n - 1 - k + j)) if j <= k else set(range(n - 1 - j, n - 1))
+
+
 class TestClosedForms:
     # every expected value comes from its formula, never from a solver
 
@@ -213,7 +232,7 @@ class TestClosedForms:
         profiles = profile_exhaustive(empty(n))
         for kind in KIND_ORDER:
             assert profiles[kind].values == (0,) * (n + 1), kind.key
-            assert [set(w) for w in profiles[kind].witnesses] == [set(range(i)) for i in range(n + 1)], kind.key
+            assert [set(w) for w in profiles[kind].witnesses] == [_first_walked(n, i) for i in range(n + 1)], kind.key
 
     @pytest.mark.parametrize("n", [11, 13, 16, 20])
     def test_complete(self, n):
@@ -226,7 +245,7 @@ class TestClosedForms:
         for kind in KIND_ORDER:
             expected = tuple(formulas[kind.counter](i) for i in range(n + 1))
             assert profiles[kind].values == expected, kind.key
-            assert [set(w) for w in profiles[kind].witnesses] == [set(range(i)) for i in range(n + 1)], kind.key
+            assert [set(w) for w in profiles[kind].witnesses] == [_first_walked(n, i) for i in range(n + 1)], kind.key
 
     @pytest.mark.parametrize("n", [11, 13, 16, 20])
     def test_star(self, n):
@@ -436,6 +455,14 @@ class TestBound:
             ("regular:20:4", 1729): ((1138, 222), (1099, 0), (1099, 0), (1138, 222), (1099, 0), (1247, 437)),
         })
 
+    def test_half_range_nodes_do_not_regress(self, monkeypatch):
+        # the same signal on the plan the strategies run: each kind searched
+        # on sizes 1..n//2, its greedy chain stopping there too
+        _assert_bound_calls_within(monkeypatch, {
+            ("random:16:0.5", 1729): ((68, 31), (72, 0), (83, 0), (87, 86), (86, 0), (88, 205)),
+            ("regular:20:4", 1729): ((1020, 205), (957, 0), (957, 0), (1020, 205), (957, 0), (1166, 399)),
+        }, half=True)
+
     def test_search_nodes_do_not_regress_without_leaf_tables(self, monkeypatch):
         # the bound's own pruning, down to single picks; capping inside
         # edges by deg(x) - a made 74/87/87/74/87/95 and 218/1455/1010/
@@ -547,13 +574,19 @@ class TestBound:
             profile_branch_bound(empty(limit + 1), MetricKind.MAX_INDUCED, cap=limit + 1)
 
 
-def _assert_bound_calls_within(monkeypatch, pins):
+def _assert_bound_calls_within(monkeypatch, pins, half=False):
+    # the full-range search per kind, or with half the plan of checked and
+    # reduced, which searches each kind on sizes 1..n//2
     for (spec, seed), counts in pins.items():
         calls = _count_bound_calls(monkeypatch)
         g = from_spec(spec, seed)
-        walked = profile_exhaustive(g)
+        walked = profile_exhaustive(g, witnesses=False)
+        if half:
+            searched = {kind: tuple(x for x, _ in found) for kind, found in solvers._half_searched(g).items()}
+        else:
+            searched = {kind: profile_branch_bound(g, kind).values for kind in KIND_ORDER}
         for kind in KIND_ORDER:
-            assert profile_branch_bound(g, kind).values == walked[kind].values, (spec, kind.key)
+            assert searched[kind] == walked[kind].values, (spec, kind.key)
         for kind, pin in zip(KIND_ORDER, counts):
             assert all(made <= most for made, most in zip(calls[kind], pin)), (spec, kind.key, calls[kind])
 
@@ -813,9 +846,10 @@ class TestAllProfiles:
 
     # Work counts of checked with witnesses on the two sweep-small
     # generators and on random:16:0.5: each distinct walk witness is
-    # evaluated once (18 of 66, 38 of 60 and 82 of 102 witnesses), and the
-    # only sets built are the walk's own witnesses.
-    CHECKED_WORK = [("regular:10:3", 3, 18), ("random:9:0.4", 1729, 38), ("random:16:0.5", 1729, 82)]
+    # evaluated once (18 of 66, 37 of 60 and 78 of 102 witnesses, counted
+    # on the naive oracle's walk order), and the only sets built are the
+    # walk's own witnesses.
+    CHECKED_WORK = [("regular:10:3", 3, 18), ("random:9:0.4", 1729, 37), ("random:16:0.5", 1729, 78)]
 
     @pytest.mark.parametrize("spec, seed, distinct", CHECKED_WORK)
     def test_checked_evaluates_each_distinct_witness_once(self, monkeypatch, spec, seed, distinct):
