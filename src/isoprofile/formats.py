@@ -146,6 +146,9 @@ def parse_edge_list(text: str) -> Graph:
     if not lines:
         raise ValueError("edge-list input has no content lines")
     n, m = _two_ints(lines[0], "edge-list header", "n m")
+    # before any edge line: a negative n would name a range like 0..-6
+    if n < 1:
+        raise ValueError("a graph needs at least one vertex")
     if len(lines) - 1 != m:
         raise ValueError(f"edge-list declares {m} edges but has {len(lines) - 1} edge lines")
     graph = from_edge_list(n, [_two_ints(line, "edge line", "u v") for line in lines[1:]])

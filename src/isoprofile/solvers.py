@@ -37,7 +37,11 @@ routes:
   the vertices alike, and nothing outlives the plan. A field holds at
   most 12 (2n - 1), below 2^15 at the solvers' limit of 64 vertices.
   Values match the exhaustive route; witnesses are the first optimum it
-  reaches.
+  reaches. A search that returns values only, at n <= 12, has no
+  witness ties to break: it makes no greedy pick and no threshold test,
+  and reads every size off one table over the t-subsets of all n
+  vertices, t = 0..min(hi, n - 1) one after another, with one decode and
+  one C-level max per size.
 * ``profile_by_reduction``: derive one profile from already computed
   ones through exact counting identities. An induced count is C(i, 2)
   minus the complement graph's, read off its induced profile of the
@@ -51,7 +55,10 @@ mode that runs all of them and refuses to return if they disagree. The
 checked and reduced strategies share one branch-and-bound plan: each
 kind is searched on sizes 1..n/2 only, and each size i above n/2 is read
 off the dual kind at n - i (``MetricKind.dual``), so no optimisation
-problem is searched twice.
+problem is searched twice. checked compares values only, so its plan
+always searches values only, and reduced does when its caller wants no
+witness; at n <= 12 each of the six searches is then one table read,
+from degree and edge sums the plan builds once.
 
 Every route refuses a graph above the caller's cap (default 24) and,
 whatever the cap, above 64 vertices: the walk reverses its masks as
@@ -459,6 +466,21 @@ def _leaf_layout(p: int, t: int) -> tuple[list[int], list[int], int]:
     return subsets, [packed >> j & ones for j in range(p)], ones
 
 
+@functools.cache
+def _leaf_sizes(p: int, top: int) -> tuple[list[int], int, list[tuple[int, int]]]:
+    # _leaf_layout's tables for t = 0..top, one after another in one int:
+    # per position j the int whose field T is 1 when T holds j, the int
+    # whose field T holds |T|, and per t its field range [a, z)
+    members, sizes, spans, a = [0] * p, 0, [], 0
+    for t in range(top + 1):
+        subsets, per, ones = _leaf_layout(p, t)
+        members = [member | field << 16 * a for member, field in zip(members, per)]
+        sizes |= t * ones << 16 * a
+        spans.append((a, a + len(subsets)))
+        a += len(subsets)
+    return members, sizes, spans
+
+
 def _leaf_sums(graph: Graph, pool: tuple[int, ...], t: int, pairs: list[tuple[int, int]]) -> tuple[int, int]:
     # the ints whose field T, a t-subset of pool, holds the degree sum of
     # T and the number of edges inside T; pairs are the pool's edges as
@@ -523,10 +545,24 @@ def _bound_fn(kind: MetricKind, adj, degrees, order, pool_mask) -> tuple[Callabl
     return bounds, refine
 
 
-def _searcher(graph: Graph, kind: MetricKind, sums: dict | None = None) -> Callable[[int, int], list[tuple[int, int]]]:
-    """search(lo, hi) -> [(value, mask)] per size 0..hi, for hi <= n: one
-    branch and bound solves the sizes in [lo, hi] of one kind; the other
-    entries hold the greedy seed, which is exact at sizes 0 and n.
+def _searcher(
+    graph: Graph, kind: MetricKind, sums: dict | None = None, witnesses: bool = True
+) -> Callable[[int, int], list[tuple[int, int]]]:
+    """search(lo, hi) -> [(value, mask)] per size 0..hi, for hi <= n. On
+    the witness path one branch and bound solves the sizes in [lo, hi] of
+    one kind; the other entries hold the greedy seed, which is exact at
+    sizes 0 and n. Everything below the next paragraph describes it.
+
+    With ``witnesses`` false and n <= _LEAF, search(lo, hi) returns values
+    only, exact at every size 0..hi, and each mask is 0, which no caller
+    reads. Greedy seeds and the threshold test only break ties between
+    witnesses, so it makes neither: one table over the t-subsets T of all n
+    vertices, t = 0..min(hi, n - 1) in ``_leaf_layout``'s order one size
+    after another (``_leaf_sizes``), holds nt + sign * (per_degree * deg(T)
+    + per_inside * e(T)) in field T, in [t, 2nt]. It is decoded once, and
+    size t is sign * (its max - nt); size n is the whole set. The degree
+    and edge sums live in ``sums`` under the int key min(hi, n - 1), so
+    the kinds of one plan share them.
 
     The search always maximizes; a min kind maximizes its negated
     counter, where a pick v adds sign * (per_degree * deg(v) + per_inside
@@ -589,6 +625,26 @@ def _searcher(graph: Graph, kind: MetricKind, sums: dict | None = None) -> Calla
     most 64 - _LEAF + 1 calls deep.
     """
     n, adj, sign = graph.n, graph.adj, kind.sign
+    sums = {} if sums is None else sums
+    if not witnesses and n <= _LEAF:
+        def search(lo: int, hi: int) -> list[tuple[int, int]]:
+            # the sums hold no kind's sign or gains, so every kind of the
+            # plan reads the one build under the int key top
+            top = min(hi, n - 1)
+            if top not in sums:
+                members, sizes, spans = _leaf_sizes(n, top)
+                degrees = sum([d * member for d, member in zip(graph.degrees, members)])
+                edges = sum([members[u] & members[v] for u, v in combinations(range(n), 2) if adj[u] >> v & 1])
+                sums[top] = degrees, edges, n * sizes, spans
+            degrees, edges, offset, spans = sums[top]
+            fields = _fields(offset + sign * (kind.per_degree * degrees + kind.per_inside * edges), 2 * spans[-1][1]).tolist()
+            values = [sign * (max(fields[a:z]) - n * t) for t, (a, z) in enumerate(spans)]
+            if hi == n:
+                # the whole set: every edge is inside it and none is cut
+                values.append((2 * kind.per_degree + kind.per_inside) * graph.m)
+            return [(value, 0) for value in values]
+
+        return search
     base = [sign * kind.per_degree * d for d in graph.degrees]
     inside = sign * kind.per_inside
     order = tuple(sorted(range(n), key=lambda v: (-sign * graph.degrees[v], v)))
@@ -596,7 +652,6 @@ def _searcher(graph: Graph, kind: MetricKind, sums: dict | None = None) -> Calla
     # per leaf pool size p and pick count t, its layout and its table at
     # chosen = 0, built when a leaf first reads it
     leaf = min(_LEAF, n)
-    sums = {} if sums is None else sums
     leaves = [[None] * (p + 1) for p in range(leaf + 1)]
 
     def leaf_table(p: int, t: int) -> tuple[list[int], list[int], int, int, int]:
@@ -795,16 +850,19 @@ def _agree(kind: MetricKind, truth: Sequence[int], route: str, values: Sequence[
             )
 
 
-def _half_searched(graph: Graph) -> dict[MetricKind, list[tuple[int, int]]]:
+def _half_searched(graph: Graph, witnesses: bool = True) -> dict[MetricKind, list[tuple[int, int]]]:
     # Per kind, (value, mask) for every size 0..n from one branch and bound
     # on sizes 1..n//2, the one search plan of checked and reduced; its
     # greedy chain stops there too, at n//2 picks. The complement of an
     # i-set is an (n - i)-set, so a size i above n//2 is the complement of
     # kind.dual's set at n - i, its value read through kind.from_dual. The
     # six searches share one dict of leaf sums, which ends with the plan.
+    # Without witnesses the masks are meaningless, and at n <= _LEAF each
+    # search makes no greedy pick: it reads one table over every size
+    # (_searcher).
     n, m, full = graph.n, graph.m, (1 << graph.n) - 1
     sums = {}
-    lower = {kind: _searcher(graph, kind, sums)(1, n // 2) for kind in KIND_ORDER}
+    lower = {kind: _searcher(graph, kind, sums, witnesses)(1, n // 2) for kind in KIND_ORDER}
     return {
         kind: found + [(kind.from_dual(x, m), mask ^ full) for x, mask in reversed(lower[kind.dual][: n - n // 2])]
         for kind, found in lower.items()
@@ -824,7 +882,7 @@ def _checked_profiles(
     exhaustive = profile_exhaustive(graph, cap=graph.n, witnesses=witnesses)
     co = profile_exhaustive(complement(graph), cap=graph.n, witnesses=False)
     bases = {kind: Profile(kind, profile.values) for kind, profile in exhaustive.items()}
-    searched = _half_searched(graph)
+    searched = _half_searched(graph, False)
     evaluated = {}
     for kind in KIND_ORDER:
         profile = exhaustive[kind]
@@ -855,7 +913,10 @@ def _solve(
     graph values only and so has no witness to evaluate again, while it
     still compares the walk, the complement walk, the half-range search
     and every reduction. ``verify_theorem`` and the profile command pass
-    False, as their output reads values only.
+    False, as their output reads values only. checked's search is values
+    only whatever the flag, since it compares values only, and reduced's
+    follows the flag; at n <= 12 a values-only search makes no greedy
+    pick and reads each size off one table (``_searcher``).
 
     The complement profiles come back only from checked: its walk of the
     complement, values only, which the reduction check already compared
@@ -877,7 +938,7 @@ def _solve(
             tuple(VertexSet(graph.n, mask) for _, mask in found) if witnesses else None,
             "branch-and-bound",
         )
-        for kind, found in _half_searched(graph).items()
+        for kind, found in _half_searched(graph, witnesses).items()
     }, None
 
 

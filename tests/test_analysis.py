@@ -405,8 +405,8 @@ class TestInternalInconsistency:
 
         real = solvers_mod._searcher
 
-        def lying(graph, kind, sums):
-            search = real(graph, kind, sums)
+        def lying(graph, kind, sums, witnesses):
+            search = real(graph, kind, sums, witnesses)
 
             def lied(lo, hi):
                 found = search(lo, hi)
@@ -429,8 +429,8 @@ class TestInternalInconsistency:
 
         real = solvers_mod._searcher
 
-        def lying(graph, kind, sums):
-            search = real(graph, kind, sums)
+        def lying(graph, kind, sums, witnesses):
+            search = real(graph, kind, sums, witnesses)
 
             def lied(lo, hi):
                 found = search(lo, hi)

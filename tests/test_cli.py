@@ -286,6 +286,14 @@ class TestOversizedInputs:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("header", ["-5 2", "0 2"])
+    def test_input_file_without_vertices_refused(self, capsys, tmp_path, header):
+        # refused at the header, before an edge is read against 0..n-1
+        source = tmp_path / "graph.txt"
+        source.write_text(f"{header}\n0 1\n1 2\n")
+        code, out, err = run(capsys, "verify", "--input", str(source))
+        assert (code, out, err) == (1, "", "error: a graph needs at least one vertex\n")
+
     def test_cycle6_consistent(self, capsys):
         code, out, _ = run(capsys, "verify", "--gen", "cycle:6")
         assert code == 0

@@ -128,6 +128,10 @@ class TestEdgeList:
         with pytest.raises(ValueError, match="two integers"):
             parse_edge_list("a b\n")
 
+    def test_header_without_vertices(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            parse_edge_list("-5 2\n0 1\n1 2\n")
+
     def test_count_mismatch(self):
         with pytest.raises(ValueError, match="declares 2"):
             parse_edge_list("3 2\n0 1\n")

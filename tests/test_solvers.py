@@ -591,6 +591,23 @@ def _assert_bound_calls_within(monkeypatch, pins, half=False):
             assert all(made <= most for made, most in zip(calls[kind], pin)), (spec, kind.key, calls[kind])
 
 
+def _greedy_picks(plan):
+    # plan's result and the lines of its greedy picks: each is the one
+    # list.remove a search calls
+    picks = []
+
+    def profiler(frame, event, arg):
+        if event == "c_call" and frame.f_code.co_name == "search" and getattr(arg, "__name__", "") == "remove":
+            picks.append(frame.f_lineno)
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        return plan(), picks
+    finally:
+        sys.setprofile(previous)
+
+
 def _assert_one_search_matches_size_by_size(g):
     real = solvers._bound_fn
     for kind in KIND_ORDER:
@@ -949,8 +966,8 @@ class TestAllProfiles:
         asked = []
         real = solvers._searcher
 
-        def recording(graph, kind, sums):
-            search = real(graph, kind, sums)
+        def recording(graph, kind, sums, witnesses):
+            search = real(graph, kind, sums, witnesses)
             return lambda lo, hi: asked.append((kind, lo, hi)) or search(lo, hi)
 
         monkeypatch.setattr(solvers, "_searcher", recording)
@@ -964,21 +981,61 @@ class TestAllProfiles:
     @pytest.mark.parametrize("spec, seed", [("cycle:7", 0), ("regular:10:3", 3), ("random:9:0.4", 1729), ("random:16:0.5", 1729)])
     def test_half_range_greedy_chains_stop_at_half(self, spec, seed):
         g = from_spec(spec, seed)
-        picks = []
-
-        def profiler(frame, event, arg):
-            if event == "c_call" and frame.f_code.co_name == "search" and getattr(arg, "__name__", "") == "remove":
-                picks.append(frame.f_lineno)
-
-        previous = sys.getprofile()
-        sys.setprofile(profiler)
-        try:
-            plan = solvers._half_searched(g)
-        finally:
-            sys.setprofile(previous)
+        plan, picks = _greedy_picks(lambda: solvers._half_searched(g))
         assert len(picks) == len(KIND_ORDER) * (g.n // 2)
         walked = profile_exhaustive(g)
         assert all([value for value, _ in plan[kind]] == list(walked[kind].values) for kind in KIND_ORDER)
+
+    # Without witnesses a search at n <= _LEAF reads every size it returns
+    # off one table over the t-subsets of all n vertices: its values are
+    # the witness path's and the walk's, at every size 0..hi, not only at
+    # the sizes in [lo, hi]
+    @given(g=small_graphs(max_n=12))
+    @example(g=empty(1))
+    @example(g=from_edge_list(2, [(0, 1)]))
+    @example(g=empty(12))
+    @example(g=complete(12))
+    @example(g=star(12))
+    @example(g=from_edge_list(9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 3)]))
+    @settings(max_examples=60, deadline=None)
+    def test_values_only_leaf_root_is_exact(self, g):
+        walked = profile_exhaustive(g, witnesses=False)
+        values, witnessed = solvers._half_searched(g, False), solvers._half_searched(g)
+        for kind in KIND_ORDER:
+            truth = list(walked[kind].values)
+            assert [x for x, _ in values[kind]] == [x for x, _ in witnessed[kind]] == truth, kind.key
+            search = solvers._searcher(g, kind, None, False)
+            for lo, hi in ((1, g.n // 2), (2, g.n), (g.n, g.n)):
+                assert [x for x, _ in search(lo, hi)] == truth[: hi + 1], (kind.key, lo, hi)
+
+    # A values-only plan at n <= _LEAF makes no greedy pick, builds its
+    # degree and edge sums once (the one read of the size-range layout)
+    # and decodes one table per kind. checked always asks for values
+    # only, reduced passes its caller's flag.
+    @pytest.mark.parametrize("spec, seed", [("regular:10:3", 3), ("random:9:0.4", 1729)])
+    def test_values_only_leaf_root_reads_one_table_per_kind(self, monkeypatch, spec, seed):
+        g = from_spec(spec, seed)
+        decodes, layouts = [], []
+        real_fields, real_sizes = solvers._fields, solvers._leaf_sizes
+        monkeypatch.setattr(solvers, "_fields", lambda *args: decodes.append(args) or real_fields(*args))
+        monkeypatch.setattr(solvers, "_leaf_sizes", lambda *args: layouts.append(args) or real_sizes(*args))
+        plan, picks = _greedy_picks(lambda: solvers._half_searched(g, False))
+        assert (picks, len(decodes), layouts) == ([], len(KIND_ORDER), [(g.n, g.n // 2)])
+        walked = profile_exhaustive(g, witnesses=False)
+        assert all([value for value, _ in plan[kind]] == list(walked[kind].values) for kind in KIND_ORDER)
+        asked, real = [], solvers._searcher
+
+        def recording(graph, kind, sums, witnesses):
+            asked.append(witnesses)
+            return real(graph, kind, sums, witnesses)
+
+        monkeypatch.setattr(solvers, "_searcher", recording)
+        all_profiles(g, "checked")
+        assert asked == [False] * len(KIND_ORDER)
+        for witnesses in (True, False):
+            asked.clear()
+            solvers._solve(g, "reduced", None, witnesses)
+            assert asked == [witnesses] * len(KIND_ORDER)
 
     # each reduced witness, searched or read off the dual kind, has its
     # size and attains its value
