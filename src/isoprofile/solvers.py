@@ -7,7 +7,7 @@ routes:
 
 * ``profile_exhaustive``: one walk over the 2^(n-1) subsets without
   vertex n-1 yields all six profiles at once. It is blocked: the sets of
-  the low 10 walked vertices are tabulated once as packed 16-bit fields
+  the last 10 walked vertices are tabulated once as packed 16-bit fields
   of one int, and a reflected Gray code steps over the other vertices
   only, updating every tabulated set per step with a few int additions.
   The first step decodes each table once and seeds every size's best
@@ -37,11 +37,15 @@ routes:
   the vertices alike, and nothing outlives the plan. A field holds at
   most 12 (2n - 1), below 2^15 at the solvers' limit of 64 vertices.
   Values match the exhaustive route; witnesses are the first optimum it
-  reaches. A search that returns values only, at n <= 12, has no
-  witness ties to break: it makes no greedy pick and no threshold test,
-  and reads every size off one table over the t-subsets of all n
-  vertices, t = 0..min(hi, n - 1) one after another, with one decode and
-  one C-level max per size.
+  reaches. The walk's block and the search's leaves read one table
+  layout (``_layout``): the subsets of a few positions by size and then
+  in ``combinations`` order, with bit v of every mask being vertex v;
+  one helper (``_sums``) fills their degree and edge sums. A search
+  that returns values only, at n <= 12, has no witness ties to break:
+  it makes no greedy pick and no threshold test, and reads every size
+  off one table over the t-subsets of all n vertices, t = 0..min(hi,
+  n - 1) one after another, with one decode and one C-level max per
+  size.
 * ``profile_by_reduction``: derive one profile from already computed
   ones through exact counting identities. An induced count is C(i, 2)
   minus the complement graph's, read off its induced profile of the
@@ -61,9 +65,9 @@ witness; at n <= 12 each of the six searches is then one table read,
 from degree and edge sums the plan builds once.
 
 Every route refuses a graph above the caller's cap (default 24) and,
-whatever the cap, above 64 vertices: the walk reverses its masks as
-64-bit words and could never finish beyond them, and the search's leaf
-fields and recursion depth are sized for them.
+whatever the cap, above 64 vertices: the walk could never finish beyond
+them, and the search's leaf fields and recursion depth are sized for
+them.
 
 The branch and bound bounds in its signed frame (always maximize, sign
 = +-1), where a pick x adds sign * (per_degree * deg(x) + per_inside * a)
@@ -222,22 +226,12 @@ def _require_within_cap(n: int, cap: int | None) -> None:
 # Exhaustive route
 
 
-_BIT_REVERSAL = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _reversed(masks: list[int], n: int) -> list[int]:
-    # Bit b of each n-bit mask (n <= 64) becomes bit n-1-b: the masks as
-    # little-endian 64-bit words, the bits of each byte reversed by table,
-    # read back big-endian and shifted down past the padding.
-    words = struct.pack(f"<{len(masks)}Q", *masks).translate(_BIT_REVERSAL)
-    return [word >> 64 - n for word in struct.unpack(f">{len(masks)}Q", words)]
-
-
-# The walk tabulates its lowest _BLOCK bits at once, as 16-bit fields of
-# one int. A field holds at most 2m while a step sums it and a counter at
-# most m < 2^15 at any walkable n, so the threshold test's 0x8000 - 1 plus
-# or minus a best value, plus or minus a counter, stays in [0, 2^16): no
-# field ever carries into or borrows from the next.
+# The walk tabulates the sets of its last _BLOCK walked vertices, up to
+# n - 2, at once, as 16-bit fields of one int in _layout's order. A field
+# holds at most 2m while a step sums it and a counter at most m < 2^15 at
+# any walkable n, so the threshold test's 0x8000 - 1 plus or minus a best
+# value, plus or minus a counter, stays in [0, 2^16): no field ever
+# carries into or borrows from the next.
 _BLOCK = 10
 
 
@@ -254,22 +248,29 @@ def _fields(packed: int, width: int) -> memoryview:
 
 
 @functools.cache
-def _block_layout(k: int):
-    # Field order over the 2^k low sets L (walk bits 1..k): by size, then
-    # by descending mask, so that the first field of a size holding some
-    # value is its lexicographically first L. Returns each field's mask,
-    # each size's field range [a, z), per field its size t with the field
-    # range [a, z) and the end 2z of its byte range, the int with every
-    # field 1, and per walk bit b <= k the int whose field L is 1 when L
-    # holds b.
-    masks, spans, where = [], [], []
-    for t in range(k + 1):
-        a = len(masks)
-        masks += [mask for mask in range((2 << k) - 2, -1, -2) if mask.bit_count() == t]
-        spans.append((a, len(masks)))
-        where += [(t, a, len(masks), 2 * len(masks))] * (len(masks) - a)
-    packed, ones = _pack(masks), _pack([1] * len(masks))
-    return masks, tuple(spans), where, ones, tuple(packed >> b & ones for b in range(k + 1))
+def _layout(p: int, lo: int, hi: int) -> tuple[list[int], list[tuple[int, int]], int, list[int]]:
+    # The one table layout of the walk's block and the search's leaves:
+    # the subsets T of positions 0..p-1 with lo <= |T| <= hi, by size and
+    # then in combinations order, which is the order a depth-first search
+    # over the positions reaches them. Returns each T as a position mask,
+    # per size lo..hi its field range [a, z), the int with every field 1,
+    # and per position j the int whose field T is 1 when T holds j; their
+    # sum holds |T| in field T.
+    subsets, spans = [], []
+    for t in range(lo, hi + 1):
+        spans.append((len(subsets), len(subsets) + math.comb(p, t)))
+        subsets += map(sum, combinations([1 << j for j in range(p)], t))
+    packed, ones = _pack(subsets), _pack([1] * len(subsets))
+    return subsets, spans, ones, [packed >> j & ones for j in range(p)]
+
+
+def _sums(graph: Graph, pool: Sequence[int], members: Sequence[int]) -> tuple[int, int]:
+    # the ints whose field T holds the degree sum of T and the number of
+    # edges inside T, where members[j] is the indicator int of pool[j]
+    adj = graph.adj
+    degrees = sum([graph.degrees[v] * member for v, member in zip(pool, members)])
+    edges = sum([members[j] & members[k] for (j, u), (k, v) in combinations(enumerate(pool), 2) if adj[u] >> v & 1])
+    return degrees, edges
 
 
 def _fold(graph: Graph, trackers, witnesses: bool) -> dict[MetricKind, Profile]:
@@ -277,8 +278,8 @@ def _fold(graph: Graph, trackers, witnesses: bool) -> dict[MetricKind, Profile]:
     # complement of one: the kind's dual tracker at size n - j, its value
     # read through kind.from_dual. Each size is one max or min of the two
     # values. With witnesses, the walked set is kept when it attains the
-    # optimum and the complement otherwise, all the winning masks are
-    # reversed at once, and each distinct one becomes one VertexSet.
+    # optimum and the complement otherwise, and each distinct mask becomes
+    # one VertexSet.
     n, m, full = graph.n, graph.m, (1 << graph.n) - 1
     values, walked = [], []
     for kind, (direct, first, _) in trackers.items():
@@ -288,8 +289,7 @@ def _fold(graph: Graph, trackers, witnesses: bool) -> dict[MetricKind, Profile]:
         if witnesses:
             walked += [wa if a == v else wb ^ full for v, a, wa, wb in zip(best, direct, first, reversed(mirror_first))]
     if witnesses:
-        distinct = list(set(walked))
-        sets = dict(zip(distinct, [VertexSet(n, bits) for bits in _reversed(distinct, n)]))
+        sets = {bits: VertexSet(n, bits) for bits in set(walked)}
         walked = list(map(sets.__getitem__, walked))
     return {
         kind: Profile(kind, tuple(values[at : at + n + 1]), tuple(walked[at : at + n + 1]) if witnesses else None, "exhaustive")
@@ -303,26 +303,26 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None, witnesses: bool 
     With ``witnesses`` false the profiles hold values only (witnesses
     None): the walk is the same, and the fold builds no witness set.
 
-    The walk covers the 2^(n-1) subsets S without vertex n-1, numbering
-    vertex u as bit n-1-u, so that of two sets of one size the
-    lexicographically earlier is the larger mask. Every other subset is
-    a complement V - S, whose counters are exact: induced(V - S) =
-    m - covered(S), covered(V - S) = m - induced(S), cut(V - S) = cut(S).
-    So per size each of the six trackers keeps its best value, and an
-    O(n) fold after the walk sets size j's optimum against the matching
-    tracker at size n - j, e.g. max_induced(j) = max(max_induced(j),
-    m - min_covered(n - j)).
+    The walk covers the 2^(n-1) subsets S without vertex n-1, as masks
+    whose bit v is vertex v. Every other subset is a complement V - S,
+    whose counters are exact: induced(V - S) = m - covered(S),
+    covered(V - S) = m - induced(S), cut(V - S) = cut(S). So per size
+    each of the six trackers keeps its best value, and an O(n) fold after
+    the walk sets size j's optimum against the matching tracker at size
+    n - j, e.g. max_induced(j) = max(max_induced(j), m - min_covered(n - j)).
 
-    The walk is blocked. The low k = min(10, n - 1) walked bits form the
-    block. A table over its 2^k sets L is one int of 16-bit fields,
-    ordered by |L| and then by descending mask, and each block vertex
-    has an indicator table whose field L is 1 when L holds it. Sums of
-    indicators give the degree sum of L, induced(L) (per edge inside the
-    block, its two indicators ANDed) and, for each high vertex u, the
-    vector |adj(u) & L| over all L. A reflected Gray code (Knuth, TAOCP
-    4A, 7.2.1.1) then steps over the high sets H only; each step adds or
-    subtracts u's vector, so for every L at once, with no borrow between
-    fields,
+    The walk is blocked. With k = min(10, n - 1), the vertices n-1-k..n-2
+    form the block, and the vertices below them are high. A table over
+    the block's 2^k sets L is one int of 16-bit fields in ``_layout``'s
+    order, the one the search's leaves read too: by |L|, and then in
+    ``combinations`` order. Each block vertex has an indicator table whose
+    field L is 1 when L holds it. Sums of indicators give the degree sum
+    of L, induced(L) (per edge inside the block, its two indicators
+    ANDed; ``_sums``) and, for each high vertex u, the vector |adj(u) & L|
+    over all L. A reflected Gray code (Knuth, TAOCP 4A, 7.2.1.1) then
+    steps over the high sets H only, step s flipping vertex n-1-k-j where
+    2^(j-1) is the lowest set bit of s; each step adds or subtracts u's
+    vector, so for every L at once, with no borrow between fields,
 
       induced(H + L) = (sum of H's vectors)[L] + induced(L) + induced(H)
       covered(H + L) = degree sum(H) + degree sum(L) - induced(H + L)
@@ -342,9 +342,9 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None, witnesses: bool 
     of the three tables is decoded once, and per size one C-level max or
     min seeds each tracker. The Gray code and the threshold test start
     at step 1; at n <= 11 step 0 is the whole walk. The marks, as bytes,
-    are searched for the sizes they touch, and each such size is decoded
-    (``_fields``, the walk's only decode) and reduced with one C-level
-    max or min.
+    are searched for the sizes they touch, read off one byte per field,
+    and each such size is decoded (``_fields``, the walk's only decode)
+    and reduced with one C-level max or min.
 
     Each witness is the first optimal set the walk meets, and a walked
     set comes before a complement. Per size a tracker keeps the first
@@ -360,17 +360,15 @@ def profile_exhaustive(graph: Graph, *, cap: int | None = None, witnesses: bool 
 def _walk(graph: Graph, witnesses: bool) -> dict[MetricKind, Profile]:
     # profile_exhaustive's walk and fold; without witnesses the fold
     # keeps the values only
-    n, m = graph.n, graph.m
-    adj = _reversed(graph.adj[::-1], n)
-    degrees = graph.degrees[::-1]
+    n, m, adj, degrees = graph.n, graph.m, graph.adj, graph.degrees
+    # the block is the vertices low..n-2, layout position j being vertex
+    # low + j; the Gray code steps over the vertices below low
     k = min(_BLOCK, n - 1)
-    masks, spans, where, ones, members = _block_layout(k)
-
-    # an edge from b down to c lies inside L where both fields are 1
-    induced_l = sum(members[b] & members[c] for b in range(1, k + 1) for c in range(1, b) if adj[b] >> c & 1)
-    degrees_l = sum(degrees[b] * members[b] for b in range(1, k + 1))
-    # field L of crossing[j] is |adj(u) & L| for the high vertex u at bit k + 1 + j
-    crossing = [sum(members[c] for c in range(1, k + 1) if adj[b] >> c & 1) for b in range(k + 1, n)]
+    low = n - 1 - k
+    masks, spans, ones, members = _layout(k, 0, k)
+    degrees_l, induced_l = _sums(graph, range(low, n - 1), members)
+    # field L of crossing[u] is |adj(u) & L| for the high vertex u
+    crossing = [sum([member for j, member in enumerate(members) if adj[u] >> low + j & 1]) for u in range(low)]
 
     def tracker(sign: int) -> tuple[list[int], list[int], dict[int, int]]:
         # best value and the mask that first reached it per size, and the
@@ -392,15 +390,17 @@ def _walk(graph: Graph, witnesses: bool) -> dict[MetricKind, Profile]:
             for pick, (values, first, _) in zip((max, min), pair):
                 values[t] = value = pick(found)
                 if witnesses:
-                    first[t] = masks[fields.index(value, a)]
+                    first[t] = masks[fields.index(value, a)] << low
+    # per field its size, read where a threshold test marks the field
+    where = b"".join([bytes([t]) * (z - a) for t, (a, z) in enumerate(spans)]) if low else b""
     high = cross = high_induced = high_degrees = size = 0
-    for step in range(1, 1 << (n - 1 - k)):
-        b = k + (step & -step).bit_length()
-        high ^= 1 << b
-        sign = 1 if high >> b & 1 else -1
-        cross += sign * crossing[b - k - 1]
-        high_induced += sign * (adj[b] & high).bit_count()
-        high_degrees += sign * degrees[b]
+    for step in range(1, 1 << low):
+        u = low - (step & -step).bit_length()
+        high ^= 1 << u
+        sign = 1 if high >> u & 1 else -1
+        cross += sign * crossing[u]
+        high_induced += sign * (adj[u] & high).bit_count()
+        high_degrees += sign * degrees[u]
         size += sign
         induced = cross + induced_l + high_induced * ones
         covered = degrees_l + high_degrees * ones - induced
@@ -419,11 +419,12 @@ def _walk(graph: Graph, witnesses: bool) -> dict[MetricKind, Profile]:
                 marks = beat.to_bytes(width, order)
                 at = marks.find(0x80)
                 while at >= 0:
-                    t, a, z, end = where[at >> 1]
+                    t = where[at >> 1]
+                    a, z = spans[t]
                     group = groups.get(t) or groups.setdefault(t, fields[a:z].tolist())
                     values[size + t] = value = max(group) if sign > 0 else min(group)
-                    first[size + t] = high | masks[a + group.index(value)]
-                    at = marks.find(0x80, end)
+                    first[size + t] = high | masks[a + group.index(value)] << low
+                    at = marks.find(0x80, 2 * z)
                 thresholds.clear()
     return _fold(graph, trackers, witnesses)
 
@@ -451,44 +452,6 @@ def extremal_exhaustive(
 # least value it must reach, at least 1 - m, by less than 2^15, as the
 # threshold test needs.
 _LEAF = 12
-
-
-@functools.cache
-def _leaf_layout(p: int, t: int) -> tuple[list[int], list[int], int]:
-    # The t-subsets T of pool positions 0..p-1 in the order the
-    # depth-first search reaches them, which is lexicographic in T's
-    # sorted positions. Returns each T as a position mask, per position j
-    # the int of 16-bit fields whose field T is 1 when T holds j (bit j of
-    # every field of the masks packed as one int), and the int with every
-    # field 1.
-    subsets = list(map(sum, combinations([1 << j for j in range(p)], t)))
-    packed, ones = _pack(subsets), _pack([1] * len(subsets))
-    return subsets, [packed >> j & ones for j in range(p)], ones
-
-
-@functools.cache
-def _leaf_sizes(p: int, top: int) -> tuple[list[int], int, list[tuple[int, int]]]:
-    # _leaf_layout's tables for t = 0..top, one after another in one int:
-    # per position j the int whose field T is 1 when T holds j, the int
-    # whose field T holds |T|, and per t its field range [a, z)
-    members, sizes, spans, a = [0] * p, 0, [], 0
-    for t in range(top + 1):
-        subsets, per, ones = _leaf_layout(p, t)
-        members = [member | field << 16 * a for member, field in zip(members, per)]
-        sizes |= t * ones << 16 * a
-        spans.append((a, a + len(subsets)))
-        a += len(subsets)
-    return members, sizes, spans
-
-
-def _leaf_sums(graph: Graph, pool: tuple[int, ...], t: int, pairs: list[tuple[int, int]]) -> tuple[int, int]:
-    # the ints whose field T, a t-subset of pool, holds the degree sum of
-    # T and the number of edges inside T; pairs are the pool's edges as
-    # position pairs
-    members = _leaf_layout(len(pool), t)[1]
-    degrees = sum(graph.degrees[v] * member for v, member in zip(pool, members))
-    edges = sum(members[j] & members[k] for j, k in pairs)
-    return degrees, edges
 
 
 def _bound_fn(kind: MetricKind, adj, degrees, order, pool_mask) -> tuple[Callable[..., tuple[list[int], int, list]], Callable[..., int]]:
@@ -557,12 +520,12 @@ def _searcher(
     only, exact at every size 0..hi, and each mask is 0, which no caller
     reads. Greedy seeds and the threshold test only break ties between
     witnesses, so it makes neither: one table over the t-subsets T of all n
-    vertices, t = 0..min(hi, n - 1) in ``_leaf_layout``'s order one size
-    after another (``_leaf_sizes``), holds nt + sign * (per_degree * deg(T)
-    + per_inside * e(T)) in field T, in [t, 2nt]. It is decoded once, and
-    size t is sign * (its max - nt); size n is the whole set. The degree
-    and edge sums live in ``sums`` under the int key min(hi, n - 1), so
-    the kinds of one plan share them.
+    vertices, t = 0..min(hi, n - 1) one size after another in ``_layout``'s
+    order, holds nt + sign * (per_degree * deg(T) + per_inside * e(T)) in
+    field T, in [t, 2nt]; nt is n times the sum of the indicator ints. It
+    is decoded once, and size t is sign * (its max - nt); size n is the
+    whole set. The degree and edge sums (``_sums``) live in ``sums`` under
+    the int key min(hi, n - 1), so the kinds of one plan share them.
 
     The search always maximizes; a min kind maximizes its negated
     counter, where a pick v adds sign * (per_degree * deg(v) + per_inside
@@ -590,8 +553,8 @@ def _searcher(
     A node whose pool holds p <= _LEAF vertices does not branch: after
     the whole pool and the bound it scores each live size, t picks away,
     from one leaf table over the pool's C(p, t) subsets T of size t,
-    packed as 16-bit fields of one int. The fields run in the order the
-    depth-first search below the node would reach the sets,
+    packed as 16-bit fields of one int in ``_layout``'s order, which is
+    the order the depth-first search below the node would reach the sets:
     lexicographic in their pool positions. Field T holds nt plus the
     signed counter that T adds to chosen: the part fixed by the pool
     (signed degree terms, inside times the edges inside T) is tabulated
@@ -613,10 +576,9 @@ def _searcher(
 
     Only the live sizes are filled, and each table is built the first
     time a leaf reads it: its signed table once per searcher, and its
-    degree and edge sums once per (pool, t) key of ``sums``, from the
-    pool's edges as position pairs, found once per pool key. A caller
-    may share that dict between the searches of one graph, so kinds
-    that order the vertices alike read one build; without it, the
+    degree and edge sums (``_sums``) once per (pool, t) key of ``sums``.
+    A caller may share that dict between the searches of one graph, so
+    kinds that order the vertices alike read one build; without it, the
     searcher makes its own. A leaf on random:24:0.5 or regular:24:3
     reads about three live sizes, a small part of all 2^p fields. A
     field lies in [1, _LEAF (2n - 1)] and the least value to beat in
@@ -632,10 +594,8 @@ def _searcher(
             # plan reads the one build under the int key top
             top = min(hi, n - 1)
             if top not in sums:
-                members, sizes, spans = _leaf_sizes(n, top)
-                degrees = sum([d * member for d, member in zip(graph.degrees, members)])
-                edges = sum([members[u] & members[v] for u, v in combinations(range(n), 2) if adj[u] >> v & 1])
-                sums[top] = degrees, edges, n * sizes, spans
+                _, spans, _, members = _layout(n, 0, top)
+                sums[top] = (*_sums(graph, range(n), members), n * sum(members), spans)
             degrees, edges, offset, spans = sums[top]
             fields = _fields(offset + sign * (kind.per_degree * degrees + kind.per_inside * edges), 2 * spans[-1][1]).tolist()
             values = [sign * (max(fields[a:z]) - n * t) for t, (a, z) in enumerate(spans)]
@@ -657,13 +617,10 @@ def _searcher(
     def leaf_table(p: int, t: int) -> tuple[list[int], list[int], int, int, int]:
         # with the int of every field 1 and the int of every field's bit 15
         pool = order[n - p :]
+        subsets, _, ones, members = _layout(p, t, t)
         if (pool, t) not in sums:
-            # the pool's edges, found once per pool for all its t
-            if pool not in sums:
-                sums[pool] = [(j, k) for (j, u), (k, v) in combinations(enumerate(pool), 2) if adj[u] >> v & 1]
-            sums[pool, t] = _leaf_sums(graph, pool, t, sums[pool])
+            sums[pool, t] = _sums(graph, pool, members)
         degrees, edges = sums[pool, t]
-        subsets, members, ones = _leaf_layout(p, t)
         table = n * t * ones + sign * kind.per_degree * degrees + inside * edges
         leaves[p][t] = found = (subsets, members, table, ones, ones << 15)
         return found
@@ -958,9 +915,9 @@ def all_profiles(
     bound, and every reduction; raises InternalInconsistencyError if any
     value disagrees or any returned witness fails to attain its value.
     auto: checked for n <= 8, one walk (oracle) above. At n = 24 on a
-    2-core VM (Python 3.11) the walk took 0.15-0.28 s, while the six
-    half-range searches took 0.41 s on random:24:0.5, 0.47 s on
-    regular:24:3, 0.77 s on random:24:0.8 and 1.32 s on regular:24:11.
+    2-core VM (Python 3.11) the walk took 0.11-0.12 s, while the six
+    half-range searches took 0.23 s on random:24:0.5 and on regular:24:3,
+    0.36 s on random:24:0.8 and 1.03 s on regular:24:11.
 
     This function always returns witnesses, and checked always checks
     them. The command line prints values only, so its profile and

@@ -34,18 +34,18 @@ def brute_profile(n, edges, which, sense):
 def walk_order(n, width):
     """The subsets without vertex n - 1, in the exhaustive walk's order.
 
-    Vertex u is walk bit n - 1 - u. The block is walk bits 1..k, k =
-    min(width, n - 1), the vertices n - 1 - k .. n - 2; the high bits above
-    it are the vertices 0 .. n - 2 - k. High sets H come in reflected Gray
-    order, step s flipping walk bit k + lowbit(s) (lowbit counted from 1),
-    and within one H the block sets L come lexicographically.
+    The block is the vertices n - 1 - k .. n - 2, k = min(width, n - 1),
+    and the high vertices are 0 .. n - 2 - k. High sets H come in reflected
+    Gray order, step s flipping vertex n - 1 - k - lowbit(s) (lowbit counted
+    from 1), and within one H the block sets L come by size and then in
+    combinations order.
     """
     k = min(width, n - 1)
     high = n - 1 - k
     block = range(high, n - 1)
     for step in range(1 << high):
         gray = step ^ (step >> 1)
-        # walk bit k + j, Gray bit j - 1, is vertex high - j
+        # Gray bit j - 1 is vertex high - j
         chosen = {high - j for j in range(1, high + 1) if gray >> (j - 1) & 1}
         for t in range(k + 1):
             for combo in combinations(block, t):

@@ -551,15 +551,19 @@ class TestHypercubeInequality:
     @pytest.mark.parametrize("strategy", ["auto", "oracle", "checked"])
     def test_harper_closed_form(self, d, strategy):
         # Harper (1964): max_induced(i) on Q_d is the bit count of 0..i-1,
-        # and min_cut(i) = d*i - 2*max_induced(i) since Q_d is d-regular;
-        # checked also meets it through all six branch-and-bound searches,
-        # which on Q4 run both leaf tables and the bound
+        # and min_cut(i) = d*i - 2*max_induced(i) since Q_d is d-regular.
+        # Q_d is bipartite, so for i up to half the vertices an i-set on
+        # one side has no inside edge and cuts d*i. checked also meets it
+        # through all six branch-and-bound searches, which on Q4 run both
+        # leaf tables and the bound
         profiles = all_profiles(hypercube(d), strategy=strategy)
         dense = profiles[MetricKind.MAX_INDUCED].values
         cut = profiles[MetricKind.MIN_CUT].values
         for i in range(len(dense)):
             assert dense[i] == sum(bin(k).count("1") for k in range(i)), i
             assert cut[i] == d * i - 2 * dense[i], i
+            if i <= 1 << (d - 1):
+                assert (profiles[MetricKind.MAX_CUT][i], profiles[MetricKind.MIN_INDUCED][i]) == (d * i, 0), i
         report = hypercube_inequality_check(d, strategy=strategy)
         assert report.min_cut_profile == cut
         assert report.all_hold

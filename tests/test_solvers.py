@@ -534,6 +534,29 @@ class TestBound:
                     found[leaf] = solvers._searcher(g, kind)(1, g.n)
             assert found[0] == found[8] == found[solvers._LEAF], kind.key
 
+    @pytest.mark.parametrize("p, lo, hi", [
+        (0, 0, 0), (1, 0, 1), (3, 1, 1), (4, 0, 4), (5, 2, 3), (6, 0, 3), (6, 3, 6), (6, 6, 6),
+    ])
+    def test_layout_matches_combinations(self, p, lo, hi):
+        # the one layout of the walk's block, the leaves and the values-only
+        # root: sizes lo..hi ascending, each in combinations order, with
+        # per-size spans, the all-ones int and one indicator int per position
+        subsets, spans, ones, members = solvers._layout(p, lo, hi)
+        expected = [set(combo) for t in range(lo, hi + 1) for combo in combinations(range(p), t)]
+        assert [{j for j in range(p) if mask >> j & 1} for mask in subsets] == expected
+        ends = list(accumulate((math.comb(p, t) for t in range(lo, hi + 1)), initial=0))
+        assert spans == list(zip(ends, ends[1:]))
+        assert all(len(expected[i]) == t for t, (a, z) in zip(range(lo, hi + 1), spans) for i in range(a, z))
+
+        def decoded(packed):
+            assert packed >> 16 * len(expected) == 0
+            return [packed >> 16 * i & 0xFFFF for i in range(len(expected))]
+
+        assert decoded(ones) == [1] * len(expected)
+        assert len(members) == p
+        for j, member in enumerate(members):
+            assert decoded(member) == [int(j in inside) for inside in expected], j
+
     def test_leaf_tables_are_built_lazily_and_shared(self, monkeypatch):
         # random:10:0.5 is one leaf at the root, and each kind's search on
         # sizes 1..5 reads the sums of its whole order at t = 1..5 only;
@@ -541,18 +564,21 @@ class TestBound:
         # plan builds each (pool, t) once. Nothing outlives the plan: a
         # second one builds them all again.
         built = []
-        real = solvers._leaf_sums
+        real = solvers._sums
 
-        def counting(graph, pool, t, pairs):
-            built.append((pool, t))
-            return real(graph, pool, t, pairs)
+        def counting(graph, pool, members):
+            # every field of a leaf's layout is a t-subset T, and the
+            # indicators sum to |T| in field T
+            built.append((pool, sum(members) & 0xFFFF))
+            return real(graph, pool, members)
 
-        monkeypatch.setattr(solvers, "_leaf_sums", counting)
         g = from_spec("random:10:0.5", 2)
+        # the walk's block reads _sums too, so it walks before the patch
+        walked = profile_exhaustive(g)
+        monkeypatch.setattr(solvers, "_sums", counting)
         orders = {tuple(sorted(range(g.n), key=lambda v: (-sign * g.degrees[v], v))) for sign in (1, -1)}
         assert len(orders) == 2
         once = sorted((order, t) for order in orders for t in range(1, 6))
-        walked = profile_exhaustive(g)
         plan = solvers._half_searched(g)
         for kind in KIND_ORDER:
             assert [value for value, _ in plan[kind]] == list(walked[kind].values), kind.key
@@ -1016,11 +1042,11 @@ class TestAllProfiles:
     def test_values_only_leaf_root_reads_one_table_per_kind(self, monkeypatch, spec, seed):
         g = from_spec(spec, seed)
         decodes, layouts = [], []
-        real_fields, real_sizes = solvers._fields, solvers._leaf_sizes
+        real_fields, real_layout = solvers._fields, solvers._layout
         monkeypatch.setattr(solvers, "_fields", lambda *args: decodes.append(args) or real_fields(*args))
-        monkeypatch.setattr(solvers, "_leaf_sizes", lambda *args: layouts.append(args) or real_sizes(*args))
+        monkeypatch.setattr(solvers, "_layout", lambda *args: layouts.append(args) or real_layout(*args))
         plan, picks = _greedy_picks(lambda: solvers._half_searched(g, False))
-        assert (picks, len(decodes), layouts) == ([], len(KIND_ORDER), [(g.n, g.n // 2)])
+        assert (picks, len(decodes), layouts) == ([], len(KIND_ORDER), [(g.n, 0, g.n // 2)])
         walked = profile_exhaustive(g, witnesses=False)
         assert all([value for value, _ in plan[kind]] == list(walked[kind].values) for kind in KIND_ORDER)
         asked, real = [], solvers._searcher
