@@ -40,12 +40,7 @@ routes:
   reaches. The walk's block and the search's leaves read one table
   layout (``_layout``): the subsets of a few positions by size and then
   in ``combinations`` order, with bit v of every mask being vertex v;
-  one helper (``_sums``) fills their degree and edge sums. A search
-  that returns values only, at n <= 12, has no witness ties to break:
-  it makes no greedy pick and no threshold test, and reads every size
-  off one table over the t-subsets of all n vertices, t = 0..min(hi,
-  n - 1) one after another, with one decode and one C-level max per
-  size.
+  one helper (``_sums``) fills their degree and edge sums.
 * ``profile_by_reduction``: derive one profile from already computed
   ones through exact counting identities. An induced count is C(i, 2)
   minus the complement graph's, read off its induced profile of the
@@ -60,9 +55,11 @@ checked and reduced strategies share one branch-and-bound plan: each
 kind is searched on sizes 1..n/2 only, and each size i above n/2 is read
 off the dual kind at n - i (``MetricKind.dual``), so no optimisation
 problem is searched twice. checked compares values only, so its plan
-always searches values only, and reduced does when its caller wants no
-witness; at n <= 12 each of the six searches is then one table read,
-from degree and edge sums the plan builds once.
+always wants values only, and reduced's does when its caller wants no
+witness. Such a plan at n <= 12 searches nothing, as only witnesses have
+ties to break: it reads every size off one table per counter over the
+t-subsets of all n vertices, t = 0..n/2, one decode giving each size's
+max and min with one C-level max or min.
 
 Every route refuses a graph above the caller's cap (default 24) and,
 whatever the cap, above 64 vertices: the walk could never finish beyond
@@ -243,7 +240,7 @@ def _pack(fields: Sequence[int]) -> int:
 def _fields(packed: int, width: int) -> memoryview:
     # The 16-bit fields of a packed int, in field order: the one decode of
     # the walk and of the leaves, which each make only for an int holding
-    # a beaten best.
+    # a beaten best, and of the values-only plan's tables.
     return memoryview(packed.to_bytes(width, sys.byteorder)).cast("H")
 
 
@@ -508,24 +505,10 @@ def _bound_fn(kind: MetricKind, adj, degrees, order, pool_mask) -> tuple[Callabl
     return bounds, refine
 
 
-def _searcher(
-    graph: Graph, kind: MetricKind, sums: dict | None = None, witnesses: bool = True
-) -> Callable[[int, int], list[tuple[int, int]]]:
-    """search(lo, hi) -> [(value, mask)] per size 0..hi, for hi <= n. On
-    the witness path one branch and bound solves the sizes in [lo, hi] of
-    one kind; the other entries hold the greedy seed, which is exact at
-    sizes 0 and n. Everything below the next paragraph describes it.
-
-    With ``witnesses`` false and n <= _LEAF, search(lo, hi) returns values
-    only, exact at every size 0..hi, and each mask is 0, which no caller
-    reads. Greedy seeds and the threshold test only break ties between
-    witnesses, so it makes neither: one table over the t-subsets T of all n
-    vertices, t = 0..min(hi, n - 1) one size after another in ``_layout``'s
-    order, holds nt + sign * (per_degree * deg(T) + per_inside * e(T)) in
-    field T, in [t, 2nt]; nt is n times the sum of the indicator ints. It
-    is decoded once, and size t is sign * (its max - nt); size n is the
-    whole set. The degree and edge sums (``_sums``) live in ``sums`` under
-    the int key min(hi, n - 1), so the kinds of one plan share them.
+def _searcher(graph: Graph, kind: MetricKind, sums: dict | None = None) -> Callable[[int, int], list[tuple[int, int]]]:
+    """search(lo, hi) -> [(value, mask)] per size 0..hi, for hi <= n: one
+    branch and bound solves the sizes in [lo, hi] of one kind; the other
+    entries hold the greedy seed, which is exact at sizes 0 and n.
 
     The search always maximizes; a min kind maximizes its negated
     counter, where a pick v adds sign * (per_degree * deg(v) + per_inside
@@ -588,23 +571,6 @@ def _searcher(
     """
     n, adj, sign = graph.n, graph.adj, kind.sign
     sums = {} if sums is None else sums
-    if not witnesses and n <= _LEAF:
-        def search(lo: int, hi: int) -> list[tuple[int, int]]:
-            # the sums hold no kind's sign or gains, so every kind of the
-            # plan reads the one build under the int key top
-            top = min(hi, n - 1)
-            if top not in sums:
-                _, spans, _, members = _layout(n, 0, top)
-                sums[top] = (*_sums(graph, range(n), members), n * sum(members), spans)
-            degrees, edges, offset, spans = sums[top]
-            fields = _fields(offset + sign * (kind.per_degree * degrees + kind.per_inside * edges), 2 * spans[-1][1]).tolist()
-            values = [sign * (max(fields[a:z]) - n * t) for t, (a, z) in enumerate(spans)]
-            if hi == n:
-                # the whole set: every edge is inside it and none is cut
-                values.append((2 * kind.per_degree + kind.per_inside) * graph.m)
-            return [(value, 0) for value in values]
-
-        return search
     base = [sign * kind.per_degree * d for d in graph.degrees]
     inside = sign * kind.per_inside
     order = tuple(sorted(range(n), key=lambda v: (-sign * graph.degrees[v], v)))
@@ -814,12 +780,26 @@ def _half_searched(graph: Graph, witnesses: bool = True) -> dict[MetricKind, lis
     # i-set is an (n - i)-set, so a size i above n//2 is the complement of
     # kind.dual's set at n - i, its value read through kind.from_dual. The
     # six searches share one dict of leaf sums, which ends with the plan.
-    # Without witnesses the masks are meaningless, and at n <= _LEAF each
-    # search makes no greedy pick: it reads one table over every size
-    # (_searcher).
+    # Without witnesses the masks are meaningless, and at n <= _LEAF the
+    # plan searches nothing: greedy seeds and the threshold test only
+    # break ties between witnesses. Per counter one table over the
+    # t-subsets T of all n vertices, t = 0..n//2 in _layout's order, holds
+    # per_degree * deg(T) + per_inside * e(T) in field T, in [0, m], so no
+    # field borrows; decoded once, each size's max is the max kind's and
+    # its min the min kind's.
     n, m, full = graph.n, graph.m, (1 << graph.n) - 1
-    sums = {}
-    lower = {kind: _searcher(graph, kind, sums, witnesses)(1, n // 2) for kind in KIND_ORDER}
+    if witnesses or n > _LEAF:
+        sums = {}
+        lower = {kind: _searcher(graph, kind, sums)(1, n // 2) for kind in KIND_ORDER}
+    else:
+        _, spans, _, members = _layout(n, 0, n // 2)
+        degrees, edges = _sums(graph, range(n), members)
+        lower = {}
+        # KIND_ORDER holds each counter's max kind and then its min kind
+        for most, least in zip(KIND_ORDER[::2], KIND_ORDER[1::2]):
+            fields = _fields(most.per_degree * degrees + most.per_inside * edges, 2 * spans[-1][1]).tolist()
+            lower[most] = [(max(fields[a:z]), 0) for a, z in spans]
+            lower[least] = [(min(fields[a:z]), 0) for a, z in spans]
     return {
         kind: found + [(kind.from_dual(x, m), mask ^ full) for x, mask in reversed(lower[kind.dual][: n - n // 2])]
         for kind, found in lower.items()
@@ -870,10 +850,11 @@ def _solve(
     graph values only and so has no witness to evaluate again, while it
     still compares the walk, the complement walk, the half-range search
     and every reduction. ``verify_theorem`` and the profile command pass
-    False, as their output reads values only. checked's search is values
-    only whatever the flag, since it compares values only, and reduced's
-    follows the flag; at n <= 12 a values-only search makes no greedy
-    pick and reads each size off one table (``_searcher``).
+    False, as their output reads values only. checked's half-range plan
+    is values only whatever the flag, since it compares values only, and
+    reduced's follows the flag; at n <= 12 a values-only plan searches
+    nothing and reads each size off one table per counter
+    (``_half_searched``).
 
     The complement profiles come back only from checked: its walk of the
     complement, values only, which the reduction check already compared
@@ -911,9 +892,11 @@ def all_profiles(
     reduced: branch and bound for every kind on sizes 1..n/2, each size
     above n/2 read off the dual kind's set at n - i and complemented;
     each witness attains its value. checked: the walk on the graph and,
-    values only, on its complement, the same half-range branch and
-    bound, and every reduction; raises InternalInconsistencyError if any
-    value disagrees or any returned witness fails to attain its value.
+    values only, on its complement, the same half-range plan values only
+    (above 12 vertices the branch and bound, up to 12 one table per
+    counter over the subsets of every size), and every reduction; raises
+    InternalInconsistencyError if any value disagrees or any returned
+    witness fails to attain its value.
     auto: checked for n <= 8, one walk (oracle) above. At n = 24 on a
     2-core VM (Python 3.11) the walk took 0.11-0.12 s, while the six
     half-range searches took 0.23 s on random:24:0.5 and on regular:24:3,

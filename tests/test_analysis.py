@@ -281,12 +281,17 @@ class TestVerifySolveCounts:
         return calls
 
     @pytest.mark.parametrize("strategy", ["checked", "auto"])
-    @pytest.mark.parametrize("graph", [cycle(6), star(7), random_graph(8, 0.5, 3)], ids=["C6", "S7", "G8"])
+    @pytest.mark.parametrize(
+        "graph", [cycle(6), star(7), random_graph(8, 0.5, 3), random_graph(13, 0.5, 1)], ids=["C6", "S7", "G8", "G13"]
+    )
     def test_checked_verify_solves_complement_once(self, monkeypatch, strategy, graph):
-        # one walk on the graph, one on its complement, one branch-and-bound
-        # search built per kind; the identity suite reuses the complement walk.
-        # Both walks go through profile_exhaustive and so through _walk;
-        # the complement's folds values only.
+        # one walk on the graph, one on its complement; the identity suite
+        # reuses the complement walk. Both walks go through
+        # profile_exhaustive and so through _walk; the complement's folds
+        # values only. Up to 12 vertices checked's values-only half-range
+        # plan reads one table per counter and builds no searcher; above,
+        # it builds one branch-and-bound searcher per kind. auto above 8
+        # vertices is one walk (oracle).
         import isoprofile.solvers as solvers_mod
 
         walks = self._count(monkeypatch, solvers_mod, "_walk")
@@ -294,22 +299,25 @@ class TestVerifySolveCounts:
         report = verify_theorem(graph, strategy=strategy)
         assert report.consistent
         assert walks == [graph, complement(graph)]
-        assert searches == [graph] * 6
+        assert searches == ([graph] * 6 if strategy == "checked" and graph.n > solvers_mod._LEAF else [])
 
     @pytest.mark.parametrize("strategy, graph", [("reduced", star(6)), ("auto", cycle(9))])
     def test_unchecked_verify_solves_complement_on_demand(self, monkeypatch, strategy, graph):
         # the identity suite walks the complement, values only, whatever
-        # strategy solved the graph: reduced searches only the graph, and
-        # auto above n = 8 walks the graph and then its complement
+        # strategy solved the graph: reduced runs its half-range plan on
+        # the graph only, which at n <= 12 builds no searcher, and auto
+        # above n = 8 walks the graph and then its complement
         import isoprofile.solvers as solvers_mod
 
         walks = self._count(monkeypatch, solvers_mod, "_walk")
+        plans = self._count(monkeypatch, solvers_mod, "_half_searched")
         searches = self._count(monkeypatch, solvers_mod, "_searcher")
         report = verify_theorem(graph, strategy=strategy)
+        assert searches == []
         if strategy == "reduced":
-            assert walks == [complement(graph)] and searches == [graph] * 6
+            assert walks == [complement(graph)] and plans == [graph]
         else:
-            assert walks == [graph, complement(graph)] and searches == []
+            assert walks == [graph, complement(graph)] and plans == []
         assert all(result.holds is not False for result in report.identities)
 
     # two C4s and C5 + C5 + an isolated vertex are disconnected, on either
@@ -400,37 +408,34 @@ class TestInternalInconsistency:
             verify_theorem(star(5))
 
     def test_checked_strategy_rejects_route_disagreement(self, monkeypatch):
+        # up to 12 vertices the half-range plan searches nothing, so the
+        # lie goes into the plan's values
         import isoprofile.solvers as solvers_mod
         from isoprofile import InternalInconsistencyError
 
-        real = solvers_mod._searcher
+        real = solvers_mod._half_searched
 
-        def lying(graph, kind, sums, witnesses):
-            search = real(graph, kind, sums, witnesses)
+        def lying(graph, witnesses=True):
+            found = real(graph, witnesses)
+            value, mask = found[MetricKind.MAX_INDUCED][2]
+            found[MetricKind.MAX_INDUCED][2] = value + 1, mask
+            return found
 
-            def lied(lo, hi):
-                found = search(lo, hi)
-                if kind is MetricKind.MAX_INDUCED and lo <= 2 <= hi:
-                    value, mask = found[2]
-                    found[2] = value + 1, mask
-                return found
-
-            return lied
-
-        monkeypatch.setattr(solvers_mod, "_searcher", lying)
+        monkeypatch.setattr(solvers_mod, "_half_searched", lying)
         with pytest.raises(InternalInconsistencyError, match="max_induced at i=2"):
             all_profiles(cycle(4), strategy="checked")
 
     def test_lower_half_lie_shows_at_dual_upper_size(self, monkeypatch):
-        # min_covered is searched on sizes 1..3 of C6 only; its size 1 is
-        # also max_induced's size 5, which is compared first
+        # min_covered is searched on sizes 1..7 of C14 only; its size 1 is
+        # also max_induced's size 13, which is compared first. Above 12
+        # vertices the plan runs one searcher per kind.
         import isoprofile.solvers as solvers_mod
         from isoprofile import InternalInconsistencyError
 
         real = solvers_mod._searcher
 
-        def lying(graph, kind, sums, witnesses):
-            search = real(graph, kind, sums, witnesses)
+        def lying(graph, kind, sums=None):
+            search = real(graph, kind, sums)
 
             def lied(lo, hi):
                 found = search(lo, hi)
@@ -442,8 +447,8 @@ class TestInternalInconsistency:
             return lied
 
         monkeypatch.setattr(solvers_mod, "_searcher", lying)
-        with pytest.raises(InternalInconsistencyError, match="max_induced at i=5: exhaustive=4, branch-and-bound=5"):
-            all_profiles(cycle(6), strategy="checked")
+        with pytest.raises(InternalInconsistencyError, match="max_induced at i=13: exhaustive=12, branch-and-bound=13"):
+            all_profiles(cycle(14), strategy="checked")
 
     def test_checked_strategy_rejects_false_witness(self, monkeypatch):
         import isoprofile.solvers as solvers_mod

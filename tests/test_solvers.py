@@ -617,6 +617,15 @@ def _assert_bound_calls_within(monkeypatch, pins, half=False):
             assert all(made <= most for made, most in zip(calls[kind], pin)), (spec, kind.key, calls[kind])
 
 
+def _assert_plans_match_walk(g):
+    # the half-range plan's values, without and with witnesses, equal the
+    # walk's for every kind and size
+    walked = profile_exhaustive(g, witnesses=False)
+    values, witnessed = solvers._half_searched(g, False), solvers._half_searched(g)
+    for kind in KIND_ORDER:
+        assert [x for x, _ in values[kind]] == [x for x, _ in witnessed[kind]] == list(walked[kind].values), kind.key
+
+
 def _greedy_picks(plan):
     # plan's result and the lines of its greedy picks: each is the one
     # list.remove a search calls
@@ -984,7 +993,9 @@ class TestAllProfiles:
             all_profiles(cycle(4), strategy="psychic")
 
     # checked and reduced search each kind on the lower half of the sizes
-    # only, and read the upper half off the dual kind
+    # only, and read the upper half off the dual kind. checked wants
+    # values only, so up to 12 vertices its plan searches nothing; reduced
+    # here wants witnesses and so searches at every n.
     @pytest.mark.parametrize("strategy", ["checked", "reduced"])
     @pytest.mark.parametrize("spec, seed", [("cycle:6", 0), ("cycle:7", 0), ("random:13:0.5", 1), ("regular:14:3", 2)])
     def test_each_kind_searched_up_to_half(self, monkeypatch, strategy, spec, seed):
@@ -992,13 +1003,15 @@ class TestAllProfiles:
         asked = []
         real = solvers._searcher
 
-        def recording(graph, kind, sums, witnesses):
-            search = real(graph, kind, sums, witnesses)
+        def recording(graph, kind, sums=None):
+            search = real(graph, kind, sums)
             return lambda lo, hi: asked.append((kind, lo, hi)) or search(lo, hi)
 
         monkeypatch.setattr(solvers, "_searcher", recording)
         all_profiles(g, strategy=strategy)
-        assert sorted(asked, key=lambda call: KIND_ORDER.index(call[0])) == [(kind, 1, g.n // 2) for kind in KIND_ORDER]
+        searched = strategy == "reduced" or g.n > solvers._LEAF
+        expected = [(kind, 1, g.n // 2) for kind in KIND_ORDER] if searched else []
+        assert sorted(asked, key=lambda call: KIND_ORDER.index(call[0])) == expected
 
     # Each search of the half-range plan makes one greedy pick per size it
     # returns, n // 2 of them, where it used to pick all n vertices and
@@ -1012,10 +1025,9 @@ class TestAllProfiles:
         walked = profile_exhaustive(g)
         assert all([value for value, _ in plan[kind]] == list(walked[kind].values) for kind in KIND_ORDER)
 
-    # Without witnesses a search at n <= _LEAF reads every size it returns
-    # off one table over the t-subsets of all n vertices: its values are
-    # the witness path's and the walk's, at every size 0..hi, not only at
-    # the sizes in [lo, hi]
+    # Without witnesses the half-range plan at n <= _LEAF searches nothing
+    # and reads every size off one table per counter: its values are the
+    # witness plan's and the walk's
     @given(g=small_graphs(max_n=12))
     @example(g=empty(1))
     @example(g=from_edge_list(2, [(0, 1)]))
@@ -1025,43 +1037,40 @@ class TestAllProfiles:
     @example(g=from_edge_list(9, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 3)]))
     @settings(max_examples=60, deadline=None)
     def test_values_only_leaf_root_is_exact(self, g):
-        walked = profile_exhaustive(g, witnesses=False)
-        values, witnessed = solvers._half_searched(g, False), solvers._half_searched(g)
-        for kind in KIND_ORDER:
-            truth = list(walked[kind].values)
-            assert [x for x, _ in values[kind]] == [x for x, _ in witnessed[kind]] == truth, kind.key
-            search = solvers._searcher(g, kind, None, False)
-            for lo, hi in ((1, g.n // 2), (2, g.n), (g.n, g.n)):
-                assert [x for x, _ in search(lo, hi)] == truth[: hi + 1], (kind.key, lo, hi)
+        _assert_plans_match_walk(g)
 
-    # A values-only plan at n <= _LEAF makes no greedy pick, builds its
-    # degree and edge sums once (the one read of the size-range layout)
-    # and decodes one table per kind. checked always asks for values
-    # only, reduced passes its caller's flag.
+    # on either side of the switch from one table per counter (n <= 12)
+    # to branch and bound (n = 13)
+    @pytest.mark.parametrize(
+        "spec",
+        ["regular:12:3", "regular:12:5", "regular:13:4", "random:12:0.5", "random:13:0.5", "empty:12", "complete:12"],
+    )
+    def test_values_only_plan_matches_across_leaf_switch(self, spec):
+        _assert_plans_match_walk(from_spec(spec, 1729))
+
+    # A values-only plan at n <= _LEAF makes no greedy pick and builds no
+    # searcher: it reads the size-range layout once, builds its degree
+    # and edge sums once and decodes one table per counter. checked
+    # always asks for values only, and reduced passes its caller's flag,
+    # so it searches each kind only when its caller wants witnesses.
     @pytest.mark.parametrize("spec, seed", [("regular:10:3", 3), ("random:9:0.4", 1729)])
-    def test_values_only_leaf_root_reads_one_table_per_kind(self, monkeypatch, spec, seed):
+    def test_values_only_leaf_root_reads_one_table_per_counter(self, monkeypatch, spec, seed):
         g = from_spec(spec, seed)
-        decodes, layouts = [], []
-        real_fields, real_layout = solvers._fields, solvers._layout
-        monkeypatch.setattr(solvers, "_fields", lambda *args: decodes.append(args) or real_fields(*args))
-        monkeypatch.setattr(solvers, "_layout", lambda *args: layouts.append(args) or real_layout(*args))
+        calls = {name: [] for name in ("_fields", "_layout", "_sums", "_searcher")}
+        for name, seen in calls.items():
+            real = getattr(solvers, name)
+            monkeypatch.setattr(solvers, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
+        decodes, layouts, built, asked = calls.values()
         plan, picks = _greedy_picks(lambda: solvers._half_searched(g, False))
-        assert (picks, len(decodes), layouts) == ([], len(KIND_ORDER), [(g.n, 0, g.n // 2)])
+        assert (picks, len(decodes), layouts, len(built), asked) == ([], 3, [(g.n, 0, g.n // 2)], 1, [])
         walked = profile_exhaustive(g, witnesses=False)
         assert all([value for value, _ in plan[kind]] == list(walked[kind].values) for kind in KIND_ORDER)
-        asked, real = [], solvers._searcher
-
-        def recording(graph, kind, sums, witnesses):
-            asked.append(witnesses)
-            return real(graph, kind, sums, witnesses)
-
-        monkeypatch.setattr(solvers, "_searcher", recording)
         all_profiles(g, "checked")
-        assert asked == [False] * len(KIND_ORDER)
+        assert asked == []
         for witnesses in (True, False):
             asked.clear()
             solvers._solve(g, "reduced", None, witnesses)
-            assert asked == [witnesses] * len(KIND_ORDER)
+            assert [args[1] for args in asked] == (list(KIND_ORDER) if witnesses else [])
 
     # each reduced witness, searched or read off the dual kind, has its
     # size and attains its value
