@@ -176,6 +176,9 @@ def check_symmetry(seq: DiffSequence) -> SymmetryVerdict:
     """Exact test of s(i) + s(n-i+1) == s(1) + s(n) for every i in [n]."""
     vals = seq.values
     n = len(vals)
+    if not n:
+        # s(1) + s(n) needs one step; every graph has a vertex and so one
+        raise ValueError(f"empty difference sequence of {seq.kind.key}: symmetry needs at least one step")
     target = vals[0] + vals[n - 1]
     violations = tuple(
         (i, vals[i - 1] + vals[n - i])

@@ -505,10 +505,10 @@ def _bound_fn(kind: MetricKind, adj, degrees, order, pool_mask) -> tuple[Callabl
     return bounds, refine
 
 
-def _searcher(graph: Graph, kind: MetricKind, sums: dict | None = None) -> Callable[[int, int], list[tuple[int, int]]]:
-    """search(lo, hi) -> [(value, mask)] per size 0..hi, for hi <= n: one
-    branch and bound solves the sizes in [lo, hi] of one kind; the other
-    entries hold the greedy seed, which is exact at sizes 0 and n.
+def _search(graph: Graph, kind: MetricKind, lo: int, hi: int, sums: dict | None = None) -> list[tuple[int, int]]:
+    """[(value, mask)] per size 0..hi, for hi <= n: one branch and bound
+    solves the sizes in [lo, hi] of one kind; the other entries hold the
+    greedy seed, which is exact at sizes 0 and n.
 
     The search always maximizes; a min kind maximizes its negated
     counter, where a pick v adds sign * (per_degree * deg(v) + per_inside
@@ -558,11 +558,11 @@ def _searcher(graph: Graph, kind: MetricKind, sums: dict | None = None) -> Calla
     strictly beats its incumbent, so the threshold test passes it over.
 
     Only the live sizes are filled, and each table is built the first
-    time a leaf reads it: its signed table once per searcher, and its
+    time a leaf reads it: its signed table once per search, and its
     degree and edge sums (``_sums``) once per (pool, t) key of ``sums``.
     A caller may share that dict between the searches of one graph, so
     kinds that order the vertices alike read one build; without it, the
-    searcher makes its own. A leaf on random:24:0.5 or regular:24:3
+    search makes its own. A leaf on random:24:0.5 or regular:24:3
     reads about three live sizes, a small part of all 2^p fields. A
     field lies in [1, _LEAF (2n - 1)] and the least value to beat in
     [1 - m, m + nt + 1], so a field plus 0x8000 - d stays in [0, 2^16)
@@ -604,85 +604,82 @@ def _searcher(graph: Graph, kind: MetricKind, sums: dict | None = None) -> Calla
             pool_gain[idx] = pool_gain[idx + 1] + base[v] + inside * (adj[v] & pool_mask[idx + 1]).bit_count()
         bounds, refine = _bound_fn(kind, adj, graph.degrees, order, pool_mask)
 
-    def search(lo: int, hi: int) -> list[tuple[int, int]]:
-        # the greedy chain's first hi picks seed sizes 0..hi, the sizes returned
-        incumbent, best = [0], [0]
-        gains, rest = base[:], list(range(n))
-        for _ in range(hi):
-            v = max(rest, key=gains.__getitem__)
-            rest.remove(v)
-            incumbent.append(incumbent[-1] + gains[v])
-            best.append(best[-1] | 1 << v)
-            for u in rest:
-                if adj[v] >> u & 1:
-                    gains[u] += inside
+    # the greedy chain's first hi picks seed sizes 0..hi, the sizes returned
+    incumbent, best = [0], [0]
+    gains, rest = base[:], list(range(n))
+    for _ in range(hi):
+        v = max(rest, key=gains.__getitem__)
+        rest.remove(v)
+        incumbent.append(incumbent[-1] + gains[v])
+        best.append(best[-1] | 1 << v)
+        for u in rest:
+            if adj[v] >> u & 1:
+                gains[u] += inside
 
-        def score(start: int, chosen: int, picked: int, val: int, live: list[int]) -> None:
-            # each live size from its leaf table over the pool order[start:]
-            p, pool = n - start, order[start:]
-            # per pool position j with a neighbour in chosen, a = their count
-            counts = [((adj[v] & chosen).bit_count(), j) for j, v in enumerate(pool) if adj[v] & chosen]
-            row = leaves[p]
-            for s in live:
-                t = s - picked
-                subsets, members, table, ones, top = row[t] or leaf_table(p, t)
-                packed = table + inside * sum([a * members[j] for a, j in counts])
-                # A field beats the incumbent when it reaches least. With
-                # 0x8000 - least added to every field, bit 15 of a field
-                # is set exactly when it does: the walk's threshold test.
-                least = incumbent[s] - val + n * t + 1
-                if not (packed + (0x8000 - least) * ones) & top:
-                    continue
-                # the first field of the maximum is the first set the
-                # depth-first search would reach with it
-                fields = _fields(packed, 2 * len(subsets)).tolist()
-                most = max(fields)
-                picks = subsets[fields.index(most)]
-                incumbent[s] = val + most - n * t
-                best[s] = chosen | sum([1 << v for j, v in enumerate(pool) if picks >> j & 1])
+    def score(start: int, chosen: int, picked: int, val: int, live: list[int]) -> None:
+        # each live size from its leaf table over the pool order[start:]
+        p, pool = n - start, order[start:]
+        # per pool position j with a neighbour in chosen, a = their count
+        counts = [((adj[v] & chosen).bit_count(), j) for j, v in enumerate(pool) if adj[v] & chosen]
+        row = leaves[p]
+        for s in live:
+            t = s - picked
+            subsets, members, table, ones, top = row[t] or leaf_table(p, t)
+            packed = table + inside * sum([a * members[j] for a, j in counts])
+            # A field beats the incumbent when it reaches least. With
+            # 0x8000 - least added to every field, bit 15 of a field
+            # is set exactly when it does: the walk's threshold test.
+            least = incumbent[s] - val + n * t + 1
+            if not (packed + (0x8000 - least) * ones) & top:
+                continue
+            # the first field of the maximum is the first set the
+            # depth-first search would reach with it
+            fields = _fields(packed, 2 * len(subsets)).tolist()
+            most = max(fields)
+            picks = subsets[fields.index(most)]
+            incumbent[s] = val + most - n * t
+            best[s] = chosen | sum([1 << v for j, v in enumerate(pool) if picks >> j & 1])
 
-        def dfs(start: int, chosen: int, picked: int, val: int, live: list[int]) -> None:
-            # live is this call's own list
-            if live[-1] == picked + n - start:
-                full = live.pop()
-                whole = val + pool_gain[start] + inside * sum([(adj[v] & chosen).bit_count() for v in order[start:]])
-                if whole > incumbent[full]:
-                    incumbent[full], best[full] = whole, chosen | pool_mask[start]
-                if not live:
-                    return
-            top, one = live[-1], picked + 1
-            if top > one:
-                # a min kind's incumbent at its ceiling of 0 cannot improve
-                found, exact, terms = bounds(start, chosen, top - picked)
-                live = [
-                    s for s in live
-                    if s == one
-                    or val + found[s - picked] > incumbent[s] < ceiling
-                    and (s - picked >= exact or val + refine(terms, s - picked) > incumbent[s])
-                ]
-                if not live:
-                    return
-            if n - start <= leaf:
-                score(start, chosen, picked, val, live)
+    def dfs(start: int, chosen: int, picked: int, val: int, live: list[int]) -> None:
+        # live is this call's own list
+        if live[-1] == picked + n - start:
+            full = live.pop()
+            whole = val + pool_gain[start] + inside * sum([(adj[v] & chosen).bit_count() for v in order[start:]])
+            if whole > incumbent[full]:
+                incumbent[full], best[full] = whole, chosen | pool_mask[start]
+            if not live:
                 return
-            first, low, high = live[0], live[0] == one, len(live)
-            for idx in range(start, n - first + picked + 1):
-                v = order[idx]
-                child, child_val = chosen | 1 << v, val + base[v] + inside * (adj[v] & chosen).bit_count()
-                if low and child_val > incumbent[first]:
-                    incumbent[first], best[first] = child_val, child
-                # each step leaves one slot fewer, so at most the largest size drops
-                if live[high - 1] > n - idx + picked:
-                    high -= 1
-                if low < high:
-                    dfs(idx + 1, child, one, child_val, live[low:high])
+        top, one = live[-1], picked + 1
+        if top > one:
+            # a min kind's incumbent at its ceiling of 0 cannot improve
+            found, exact, terms = bounds(start, chosen, top - picked)
+            live = [
+                s for s in live
+                if s == one
+                or val + found[s - picked] > incumbent[s] < ceiling
+                and (s - picked >= exact or val + refine(terms, s - picked) > incumbent[s])
+            ]
+            if not live:
+                return
+        if n - start <= leaf:
+            score(start, chosen, picked, val, live)
+            return
+        first, low, high = live[0], live[0] == one, len(live)
+        for idx in range(start, n - first + picked + 1):
+            v = order[idx]
+            child, child_val = chosen | 1 << v, val + base[v] + inside * (adj[v] & chosen).bit_count()
+            if low and child_val > incumbent[first]:
+                incumbent[first], best[first] = child_val, child
+            # each step leaves one slot fewer, so at most the largest size drops
+            if live[high - 1] > n - idx + picked:
+                high -= 1
+            if low < high:
+                dfs(idx + 1, child, one, child_val, live[low:high])
 
-        sizes = list(range(max(lo, 1), min(hi, n - 1) + 1))
-        if sizes:
-            (dfs if n > leaf else score)(0, 0, 0, 0, sizes)
-        return [(sign * value, mask) for value, mask in zip(incumbent, best)]
-
-    return search
+    sizes = list(range(max(lo, 1), min(hi, n - 1) + 1))
+    if sizes:
+        (dfs if n > leaf else score)(0, 0, 0, 0, sizes)
+    return [(sign * value, mask) for value, mask in zip(incumbent, best)]
 
 
 def branch_bound_extremal(
@@ -692,14 +689,14 @@ def branch_bound_extremal(
     _require_within_cap(graph.n, cap)
     if not 0 <= size <= graph.n:
         raise ValueError(f"subset size {size} outside 0..{graph.n}")
-    value, mask = _searcher(graph, kind)(size, size)[size]
+    value, mask = _search(graph, kind, size, size)[size]
     return value, VertexSet(graph.n, mask)
 
 
 def profile_branch_bound(graph: Graph, kind: MetricKind, cap: int | None = None) -> Profile:
     """Same values as profile_exhaustive, computed by the pruned search."""
     _require_within_cap(graph.n, cap)
-    values, masks = zip(*_searcher(graph, kind)(1, graph.n))
+    values, masks = zip(*_search(graph, kind, 1, graph.n))
     return Profile(kind, values, tuple(VertexSet(graph.n, mask) for mask in masks), "branch-and-bound")
 
 
@@ -773,24 +770,25 @@ def _agree(kind: MetricKind, truth: Sequence[int], route: str, values: Sequence[
             )
 
 
-def _half_searched(graph: Graph, witnesses: bool = True) -> dict[MetricKind, list[tuple[int, int]]]:
-    # Per kind, (value, mask) for every size 0..n from one branch and bound
+def _half_searched(graph: Graph, witnesses: bool = True) -> dict[MetricKind, Profile]:
+    # Per kind, the profile over every size 0..n from one branch and bound
     # on sizes 1..n//2, the one search plan of checked and reduced; its
     # greedy chain stops there too, at n//2 picks. The complement of an
     # i-set is an (n - i)-set, so a size i above n//2 is the complement of
     # kind.dual's set at n - i, its value read through kind.from_dual. The
     # six searches share one dict of leaf sums, which ends with the plan.
-    # Without witnesses the masks are meaningless, and at n <= _LEAF the
-    # plan searches nothing: greedy seeds and the threshold test only
-    # break ties between witnesses. Per counter one table over the
-    # t-subsets T of all n vertices, t = 0..n//2 in _layout's order, holds
-    # per_degree * deg(T) + per_inside * e(T) in field T, in [0, m], so no
-    # field borrows; decoded once, each size's max is the max kind's and
-    # its min the min kind's.
+    # Each profile's provenance is branch-and-bound, and its witnesses are
+    # VertexSets only when asked for; without them it holds values only,
+    # and at n <= _LEAF the plan searches nothing: greedy seeds and the
+    # threshold test only break ties between witnesses. Per counter one
+    # table over the t-subsets T of all n vertices, t = 0..n//2 in
+    # _layout's order, holds per_degree * deg(T) + per_inside * e(T) in
+    # field T, in [0, m], so no field borrows; decoded once, each size's
+    # max is the max kind's and its min the min kind's.
     n, m, full = graph.n, graph.m, (1 << graph.n) - 1
     if witnesses or n > _LEAF:
         sums = {}
-        lower = {kind: _searcher(graph, kind, sums)(1, n // 2) for kind in KIND_ORDER}
+        lower = {kind: _search(graph, kind, 1, n // 2, sums) for kind in KIND_ORDER}
     else:
         _, spans, _, members = _layout(n, 0, n // 2)
         degrees, edges = _sums(graph, range(n), members)
@@ -800,10 +798,11 @@ def _half_searched(graph: Graph, witnesses: bool = True) -> dict[MetricKind, lis
             fields = _fields(most.per_degree * degrees + most.per_inside * edges, 2 * spans[-1][1]).tolist()
             lower[most] = [(max(fields[a:z]), 0) for a, z in spans]
             lower[least] = [(min(fields[a:z]), 0) for a, z in spans]
-    return {
-        kind: found + [(kind.from_dual(x, m), mask ^ full) for x, mask in reversed(lower[kind.dual][: n - n // 2])]
-        for kind, found in lower.items()
-    }
+    profiles = {}
+    for kind, found in lower.items():
+        values, masks = zip(*found, *[(kind.from_dual(x, m), mask ^ full) for x, mask in reversed(lower[kind.dual][: n - n // 2])])
+        profiles[kind] = Profile(kind, values, tuple(VertexSet(n, mask) for mask in masks) if witnesses else None, "branch-and-bound")
+    return profiles
 
 
 def _checked_profiles(
@@ -823,7 +822,7 @@ def _checked_profiles(
     evaluated = {}
     for kind in KIND_ORDER:
         profile = exhaustive[kind]
-        _agree(kind, profile.values, "branch-and-bound", [value for value, _ in searched[kind]])
+        _agree(kind, profile.values, "branch-and-bound", searched[kind].values)
         derived = profile_by_reduction(graph, kind, bases=bases, complement_bases=co)
         _agree(kind, profile.values, derived.provenance, derived.values)
         for i, witness in enumerate(profile.witnesses or ()):
@@ -846,15 +845,15 @@ def _solve(
 
     With ``witnesses`` false every profile comes back with values only
     (witnesses None), and no route builds a witness set: oracle's fold
-    builds none, reduced builds no VertexSet, and checked walks the
-    graph values only and so has no witness to evaluate again, while it
-    still compares the walk, the complement walk, the half-range search
-    and every reduction. ``verify_theorem`` and the profile command pass
-    False, as their output reads values only. checked's half-range plan
-    is values only whatever the flag, since it compares values only, and
-    reduced's follows the flag; at n <= 12 a values-only plan searches
-    nothing and reads each size off one table per counter
-    (``_half_searched``).
+    builds none, reduced returns the half-range plan's profiles, which
+    then hold no VertexSet, and checked walks the graph values only and
+    so has no witness to evaluate again, while it still compares the
+    walk, the complement walk, the half-range search and every
+    reduction. ``verify_theorem`` and the profile command pass False, as
+    their output reads values only. checked's half-range plan is values
+    only whatever the flag, since it compares values only, and reduced's
+    follows the flag; at n <= 12 a values-only plan searches nothing and
+    reads each size off one table per counter (``_half_searched``).
 
     The complement profiles come back only from checked: its walk of the
     complement, values only, which the reduction check already compared
@@ -869,15 +868,7 @@ def _solve(
         return profile_exhaustive(graph, cap=graph.n, witnesses=witnesses), None
     if resolved == "checked":
         return _checked_profiles(graph, witnesses)
-    return {
-        kind: Profile(
-            kind,
-            tuple(x for x, _ in found),
-            tuple(VertexSet(graph.n, mask) for _, mask in found) if witnesses else None,
-            "branch-and-bound",
-        )
-        for kind, found in _half_searched(graph, witnesses).items()
-    }, None
+    return _half_searched(graph, witnesses), None
 
 
 def all_profiles(

@@ -15,6 +15,7 @@ from isoprofile import (
     CUT_KINDS,
     KIND_ORDER,
     DegreeSummary,
+    DiffSequence,
     IdentityResult,
     MetricKind,
     STRATEGIES,
@@ -116,6 +117,12 @@ class TestSymmetry:
     def test_single_vertex_sequence_is_symmetric(self):
         verdict = check_symmetry(diff_sequence(profile_exhaustive(empty(1))[MetricKind.MAX_INDUCED]))
         assert verdict.symmetric
+
+    def test_empty_sequence_is_refused(self):
+        # no graph has zero vertices, so no profile gives an empty sequence;
+        # a hand-made one is refused by name, not read past its end
+        with pytest.raises(ValueError, match="empty difference sequence of max_induced"):
+            check_symmetry(DiffSequence(MetricKind.MAX_INDUCED, ()))
 
 
 class TestIdentitySuite:
@@ -289,13 +296,13 @@ class TestVerifySolveCounts:
         # reuses the complement walk. Both walks go through
         # profile_exhaustive and so through _walk; the complement's folds
         # values only. Up to 12 vertices checked's values-only half-range
-        # plan reads one table per counter and builds no searcher; above,
-        # it builds one branch-and-bound searcher per kind. auto above 8
+        # plan reads one table per counter and runs no search; above, it
+        # runs one branch-and-bound search per kind. auto above 8
         # vertices is one walk (oracle).
         import isoprofile.solvers as solvers_mod
 
         walks = self._count(monkeypatch, solvers_mod, "_walk")
-        searches = self._count(monkeypatch, solvers_mod, "_searcher")
+        searches = self._count(monkeypatch, solvers_mod, "_search")
         report = verify_theorem(graph, strategy=strategy)
         assert report.consistent
         assert walks == [graph, complement(graph)]
@@ -305,13 +312,13 @@ class TestVerifySolveCounts:
     def test_unchecked_verify_solves_complement_on_demand(self, monkeypatch, strategy, graph):
         # the identity suite walks the complement, values only, whatever
         # strategy solved the graph: reduced runs its half-range plan on
-        # the graph only, which at n <= 12 builds no searcher, and auto
+        # the graph only, which at n <= 12 runs no search, and auto
         # above n = 8 walks the graph and then its complement
         import isoprofile.solvers as solvers_mod
 
         walks = self._count(monkeypatch, solvers_mod, "_walk")
         plans = self._count(monkeypatch, solvers_mod, "_half_searched")
-        searches = self._count(monkeypatch, solvers_mod, "_searcher")
+        searches = self._count(monkeypatch, solvers_mod, "_search")
         report = verify_theorem(graph, strategy=strategy)
         assert searches == []
         if strategy == "reduced":
@@ -417,8 +424,9 @@ class TestInternalInconsistency:
 
         def lying(graph, witnesses=True):
             found = real(graph, witnesses)
-            value, mask = found[MetricKind.MAX_INDUCED][2]
-            found[MetricKind.MAX_INDUCED][2] = value + 1, mask
+            values = list(found[MetricKind.MAX_INDUCED].values)
+            values[2] += 1
+            found[MetricKind.MAX_INDUCED] = found[MetricKind.MAX_INDUCED]._replace(values=tuple(values))
             return found
 
         monkeypatch.setattr(solvers_mod, "_half_searched", lying)
@@ -428,25 +436,20 @@ class TestInternalInconsistency:
     def test_lower_half_lie_shows_at_dual_upper_size(self, monkeypatch):
         # min_covered is searched on sizes 1..7 of C14 only; its size 1 is
         # also max_induced's size 13, which is compared first. Above 12
-        # vertices the plan runs one searcher per kind.
+        # vertices the plan runs one search per kind.
         import isoprofile.solvers as solvers_mod
         from isoprofile import InternalInconsistencyError
 
-        real = solvers_mod._searcher
+        real = solvers_mod._search
 
-        def lying(graph, kind, sums=None):
-            search = real(graph, kind, sums)
+        def lying(graph, kind, lo, hi, sums=None):
+            found = real(graph, kind, lo, hi, sums)
+            if kind is MetricKind.MIN_COVERED:
+                value, mask = found[1]
+                found[1] = value - 1, mask
+            return found
 
-            def lied(lo, hi):
-                found = search(lo, hi)
-                if kind is MetricKind.MIN_COVERED:
-                    value, mask = found[1]
-                    found[1] = value - 1, mask
-                return found
-
-            return lied
-
-        monkeypatch.setattr(solvers_mod, "_searcher", lying)
+        monkeypatch.setattr(solvers_mod, "_search", lying)
         with pytest.raises(InternalInconsistencyError, match="max_induced at i=13: exhaustive=12, branch-and-bound=13"):
             all_profiles(cycle(14), strategy="checked")
 

@@ -55,7 +55,7 @@ def small_graphs(draw, max_n=7):
 def _count_solver_calls(monkeypatch, graph, strategy):
     # walk: calls of _walk, which the graph's walk and the complement's
     # values-only walk both go through; search: branch-and-bound
-    # searchers, one per kind whichever strategy builds it
+    # searches, one per kind whichever strategy runs it
     import isoprofile.solvers as solvers_mod
 
     calls = {"walk": 0, "search": 0}
@@ -68,7 +68,7 @@ def _count_solver_calls(monkeypatch, graph, strategy):
         return wrapper
 
     monkeypatch.setattr(solvers_mod, "_walk", counting("walk", solvers_mod._walk))
-    monkeypatch.setattr(solvers_mod, "_searcher", counting("search", solvers_mod._searcher))
+    monkeypatch.setattr(solvers_mod, "_search", counting("search", solvers_mod._search))
     all_profiles(graph, strategy=strategy)
     return calls
 
@@ -497,10 +497,10 @@ class TestBound:
         # depth-first search would reach first, so every value and witness
         # is the one of the search without tables
         for kind in KIND_ORDER:
-            scored = solvers._searcher(g, kind)(1, g.n - 1)
+            scored = solvers._search(g, kind, 1, g.n - 1)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(solvers, "_LEAF", 0)
-                branched = solvers._searcher(g, kind)(1, g.n - 1)
+                branched = solvers._search(g, kind, 1, g.n - 1)
             assert scored == branched, kind.key
 
     def test_witnesses_match_golden(self):
@@ -531,7 +531,7 @@ class TestBound:
             for leaf in (0, 8, solvers._LEAF):
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(solvers, "_LEAF", leaf)
-                    found[leaf] = solvers._searcher(g, kind)(1, g.n)
+                    found[leaf] = solvers._search(g, kind, 1, g.n)
             assert found[0] == found[8] == found[solvers._LEAF], kind.key
 
     @pytest.mark.parametrize("p, lo, hi", [
@@ -581,7 +581,7 @@ class TestBound:
         once = sorted((order, t) for order in orders for t in range(1, 6))
         plan = solvers._half_searched(g)
         for kind in KIND_ORDER:
-            assert [value for value, _ in plan[kind]] == list(walked[kind].values), kind.key
+            assert plan[kind].values == walked[kind].values, kind.key
         assert sorted(built) == once
         solvers._half_searched(g)
         assert sorted(built) == sorted(once * 2)
@@ -608,7 +608,7 @@ def _assert_bound_calls_within(monkeypatch, pins, half=False):
         g = from_spec(spec, seed)
         walked = profile_exhaustive(g, witnesses=False)
         if half:
-            searched = {kind: tuple(x for x, _ in found) for kind, found in solvers._half_searched(g).items()}
+            searched = {kind: profile.values for kind, profile in solvers._half_searched(g).items()}
         else:
             searched = {kind: profile_branch_bound(g, kind).values for kind in KIND_ORDER}
         for kind in KIND_ORDER:
@@ -623,16 +623,16 @@ def _assert_plans_match_walk(g):
     walked = profile_exhaustive(g, witnesses=False)
     values, witnessed = solvers._half_searched(g, False), solvers._half_searched(g)
     for kind in KIND_ORDER:
-        assert [x for x, _ in values[kind]] == [x for x, _ in witnessed[kind]] == list(walked[kind].values), kind.key
+        assert values[kind].values == witnessed[kind].values == walked[kind].values, kind.key
 
 
 def _greedy_picks(plan):
     # plan's result and the lines of its greedy picks: each is the one
-    # list.remove a search calls
+    # list.remove that _search itself calls
     picks = []
 
     def profiler(frame, event, arg):
-        if event == "c_call" and frame.f_code.co_name == "search" and getattr(arg, "__name__", "") == "remove":
+        if event == "c_call" and frame.f_code.co_name == "_search" and getattr(arg, "__name__", "") == "remove":
             picks.append(frame.f_lineno)
 
     previous = sys.getprofile()
@@ -658,11 +658,10 @@ def _assert_one_search_matches_size_by_size(g):
             return recorded, refine
 
         with mock.patch.object(solvers, "_bound_fn", recording):
-            search = solvers._searcher(g, kind)
-        together = search(1, g.n)
+            together = solvers._search(g, kind, 1, g.n)
         assert len(set(seen)) == len(seen), kind.key
         for size in range(g.n + 1):
-            assert together[size] == search(size, size)[size], (kind.key, size)
+            assert together[size] == solvers._search(g, kind, size, size)[size], (kind.key, size)
 
 
 def _assert_branch_bound_golden():
@@ -1001,13 +1000,13 @@ class TestAllProfiles:
     def test_each_kind_searched_up_to_half(self, monkeypatch, strategy, spec, seed):
         g = from_spec(spec, seed)
         asked = []
-        real = solvers._searcher
+        real = solvers._search
 
-        def recording(graph, kind, sums=None):
-            search = real(graph, kind, sums)
-            return lambda lo, hi: asked.append((kind, lo, hi)) or search(lo, hi)
+        def recording(graph, kind, lo, hi, sums=None):
+            asked.append((kind, lo, hi))
+            return real(graph, kind, lo, hi, sums)
 
-        monkeypatch.setattr(solvers, "_searcher", recording)
+        monkeypatch.setattr(solvers, "_search", recording)
         all_profiles(g, strategy=strategy)
         searched = strategy == "reduced" or g.n > solvers._LEAF
         expected = [(kind, 1, g.n // 2) for kind in KIND_ORDER] if searched else []
@@ -1023,7 +1022,7 @@ class TestAllProfiles:
         plan, picks = _greedy_picks(lambda: solvers._half_searched(g))
         assert len(picks) == len(KIND_ORDER) * (g.n // 2)
         walked = profile_exhaustive(g)
-        assert all([value for value, _ in plan[kind]] == list(walked[kind].values) for kind in KIND_ORDER)
+        assert all(plan[kind].values == walked[kind].values for kind in KIND_ORDER)
 
     # Without witnesses the half-range plan at n <= _LEAF searches nothing
     # and reads every size off one table per counter: its values are the
@@ -1048,15 +1047,15 @@ class TestAllProfiles:
     def test_values_only_plan_matches_across_leaf_switch(self, spec):
         _assert_plans_match_walk(from_spec(spec, 1729))
 
-    # A values-only plan at n <= _LEAF makes no greedy pick and builds no
-    # searcher: it reads the size-range layout once, builds its degree
+    # A values-only plan at n <= _LEAF makes no greedy pick and runs no
+    # search: it reads the size-range layout once, builds its degree
     # and edge sums once and decodes one table per counter. checked
     # always asks for values only, and reduced passes its caller's flag,
     # so it searches each kind only when its caller wants witnesses.
     @pytest.mark.parametrize("spec, seed", [("regular:10:3", 3), ("random:9:0.4", 1729)])
     def test_values_only_leaf_root_reads_one_table_per_counter(self, monkeypatch, spec, seed):
         g = from_spec(spec, seed)
-        calls = {name: [] for name in ("_fields", "_layout", "_sums", "_searcher")}
+        calls = {name: [] for name in ("_fields", "_layout", "_sums", "_search")}
         for name, seen in calls.items():
             real = getattr(solvers, name)
             monkeypatch.setattr(solvers, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
@@ -1064,7 +1063,7 @@ class TestAllProfiles:
         plan, picks = _greedy_picks(lambda: solvers._half_searched(g, False))
         assert (picks, len(decodes), layouts, len(built), asked) == ([], 3, [(g.n, 0, g.n // 2)], 1, [])
         walked = profile_exhaustive(g, witnesses=False)
-        assert all([value for value, _ in plan[kind]] == list(walked[kind].values) for kind in KIND_ORDER)
+        assert all(plan[kind].values == walked[kind].values for kind in KIND_ORDER)
         all_profiles(g, "checked")
         assert asked == []
         for witnesses in (True, False):
