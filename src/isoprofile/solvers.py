@@ -19,8 +19,9 @@ routes:
   other subset is the complement of a walked one, and an O(n) fold after
   the walk reads its counters off the walked set's (induced and covered
   trade places as m minus each other, cut stays). This is the ground
-  truth; each witness is the first optimal set the walk meets, and a
-  walked set comes before the complement of one.
+  truth and the one route that returns witnesses: each is the first
+  optimal set the walk meets, and a walked set comes before the
+  complement of one.
 * ``profile_branch_bound``: one search body for all six kinds (a min
   kind maximizes its negated counter), and per kind one depth-first
   search for every size at once. Each node carries the sizes that no
@@ -28,36 +29,33 @@ routes:
   admissible completion terms; greedy picks seed each size's
   incumbent. A node with at most 12 pool vertices stops branching and
   scores each live size t from one packed table of 16-bit fields over
-  the pool's t-subsets, in depth-first order. The walk's threshold test
-  (one multiply, one add and an AND) finds whether any field strictly
-  beats the incumbent, and only then is the table decoded and the first
-  field of its maximum taken, which is the set the branching would
-  keep. A table is built the first time a node reads it. Its degree and
-  edge sums are shared within one search plan by the kinds that order
-  the vertices alike, and nothing outlives the plan. A field holds at
-  most 12 (2n - 1), below 2^15 at the solvers' limit of 64 vertices.
-  Values match the exhaustive route; witnesses are the first optimum it
-  reaches. The walk's block and the search's leaves read one table
-  layout (``_layout``): the subsets of a few positions by size and then
-  in ``combinations`` order, with bit v of every mask being vertex v;
-  one helper (``_sums``) fills their degree and edge sums.
-* ``profile_by_reduction``: derive one profile from already computed
-  ones through exact counting identities. An induced count is C(i, 2)
-  minus the complement graph's, read off its induced profile of the
-  opposite sense. A covered or cut profile at i is read off its dual
-  kind (``MetricKind.dual``) at n - i, since the complement of an i-set
-  is an (n - i)-set: a cover count is m minus the induced count of the
-  complementary subset, and a cut is its complement's.
+  the pool's t-subsets. The walk's threshold test (one multiply, one
+  add and an AND) finds whether any field strictly beats the
+  incumbent, and only then is the table decoded and its maximum taken.
+  A table is built the first time a node reads it. Its degree and edge
+  sums are shared within one search plan by the kinds that order the
+  vertices alike, and nothing outlives the plan. A field holds at most
+  12 (2n - 1), below 2^15 at the solvers' limit of 64 vertices. It
+  returns values only, which match the exhaustive route. The walk's
+  block and the search's leaves read one table layout (``_layout``):
+  the subsets of a few positions by size and then in ``combinations``
+  order, with bit v of every mask being vertex v; one helper
+  (``_sums``) fills their degree and edge sums.
+* ``profile_by_reduction``: derive one profile's values from already
+  computed ones through exact counting identities. An induced count is
+  C(i, 2) minus the complement graph's, read off its induced profile of
+  the opposite sense. A covered or cut profile at i is read off its
+  dual kind (``MetricKind.dual``) at n - i, since the complement of an
+  i-set is an (n - i)-set: a cover count is m minus the induced count
+  of the complementary subset, and a cut is its complement's.
 
 ``all_profiles`` wires the routes into strategies, including a checked
 mode that runs all of them and refuses to return if they disagree. The
-checked and reduced strategies share one branch-and-bound plan: each
-kind is searched on sizes 1..n/2 only, and each size i above n/2 is read
-off the dual kind at n - i (``MetricKind.dual``), so no optimisation
-problem is searched twice. checked compares values only, so its plan
-always wants values only, and reduced's does when its caller wants no
-witness. Such a plan at n <= 12 searches nothing, as only witnesses have
-ties to break: it reads every size off one table per counter over the
+checked and reduced strategies share one values-only branch-and-bound
+plan: each kind is searched on sizes 1..n/2 only, and each size i above
+n/2 is read off the dual kind at n - i (``MetricKind.dual``), so no
+optimisation problem is searched twice. At n <= 12 the plan searches
+nothing: it reads every size off one table per counter over the
 t-subsets of all n vertices, t = 0..n/2, one decode giving each size's
 max and min with one C-level max or min.
 
@@ -505,10 +503,11 @@ def _bound_fn(kind: MetricKind, adj, degrees, order, pool_mask) -> tuple[Callabl
     return bounds, refine
 
 
-def _search(graph: Graph, kind: MetricKind, lo: int, hi: int, sums: dict | None = None) -> list[tuple[int, int]]:
-    """[(value, mask)] per size 0..hi, for hi <= n: one branch and bound
+def _search(graph: Graph, kind: MetricKind, lo: int, hi: int, sums: dict | None = None) -> list[int]:
+    """The optimum per size 0..hi, for hi <= n: one branch and bound
     solves the sizes in [lo, hi] of one kind; the other entries hold the
-    greedy seed, which is exact at sizes 0 and n.
+    greedy seed, which is exact at sizes 0 and n. Values only: no route
+    but the walk returns a witness.
 
     The search always maximizes; a min kind maximizes its negated
     counter, where a pick v adds sign * (per_degree * deg(v) + per_inside
@@ -523,39 +522,28 @@ def _search(graph: Graph, kind: MetricKind, lo: int, hi: int, sums: dict | None 
     scores at once. Size p + 1 needs no bound, as its completions are the
     node's children. The node bounds the other sizes in one call, drops
     each whose bound cannot beat its incumbent, and expands while a size
-    stays live, looping children up to n - (smallest live size - p).
-
-    Restricted to one size, each node's pruning and the strict test of
-    its leaves see the incumbents they would see in a search for that
-    size alone, in the same depth-first order; a skipped bound or a
-    completion scored early only saves nodes none of whose leaves could
-    beat the incumbent. So each size's witness is its greedy seed if that
-    is optimal and otherwise the first optimal set in depth-first order,
-    as in a search for that size alone.
+    stays live, looping children up to n - (smallest live size - p). The
+    bound is admissible (``_bound_fn``), so a pruned subtree holds no set
+    that beats its size's incumbent, and every size ends at its optimum.
 
     A node whose pool holds p <= _LEAF vertices does not branch: after
     the whole pool and the bound it scores each live size, t picks away,
     from one leaf table over the pool's C(p, t) subsets T of size t,
-    packed as 16-bit fields of one int in ``_layout``'s order, which is
-    the order the depth-first search below the node would reach the sets:
-    lexicographic in their pool positions. Field T holds nt plus the
-    signed counter that T adds to chosen: the part fixed by the pool
-    (signed degree terms, inside times the edges inside T) is tabulated
-    once per pool and t, and the node adds inside * |adj(v) & chosen|
-    times the indicator int of each pool vertex v. A field
-    beats the incumbent when it reaches the least such value d. As in
-    the walk's threshold test (Knuth, TAOCP 4A, 7.1.3), adding 0x8000 - d
-    to every field sets bit 15 of exactly the fields that reach d, so one
-    test on the packed int says whether the size improves; on
+    packed as 16-bit fields of one int in ``_layout``'s order. Field T
+    holds nt plus the signed counter that T adds to chosen: the part
+    fixed by the pool (signed degree terms, inside times the edges inside
+    T) is tabulated once per pool and t, and the node adds inside *
+    |adj(v) & chosen| times the indicator int of each pool vertex v. A
+    field beats the incumbent when it reaches the least such value d. As
+    in the walk's threshold test (Knuth, TAOCP 4A, 7.1.3), adding 0x8000
+    - d to every field sets bit 15 of exactly the fields that reach d, so
+    one test on the packed int says whether the size improves; on
     random:24:0.5 and regular:24:3 fewer than 1% of leaf reads do. Only
-    then follow one decode (``_fields``) and one C-level max, and the
-    size takes the first field of its maximum: the branching search
-    would end this subtree holding exactly that set, the first of the
-    best value it reaches, so values, witnesses and the state every
-    later node sees are unchanged. At n <= _LEAF the root is such a node,
-    and the search skips its bound and the pool and bound set-up, which
-    nothing else reads: a size the bound would prune has no field that
-    strictly beats its incumbent, so the threshold test passes it over.
+    then follow one decode (``_fields``) and one C-level max. At n <=
+    _LEAF the root is such a node, and the search skips its bound and the
+    pool and bound set-up, which nothing else reads: a size the bound
+    would prune has no field that strictly beats its incumbent, so the
+    threshold test passes it over.
 
     Only the live sizes are filled, and each table is built the first
     time a leaf reads it: its signed table once per search, and its
@@ -580,15 +568,16 @@ def _search(graph: Graph, kind: MetricKind, lo: int, hi: int, sums: dict | None 
     leaf = min(_LEAF, n)
     leaves = [[None] * (p + 1) for p in range(leaf + 1)]
 
-    def leaf_table(p: int, t: int) -> tuple[list[int], list[int], int, int, int]:
-        # with the int of every field 1 and the int of every field's bit 15
+    def leaf_table(p: int, t: int) -> tuple[list[int], int, int, int, int]:
+        # with the int of every field 1, the int of every field's bit 15
+        # and the table's width in bytes
         pool = order[n - p :]
-        subsets, _, ones, members = _layout(p, t, t)
+        _, spans, ones, members = _layout(p, t, t)
         if (pool, t) not in sums:
             sums[pool, t] = _sums(graph, pool, members)
         degrees, edges = sums[pool, t]
         table = n * t * ones + sign * kind.per_degree * degrees + inside * edges
-        leaves[p][t] = found = (subsets, members, table, ones, ones << 15)
+        leaves[p][t] = found = (members, table, ones, ones << 15, 2 * spans[0][1])
         return found
 
     # counters are never negative, and no max kind's bound beats m + 1
@@ -605,13 +594,12 @@ def _search(graph: Graph, kind: MetricKind, lo: int, hi: int, sums: dict | None 
         bounds, refine = _bound_fn(kind, adj, graph.degrees, order, pool_mask)
 
     # the greedy chain's first hi picks seed sizes 0..hi, the sizes returned
-    incumbent, best = [0], [0]
+    incumbent = [0]
     gains, rest = base[:], list(range(n))
     for _ in range(hi):
         v = max(rest, key=gains.__getitem__)
         rest.remove(v)
         incumbent.append(incumbent[-1] + gains[v])
-        best.append(best[-1] | 1 << v)
         for u in rest:
             if adj[v] >> u & 1:
                 gains[u] += inside
@@ -624,29 +612,21 @@ def _search(graph: Graph, kind: MetricKind, lo: int, hi: int, sums: dict | None 
         row = leaves[p]
         for s in live:
             t = s - picked
-            subsets, members, table, ones, top = row[t] or leaf_table(p, t)
+            members, table, ones, top, width = row[t] or leaf_table(p, t)
             packed = table + inside * sum([a * members[j] for a, j in counts])
             # A field beats the incumbent when it reaches least. With
             # 0x8000 - least added to every field, bit 15 of a field
             # is set exactly when it does: the walk's threshold test.
             least = incumbent[s] - val + n * t + 1
-            if not (packed + (0x8000 - least) * ones) & top:
-                continue
-            # the first field of the maximum is the first set the
-            # depth-first search would reach with it
-            fields = _fields(packed, 2 * len(subsets)).tolist()
-            most = max(fields)
-            picks = subsets[fields.index(most)]
-            incumbent[s] = val + most - n * t
-            best[s] = chosen | sum([1 << v for j, v in enumerate(pool) if picks >> j & 1])
+            if (packed + (0x8000 - least) * ones) & top:
+                incumbent[s] = val + max(_fields(packed, width)) - n * t
 
     def dfs(start: int, chosen: int, picked: int, val: int, live: list[int]) -> None:
         # live is this call's own list
         if live[-1] == picked + n - start:
             full = live.pop()
             whole = val + pool_gain[start] + inside * sum([(adj[v] & chosen).bit_count() for v in order[start:]])
-            if whole > incumbent[full]:
-                incumbent[full], best[full] = whole, chosen | pool_mask[start]
+            incumbent[full] = max(incumbent[full], whole)
             if not live:
                 return
         top, one = live[-1], picked + 1
@@ -667,37 +647,39 @@ def _search(graph: Graph, kind: MetricKind, lo: int, hi: int, sums: dict | None 
         first, low, high = live[0], live[0] == one, len(live)
         for idx in range(start, n - first + picked + 1):
             v = order[idx]
-            child, child_val = chosen | 1 << v, val + base[v] + inside * (adj[v] & chosen).bit_count()
+            child_val = val + base[v] + inside * (adj[v] & chosen).bit_count()
             if low and child_val > incumbent[first]:
-                incumbent[first], best[first] = child_val, child
+                incumbent[first] = child_val
             # each step leaves one slot fewer, so at most the largest size drops
             if live[high - 1] > n - idx + picked:
                 high -= 1
             if low < high:
-                dfs(idx + 1, child, one, child_val, live[low:high])
+                dfs(idx + 1, chosen | 1 << v, one, child_val, live[low:high])
 
     sizes = list(range(max(lo, 1), min(hi, n - 1) + 1))
     if sizes:
         (dfs if n > leaf else score)(0, 0, 0, 0, sizes)
-    return [(sign * value, mask) for value, mask in zip(incumbent, best)]
+    return [sign * value for value in incumbent]
 
 
 def branch_bound_extremal(
     graph: Graph, kind: MetricKind, size: int, cap: int | None = None
-) -> tuple[int, VertexSet]:
-    """Exact optimum for one size via branch and bound; witness unconstrained."""
+) -> tuple[int, None]:
+    """Exact optimum for one size via branch and bound, as (value, None).
+
+    The search returns values only; the pair keeps the shape that callers
+    index with ``[0]``, the benchmark's traced replay among them."""
     _require_within_cap(graph.n, cap)
     if not 0 <= size <= graph.n:
         raise ValueError(f"subset size {size} outside 0..{graph.n}")
-    value, mask = _search(graph, kind, size, size)[size]
-    return value, VertexSet(graph.n, mask)
+    return _search(graph, kind, size, size)[size], None
 
 
 def profile_branch_bound(graph: Graph, kind: MetricKind, cap: int | None = None) -> Profile:
-    """Same values as profile_exhaustive, computed by the pruned search."""
+    """Same values as profile_exhaustive, computed by the pruned search;
+    values only (witnesses None)."""
     _require_within_cap(graph.n, cap)
-    values, masks = zip(*_search(graph, kind, 1, graph.n))
-    return Profile(kind, values, tuple(VertexSet(graph.n, mask) for mask in masks), "branch-and-bound")
+    return Profile(kind, tuple(_search(graph, kind, 1, graph.n)), None, "branch-and-bound")
 
 
 # ---------------------------------------------------------------------------
@@ -729,33 +711,32 @@ def profile_by_reduction(
     bases: Mapping[MetricKind, Profile] | None = None,
     complement_bases: Mapping[MetricKind, Profile] | None = None,
 ) -> Profile:
-    """Derive a profile from base profiles through exact identities.
+    """Derive a profile's values from base profiles through exact
+    identities; values only (witnesses None).
 
     Two plans, one per identity:
 
     graph complement, for the induced kinds (base: complement graph):
         max_induced(i) = C(i,2) - min_induced(i)
         min_induced(i) = C(i,2) - max_induced(i)
-      each size reads the base at i and keeps its witness.
+      each size reads the base at i.
 
     set complement, for the covered and cut kinds (base: same graph):
         kind(i) = m - kind.dual(n-i)     e.g. max_covered from min_induced
         kind(i) = kind.dual(n-i)         a cut kind, its own dual
-      each size reads the base at n - i and complements its witness.
+      each size reads the base at n - i.
     """
     n, m = graph.n, graph.m
     if kind.counter == "induced":
         opposite = MetricKind.MIN_INDUCED if kind.is_max else MetricKind.MAX_INDUCED
         base = _need_base(complement_bases or {}, opposite, n, kind, "of the complement graph")
         values = tuple(math.comb(i, 2) - x for i, x in enumerate(base.values))
-        provenance = f"reduction({kind.key}(i) = C(i,2) - complement {opposite.key}(i))"
-        return Profile(kind, values, base.witnesses or None, provenance)
+        return Profile(kind, values, None, f"reduction({kind.key}(i) = C(i,2) - complement {opposite.key}(i))")
     dual = kind.dual
     base = _need_base(bases or {}, dual, n, kind, "of the same graph")
     values = tuple(kind.from_dual(x, m) for x in reversed(base.values))
-    witnesses = tuple(witness.complement() for witness in reversed(base.witnesses)) if base.witnesses else None
     minus = "" if dual is kind else "m - "
-    return Profile(kind, values, witnesses, f"reduction({kind.key}(i) = {minus}{dual.key}(n-i))")
+    return Profile(kind, values, None, f"reduction({kind.key}(i) = {minus}{dual.key}(n-i))")
 
 
 # ---------------------------------------------------------------------------
@@ -770,23 +751,21 @@ def _agree(kind: MetricKind, truth: Sequence[int], route: str, values: Sequence[
             )
 
 
-def _half_searched(graph: Graph, witnesses: bool = True) -> dict[MetricKind, Profile]:
-    # Per kind, the profile over every size 0..n from one branch and bound
-    # on sizes 1..n//2, the one search plan of checked and reduced; its
-    # greedy chain stops there too, at n//2 picks. The complement of an
-    # i-set is an (n - i)-set, so a size i above n//2 is the complement of
-    # kind.dual's set at n - i, its value read through kind.from_dual. The
-    # six searches share one dict of leaf sums, which ends with the plan.
-    # Each profile's provenance is branch-and-bound, and its witnesses are
-    # VertexSets only when asked for; without them it holds values only,
-    # and at n <= _LEAF the plan searches nothing: greedy seeds and the
-    # threshold test only break ties between witnesses. Per counter one
-    # table over the t-subsets T of all n vertices, t = 0..n//2 in
-    # _layout's order, holds per_degree * deg(T) + per_inside * e(T) in
-    # field T, in [0, m], so no field borrows; decoded once, each size's
-    # max is the max kind's and its min the min kind's.
-    n, m, full = graph.n, graph.m, (1 << graph.n) - 1
-    if witnesses or n > _LEAF:
+def _half_searched(graph: Graph) -> dict[MetricKind, Profile]:
+    # Per kind, the values over every size 0..n from sizes 1..n//2 only,
+    # the one plan of checked and reduced. The complement of an i-set is
+    # an (n - i)-set, so a size i above n//2 is kind.dual's value at n - i,
+    # read through kind.from_dual. Each profile's provenance is
+    # branch-and-bound, and it holds values only. Above _LEAF vertices
+    # each kind is one branch and bound on sizes 1..n//2, its greedy chain
+    # stopping there too, and the six searches share one dict of leaf
+    # sums, which ends with the plan. At n <= _LEAF the plan searches
+    # nothing: per counter one table over the t-subsets T of all n
+    # vertices, t = 0..n//2 in _layout's order, holds per_degree * deg(T) +
+    # per_inside * e(T) in field T, in [0, m], so no field borrows; decoded
+    # once, each size's max is the max kind's and its min the min kind's.
+    n, m = graph.n, graph.m
+    if n > _LEAF:
         sums = {}
         lower = {kind: _search(graph, kind, 1, n // 2, sums) for kind in KIND_ORDER}
     else:
@@ -796,13 +775,12 @@ def _half_searched(graph: Graph, witnesses: bool = True) -> dict[MetricKind, Pro
         # KIND_ORDER holds each counter's max kind and then its min kind
         for most, least in zip(KIND_ORDER[::2], KIND_ORDER[1::2]):
             fields = _fields(most.per_degree * degrees + most.per_inside * edges, 2 * spans[-1][1]).tolist()
-            lower[most] = [(max(fields[a:z]), 0) for a, z in spans]
-            lower[least] = [(min(fields[a:z]), 0) for a, z in spans]
-    profiles = {}
-    for kind, found in lower.items():
-        values, masks = zip(*found, *[(kind.from_dual(x, m), mask ^ full) for x, mask in reversed(lower[kind.dual][: n - n // 2])])
-        profiles[kind] = Profile(kind, values, tuple(VertexSet(n, mask) for mask in masks) if witnesses else None, "branch-and-bound")
-    return profiles
+            lower[most] = [max(fields[a:z]) for a, z in spans]
+            lower[least] = [min(fields[a:z]) for a, z in spans]
+    return {
+        kind: Profile(kind, (*found, *[kind.from_dual(x, m) for x in reversed(lower[kind.dual][: n - n // 2])]), None, "branch-and-bound")
+        for kind, found in lower.items()
+    }
 
 
 def _checked_profiles(
@@ -813,17 +791,16 @@ def _checked_profiles(
     # the branch-and-bound values and the reduction's are compared with the
     # walk's. With witnesses, every walk witness is then evaluated again,
     # each distinct set once; without them the walk keeps values only and
-    # there is no witness to evaluate. Only values are compared, so neither
-    # the search nor the reductions build a witness.
+    # there is no witness to evaluate. Neither the search nor the
+    # reductions build a witness: both return values only.
     exhaustive = profile_exhaustive(graph, cap=graph.n, witnesses=witnesses)
     co = profile_exhaustive(complement(graph), cap=graph.n, witnesses=False)
-    bases = {kind: Profile(kind, profile.values) for kind, profile in exhaustive.items()}
-    searched = _half_searched(graph, False)
+    searched = _half_searched(graph)
     evaluated = {}
     for kind in KIND_ORDER:
         profile = exhaustive[kind]
         _agree(kind, profile.values, "branch-and-bound", searched[kind].values)
-        derived = profile_by_reduction(graph, kind, bases=bases, complement_bases=co)
+        derived = profile_by_reduction(graph, kind, bases=exhaustive, complement_bases=co)
         _agree(kind, profile.values, derived.provenance, derived.values)
         for i, witness in enumerate(profile.witnesses or ()):
             metrics = evaluated.get(witness.bits)
@@ -843,16 +820,16 @@ def _solve(
 ) -> tuple[dict[MetricKind, Profile], dict[MetricKind, Profile] | None]:
     """Profiles under a strategy, plus the complement's when the route made them.
 
-    With ``witnesses`` false every profile comes back with values only
-    (witnesses None), and no route builds a witness set: oracle's fold
-    builds none, reduced returns the half-range plan's profiles, which
-    then hold no VertexSet, and checked walks the graph values only and
-    so has no witness to evaluate again, while it still compares the
-    walk, the complement walk, the half-range search and every
+    Only the walk returns witnesses, so ``witnesses`` reaches oracle and
+    checked alone: reduced returns the half-range plan's profiles, values
+    only, whatever the flag. With ``witnesses`` false every profile comes
+    back with values only (witnesses None), and no route builds a witness
+    set: oracle's fold builds none, and checked walks the graph values
+    only and so has no witness to evaluate again, while it still compares
+    the walk, the complement walk, the half-range plan and every
     reduction. ``verify_theorem`` and the profile command pass False, as
-    their output reads values only. checked's half-range plan is values
-    only whatever the flag, since it compares values only, and reduced's
-    follows the flag; at n <= 12 a values-only plan searches nothing and
+    their output reads values only. The half-range plan of checked and
+    reduced searches each kind above 12 vertices, and at n <= 12 it
     reads each size off one table per counter (``_half_searched``).
 
     The complement profiles come back only from checked: its walk of the
@@ -868,7 +845,7 @@ def _solve(
         return profile_exhaustive(graph, cap=graph.n, witnesses=witnesses), None
     if resolved == "checked":
         return _checked_profiles(graph, witnesses)
-    return _half_searched(graph, witnesses), None
+    return _half_searched(graph), None
 
 
 def all_profiles(
@@ -878,24 +855,24 @@ def all_profiles(
 ) -> dict[MetricKind, Profile]:
     """All six profiles under one strategy.
 
-    Every profile carries one witness per size. oracle: one exhaustive
-    Gray-code walk, each witness the first optimal set it meets.
-    reduced: branch and bound for every kind on sizes 1..n/2, each size
-    above n/2 read off the dual kind's set at n - i and complemented;
-    each witness attains its value. checked: the walk on the graph and,
-    values only, on its complement, the same half-range plan values only
-    (above 12 vertices the branch and bound, up to 12 one table per
-    counter over the subsets of every size), and every reduction; raises
-    InternalInconsistencyError if any value disagrees or any returned
-    witness fails to attain its value.
+    oracle: one exhaustive Gray-code walk, each witness the first optimal
+    set it meets. reduced: values only (witnesses None), from the
+    half-range plan: above 12 vertices branch and bound for every kind
+    on sizes 1..n/2, up to 12 one table per counter over the subsets of
+    every size, and each size above n/2 read off the dual kind at n - i.
+    checked: the walk on the graph and, values only, on its complement,
+    the same half-range plan, and every reduction; it returns the walk's
+    witnesses and raises InternalInconsistencyError if any value
+    disagrees or any returned witness fails to attain its value.
     auto: checked for n <= 8, one walk (oracle) above. At n = 24 on a
     2-core VM (Python 3.11) the walk took 0.11-0.12 s, while the six
     half-range searches took 0.23 s on random:24:0.5 and on regular:24:3,
     0.36 s on random:24:0.8 and 1.03 s on regular:24:11.
 
-    This function always returns witnesses, and checked always checks
-    them. The command line prints values only, so its profile and
-    verify paths solve through ``_solve`` without witnesses: no route
-    then builds a witness set, and checked has none to evaluate again.
+    Only the walk returns witnesses: oracle, checked and auto carry one
+    per size, and checked always checks them. The command line prints
+    values only, so its profile and verify paths solve through
+    ``_solve`` without witnesses: no route then builds a witness set, and
+    checked has none to evaluate again.
     """
     return _solve(graph, strategy, cap)[0]

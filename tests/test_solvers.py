@@ -311,9 +311,11 @@ class TestBranchBound:
         assert profile.values == (0, 3, 4, 5, 4, 5, 4, 3, 0)
 
     def test_single_size_entry_point(self):
+        # values only: the pair keeps its shape, and only the walk
+        # returns a witness
         value, witness = branch_bound_extremal(cycle(5), MetricKind.MIN_CUT, 2)
         assert value == 2
-        assert subset_metrics(cycle(5), witness).cut == 2
+        assert witness is None
 
     @given(small_graphs())
     @settings(max_examples=120, deadline=None)
@@ -492,10 +494,9 @@ class TestBound:
 
     @given(small_graphs(max_n=11))
     @settings(max_examples=60, deadline=None)
-    def test_leaf_tables_keep_every_witness(self, g):
-        # a leaf table takes the first field of its maximum, the set the
-        # depth-first search would reach first, so every value and witness
-        # is the one of the search without tables
+    def test_leaf_tables_keep_every_value(self, g):
+        # a leaf table reads the maximum of its fields, so every value is
+        # the one of the search without tables
         for kind in KIND_ORDER:
             scored = solvers._search(g, kind, 1, g.n - 1)
             with pytest.MonkeyPatch.context() as patch:
@@ -503,14 +504,13 @@ class TestBound:
                 branched = solvers._search(g, kind, 1, g.n - 1)
             assert scored == branched, kind.key
 
-    def test_witnesses_match_golden(self):
+    def test_values_match_golden(self):
         # an admissible bound prunes only subtrees that cannot beat the
-        # incumbent, so tightening it keeps the sequence of improving leaves
-        # and with it every witness the search returns
+        # incumbent, so every size ends at its optimum
         _assert_branch_bound_golden()
 
     @pytest.mark.parametrize("leaf", [0, 3])
-    def test_witnesses_match_golden_below_leaf(self, monkeypatch, leaf):
+    def test_values_match_golden_below_leaf(self, monkeypatch, leaf):
         # cycle:7 and hypercube:3 are one leaf table at the root by default
         monkeypatch.setattr(solvers, "_LEAF", leaf)
         _assert_branch_bound_golden()
@@ -521,10 +521,10 @@ class TestBound:
         ("regular:15:4", 3),
         ("random:16:0.7", 4),
     ])
-    def test_partial_leaves_keep_every_witness(self, spec, seed):
+    def test_partial_leaves_keep_every_value(self, spec, seed):
         # above the leaf size the root branches, and many of its leaves
-        # score only one or two live sizes: values and witnesses do not
-        # depend on where the branching stops
+        # score only one or two live sizes: values do not depend on where
+        # the branching stops
         g = from_spec(spec, seed)
         for kind in KIND_ORDER:
             found = {}
@@ -560,9 +560,10 @@ class TestBound:
     def test_leaf_tables_are_built_lazily_and_shared(self, monkeypatch):
         # random:10:0.5 is one leaf at the root, and each kind's search on
         # sizes 1..5 reads the sums of its whole order at t = 1..5 only;
-        # the max kinds share one order and the min kinds another, so one
-        # plan builds each (pool, t) once. Nothing outlives the plan: a
-        # second one builds them all again.
+        # the max kinds share one order and the min kinds another, so six
+        # searches sharing one dict build each (pool, t) once. Nothing
+        # outlives the dict: six more searches with a new one build them
+        # all again.
         built = []
         real = solvers._sums
 
@@ -579,11 +580,13 @@ class TestBound:
         orders = {tuple(sorted(range(g.n), key=lambda v: (-sign * g.degrees[v], v))) for sign in (1, -1)}
         assert len(orders) == 2
         once = sorted((order, t) for order in orders for t in range(1, 6))
-        plan = solvers._half_searched(g)
+        sums = {}
         for kind in KIND_ORDER:
-            assert plan[kind].values == walked[kind].values, kind.key
+            assert solvers._search(g, kind, 1, 5, sums) == list(walked[kind].values[:6]), kind.key
         assert sorted(built) == once
-        solvers._half_searched(g)
+        sums = {}
+        for kind in KIND_ORDER:
+            solvers._search(g, kind, 1, 5, sums)
         assert sorted(built) == sorted(once * 2)
 
     def test_search_refuses_more_vertices_than_its_fields_hold(self):
@@ -618,12 +621,13 @@ def _assert_bound_calls_within(monkeypatch, pins, half=False):
 
 
 def _assert_plans_match_walk(g):
-    # the half-range plan's values, without and with witnesses, equal the
-    # walk's for every kind and size
+    # the half-range plan's values equal the full-range search's and the
+    # walk's for every kind and size, so the n <= 12 table plan is checked
+    # against a search too
     walked = profile_exhaustive(g, witnesses=False)
-    values, witnessed = solvers._half_searched(g, False), solvers._half_searched(g)
+    plan = solvers._half_searched(g)
     for kind in KIND_ORDER:
-        assert values[kind].values == witnessed[kind].values == walked[kind].values, kind.key
+        assert plan[kind].values == profile_branch_bound(g, kind).values == walked[kind].values, kind.key
 
 
 def _greedy_picks(plan):
@@ -671,14 +675,11 @@ def _assert_branch_bound_golden():
         "petersen": load_graph_text((FIXTURES / "petersen.g6").read_text()),
         "random:9:0.4@5": from_spec("random:9:0.4", 5),
     }
-    golden = json.loads((GOLDEN / "branch_bound_witnesses.json").read_text())
+    golden = json.loads((GOLDEN / "branch_bound_values.json").read_text())
     assert set(golden) == set(graphs)
     for name, g in graphs.items():
         for kind in KIND_ORDER:
-            found = []
-            for i in range(g.n + 1):
-                value, witness = branch_bound_extremal(g, kind, i)
-                found.append([value, witness.bits])
+            found = [branch_bound_extremal(g, kind, i)[0] for i in range(g.n + 1)]
             assert found == golden[name][kind.key], (name, kind.key)
 
 
@@ -800,33 +801,21 @@ class TestReductions:
         mirrored = profile_by_reduction(g, MetricKind.MAX_CUT, bases={MetricKind.MAX_CUT: base})
         assert mirrored.values == base.values
 
-    def test_reduction_witnesses_reevaluate(self):
-        g = cycle(6)
-        sparse = profile_exhaustive(g)[MetricKind.MIN_INDUCED]
-        derived = profile_by_reduction(g, MetricKind.MAX_COVERED, bases={MetricKind.MIN_INDUCED: sparse})
-        for i, witness in enumerate(derived.witnesses):
-            assert len(witness) == i
-            assert subset_metrics(g, witness).covered == derived.values[i]
-
     def test_missing_base(self):
         with pytest.raises(ValueError, match="missing base profile"):
             profile_by_reduction(cycle(4), MetricKind.MAX_COVERED)
 
     @given(small_graphs(max_n=10))
     @settings(max_examples=60, deadline=None)
-    def test_every_reduction_keeps_valid_witnesses(self, g):
-        # each derived witness, n/2 included, is checked against the graph
-        # itself: a covered or cut kind takes the complement of its base
-        # witness at every size, an induced kind at none
+    def test_every_reduction_keeps_the_walk_values(self, g):
+        # every kind, n/2 included: a covered or cut kind reads its base at
+        # n - i, an induced kind the complement graph's at i
         walked = profile_exhaustive(g)
         co = profile_exhaustive(complement(g))
         for kind in KIND_ORDER:
             derived = profile_by_reduction(g, kind, bases=walked, complement_bases=co)
             assert derived.values == walked[kind].values, kind.key
-            for i, witness in enumerate(derived.witnesses):
-                metrics = metrics_from_mask(g, witness.bits)
-                assert metrics.size == i, (kind.key, i)
-                assert getattr(metrics, kind.counter) == derived.values[i], (kind.key, i)
+            assert derived.witnesses is None, kind.key
 
     def test_reduction_equivalence_sample(self, corpus):
         for name, g in corpus[:60]:
@@ -992,9 +981,8 @@ class TestAllProfiles:
             all_profiles(cycle(4), strategy="psychic")
 
     # checked and reduced search each kind on the lower half of the sizes
-    # only, and read the upper half off the dual kind. checked wants
-    # values only, so up to 12 vertices its plan searches nothing; reduced
-    # here wants witnesses and so searches at every n.
+    # only, and read the upper half off the dual kind. Their plan is
+    # values only, so up to 12 vertices it searches nothing.
     @pytest.mark.parametrize("strategy", ["checked", "reduced"])
     @pytest.mark.parametrize("spec, seed", [("cycle:6", 0), ("cycle:7", 0), ("random:13:0.5", 1), ("regular:14:3", 2)])
     def test_each_kind_searched_up_to_half(self, monkeypatch, strategy, spec, seed):
@@ -1008,25 +996,29 @@ class TestAllProfiles:
 
         monkeypatch.setattr(solvers, "_search", recording)
         all_profiles(g, strategy=strategy)
-        searched = strategy == "reduced" or g.n > solvers._LEAF
+        searched = g.n > solvers._LEAF
         expected = [(kind, 1, g.n // 2) for kind in KIND_ORDER] if searched else []
         assert sorted(asked, key=lambda call: KIND_ORDER.index(call[0])) == expected
 
-    # Each search of the half-range plan makes one greedy pick per size it
-    # returns, n // 2 of them, where it used to pick all n vertices and
-    # drop the top half. A pick removes its vertex from the remaining ones,
-    # the only list.remove that search itself calls.
-    @pytest.mark.parametrize("spec, seed", [("cycle:7", 0), ("regular:10:3", 3), ("random:9:0.4", 1729), ("random:16:0.5", 1729)])
+    # Above 12 vertices each search of the half-range plan makes one
+    # greedy pick per size it returns, n // 2 of them, where it used to
+    # pick all n vertices and drop the top half; up to 12 the plan runs no
+    # search and so picks nothing. A pick removes its vertex from the
+    # remaining ones, the only list.remove that search itself calls.
+    @pytest.mark.parametrize(
+        "spec, seed",
+        [("cycle:7", 0), ("regular:10:3", 3), ("random:9:0.4", 1729), ("random:16:0.5", 1729), ("regular:14:3", 2)],
+    )
     def test_half_range_greedy_chains_stop_at_half(self, spec, seed):
         g = from_spec(spec, seed)
         plan, picks = _greedy_picks(lambda: solvers._half_searched(g))
-        assert len(picks) == len(KIND_ORDER) * (g.n // 2)
+        assert len(picks) == (len(KIND_ORDER) * (g.n // 2) if g.n > solvers._LEAF else 0)
         walked = profile_exhaustive(g)
         assert all(plan[kind].values == walked[kind].values for kind in KIND_ORDER)
 
-    # Without witnesses the half-range plan at n <= _LEAF searches nothing
-    # and reads every size off one table per counter: its values are the
-    # witness plan's and the walk's
+    # The half-range plan at n <= _LEAF searches nothing and reads every
+    # size off one table per counter: its values are the full-range
+    # search's and the walk's
     @given(g=small_graphs(max_n=12))
     @example(g=empty(1))
     @example(g=from_edge_list(2, [(0, 1)]))
@@ -1047,11 +1039,10 @@ class TestAllProfiles:
     def test_values_only_plan_matches_across_leaf_switch(self, spec):
         _assert_plans_match_walk(from_spec(spec, 1729))
 
-    # A values-only plan at n <= _LEAF makes no greedy pick and runs no
-    # search: it reads the size-range layout once, builds its degree
-    # and edge sums once and decodes one table per counter. checked
-    # always asks for values only, and reduced passes its caller's flag,
-    # so it searches each kind only when its caller wants witnesses.
+    # The half-range plan at n <= _LEAF makes no greedy pick and runs no
+    # search: it reads the size-range layout once, builds its degree and
+    # edge sums once and decodes one table per counter. checked and
+    # reduced both run it, whether or not their caller wants witnesses.
     @pytest.mark.parametrize("spec, seed", [("regular:10:3", 3), ("random:9:0.4", 1729)])
     def test_values_only_leaf_root_reads_one_table_per_counter(self, monkeypatch, spec, seed):
         g = from_spec(spec, seed)
@@ -1060,7 +1051,7 @@ class TestAllProfiles:
             real = getattr(solvers, name)
             monkeypatch.setattr(solvers, name, lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
         decodes, layouts, built, asked = calls.values()
-        plan, picks = _greedy_picks(lambda: solvers._half_searched(g, False))
+        plan, picks = _greedy_picks(lambda: solvers._half_searched(g))
         assert (picks, len(decodes), layouts, len(built), asked) == ([], 3, [(g.n, 0, g.n // 2)], 1, [])
         walked = profile_exhaustive(g, witnesses=False)
         assert all(plan[kind].values == walked[kind].values for kind in KIND_ORDER)
@@ -1069,19 +1060,27 @@ class TestAllProfiles:
         for witnesses in (True, False):
             asked.clear()
             solvers._solve(g, "reduced", None, witnesses)
-            assert [args[1] for args in asked] == (list(KIND_ORDER) if witnesses else [])
+            assert asked == []
 
-    # each reduced witness, searched or read off the dual kind, has its
-    # size and attains its value
-    @given(g=small_graphs(max_n=10))
-    @example(g=cycle(7))
-    @settings(max_examples=60, deadline=None)
-    def test_mirrored_witnesses_reevaluate(self, g):
-        profiles = all_profiles(g, strategy="reduced")
+    # Only the walk returns witnesses: the search, its plan, the reduced
+    # strategy and checked without witnesses build no VertexSet, while
+    # oracle with witnesses does
+    @pytest.mark.parametrize("spec, seed", [("cycle:7", 0), ("regular:14:3", 2)])
+    def test_only_the_walk_builds_witnesses(self, monkeypatch, spec, seed):
+        g = from_spec(spec, seed)
+        built = []
+        real = solvers.VertexSet
+        monkeypatch.setattr(solvers, "VertexSet", lambda n, bits: built.append(bits) or real(n, bits))
+        all_profiles(g, "reduced")
+        solvers._half_searched(g)
+        solvers._solve(g, "checked", None, False)
         for kind in KIND_ORDER:
-            for i, witness in enumerate(profiles[kind].witnesses):
-                assert len(witness) == i, (kind.key, i)
-                assert getattr(subset_metrics(g, witness), kind.counter) == profiles[kind].values[i], (kind.key, i)
+            profile_branch_bound(g, kind)
+            for i in range(g.n + 1):
+                branch_bound_extremal(g, kind, i)
+        assert built == []
+        all_profiles(g, "oracle")
+        assert built
 
 
 class TestCap:
